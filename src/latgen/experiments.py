@@ -23,6 +23,7 @@ makes the pooled binomial radius alone too optimistic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -607,10 +608,8 @@ def run_lemma_verification(
         hyper = []
         if n >= 2:
             columns = lattice.basis.columns()
-            import itertools as _it
-
             for k in range(1, n):
-                for subset in _it.combinations(range(n), k):
+                for subset in itertools.combinations(range(n), k):
                     spanning = [columns[j] for j in subset]
                     h_count = count_in_hyperplane(lattice, window, spanning)
                     h_bound = lemma2_count_bound(lattice, window, k)

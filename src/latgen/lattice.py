@@ -4,8 +4,8 @@ A lattice is held by an n x n nonsingular column basis.  Everything is
 exact: membership, enumeration and rank tests run on integers after
 clearing denominators, and the covering-radius machinery only ever
 produces one-sided bounds (a certified upper bound from the closed form,
-a grid under-estimate as the test oracle), since the exact covering
-radius is never needed.
+a grid under-estimate for the lower side of the window-count bracket),
+since the exact covering radius is never needed.
 
 Window membership is half-open throughout: a point belongs to [0, B)^n
 when every coordinate satisfies 0 <= y_i < B under exact comparison.
@@ -16,14 +16,23 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .enclosure import sqrt_enclosure
-from .exactmat import RationalMatrix, rank_of_rows, unimodular_columns
+from .exactmat import (
+    ExactMatrix,
+    RationalMatrix,
+    hnf,
+    rank_of_rows,
+    unimodular_columns,
+)
 
 _ENUM_GUARD = 10**7
 _BOX_GUARD = 5 * 10**7
+_INT64_GUARD = 1 << 62
 
 
 def _floor(x: Fraction) -> int:
@@ -178,8 +187,7 @@ class LatticeBasis:
         """Integer radii r_i with |c_i| <= r_i for every lattice vector of
         squared norm <= norm_sq_bound (via rows of the inverse basis)."""
         radii = []
-        for i in range(self.dim):
-            row = self.inverse.to_rows()[i]
+        for row in self.inverse.to_rows():
             row_norm_sq = sum(e * e for e in row)
             q = row_norm_sq * norm_sq_bound
             radii.append(isqrt(_ceil(q)) + 1)
@@ -250,6 +258,15 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
     lattice; distances are exact and the final square root rounds down,
     so the value never exceeds the true covering radius and converges to
     it from below as the resolution grows.
+
+    All res^n grid points are searched at once.  In units of 1/(scale *
+    res), grid point g lies at w0 = g - res * round(g / res) from its
+    rounded lattice point and at w0 - res * o from the one o further on.
+    One box of offsets o, sized from the largest starting distance, holds
+    every lattice point that can be nearest to any grid point, so the
+    minimum over it is the exact distance.  The squared distances are
+    integers, kept in int64 only when a bound on their size rules out
+    overflow and in Python integers (object arrays) otherwise.
     """
     n = lattice.dim
     if n > 3:
@@ -258,33 +275,27 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
         raise ValueError("resolution must be >= 1")
     res = grid_resolution
     gram = _int_gram(lattice._scaled_rows)
-    inv_rows = lattice.inverse.to_rows()
-    row_norm_sq = [sum(e * e for e in row) for row in inv_rows]
     qq_res = (lattice._scale * res) ** 2
-    max_dist_sq = Fraction(0)
-    for g in itertools.product(range(res), repeat=n):
-        # nearest lattice point in basis coordinates is near g / res
-        center = [Fraction(gi, res) for gi in g]
-        c0 = [_floor(ci + Fraction(1, 2)) for ci in center]
-        w0 = [gi - res * c0i for gi, c0i in zip(g, c0)]
-        best = _quadform(gram, w0)
-        if best:
-            # search radius from the current best distance, per coordinate
-            radii = [
-                isqrt(_ceil(rn * Fraction(best, qq_res))) + 1 for rn in row_norm_sq
-            ]
-            for offs in itertools.product(
-                *(range(-r, r + 1) for r in radii)
-            ):
-                if not any(offs):
-                    continue
-                w = [w0i - res * o for w0i, o in zip(w0, offs)]
-                value = _quadform(gram, w)
-                if value < best:
-                    best = value
-        dist_sq = Fraction(best, qq_res)
-        if dist_sq > max_dist_sq:
-            max_dist_sq = dist_sq
+    # each w0_i ranges over the integers of [-(res // 2), (res - 1) // 2];
+    # the quadratic form is convex, so its maximum there sits at a corner
+    corners = itertools.product((-(res // 2), (res - 1) // 2), repeat=n)
+    start_max = max(_quadform(gram, list(c)) for c in corners)
+    radii = lattice._coordinate_radii(Fraction(start_max, qq_res))
+    # |w_i| < res * (r_i + 1) = w_bound, so no partial sum of w G w
+    # reaches n^2 * max|G| * w_bound^2
+    w_bound = res * (max(radii) + 1)
+    g_max = max(abs(x) for row in gram for x in row)
+    exact_int64 = n * n * g_max * w_bound * w_bound < _INT64_GUARD
+    dtype = np.int64 if exact_int64 else object
+    g = np.indices((res,) * n).reshape(n, -1).T
+    w0 = (g - res * (2 * g >= res)).astype(dtype)
+    gram_np = np.array(gram, dtype=dtype)
+    best = None
+    for offs in itertools.product(*(range(-r, r + 1) for r in radii)):
+        w = w0 - res * np.array(offs, dtype=dtype)
+        dist = ((w @ gram_np) * w).sum(axis=1)
+        best = dist if best is None else np.minimum(best, dist)
+    max_dist_sq = Fraction(int(best.max()), qq_res)
     return sqrt_enclosure(max_dist_sq, 25).lo
 
 
@@ -311,6 +322,14 @@ def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[Fracti
     guards raise instead of truncating, since a silent cut would corrupt
     the counting checks built on top of this.
     """
+    q = lattice._scale
+    return [
+        tuple(Fraction(y, q) for y in ys) for ys in _window_scaled(lattice, window)
+    ]
+
+
+def _window_scaled(lattice: LatticeBasis, window: Window) -> list[tuple[int, ...]]:
+    """The points of ``enumerate_window`` times the basis scale, as integers."""
     n = lattice.dim
     if window.dim != n:
         raise ValueError("window dimension mismatch")
@@ -328,9 +347,8 @@ def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[Fracti
     if box > _BOX_GUARD:
         raise ValueError(f"enumeration coordinate box too large ({box})")
     rows = lattice._scaled_rows
-    q = lattice._scale
     num, den = window.bound.numerator, window.bound.denominator
-    limit = num * q
+    limit = num * lattice._scale
     out = []
     for c in itertools.product(*ranges):
         ok = True
@@ -342,7 +360,7 @@ def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[Fracti
                 break
             ys.append(y)
         if ok:
-            out.append(tuple(Fraction(y, q) for y in ys))
+            out.append(tuple(ys))
     return out
 
 
@@ -352,19 +370,33 @@ def count_in_hyperplane(
     spanning: Sequence[Sequence],
 ) -> int:
     """Count lattice points of the window lying in the span of the given
-    vectors (an exact rank test, k = len(spanning), 1 <= k < n)."""
+    vectors (k = len(spanning), 1 <= k < n).
+
+    The span is cut out by integer normals: the kernel columns of the
+    Hermite form of the spanning rows (denominators cleared).  A window
+    point lies in the span exactly when its scaled integer coordinates
+    are orthogonal to every normal.
+    """
     k = len(spanning)
     n = lattice.dim
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n spanning vectors")
-    span_rows = [[Fraction(x) for x in v] for v in spanning]
-    if rank_of_rows(span_rows) != k:
+    rows = []
+    for v in spanning:
+        v = [Fraction(x) for x in v]
+        d = lcm(*(x.denominator for x in v))
+        rows.append([int(x * d) for x in v])
+    h, u = hnf(ExactMatrix.from_rows(rows))
+    # A @ U = H with the zero columns of H last: the matching columns of U
+    # are an integer basis of {x : A x = 0}
+    if sum(1 for col in h.columns() if any(col)) != k:
         raise ValueError("spanning set is not independent")
-    count = 0
-    for point in enumerate_window(lattice, window):
-        if rank_of_rows(span_rows + [list(point)]) == k:
-            count += 1
-    return count
+    normals = u.columns()[k:]
+    return sum(
+        1
+        for ys in _window_scaled(lattice, window)
+        if not any(sum(a * y for a, y in zip(normal, ys)) for normal in normals)
+    )
 
 
 def lemma1_bounds(

@@ -6,7 +6,9 @@ applied to s0 + (k+1) * GAMMA mod 2^64, where s0 is derived from (seed,
 stream id).  Every bounded draw owns a disjoint block of 64 words and
 rejection-samples masked words from its block, so any draw is a pure
 function of (seed, stream, draw index) - independent of platform, worker
-count, and batch size.  Draw indices are handed out by a monotone cursor
+count, and batch size.  An attempt past the end of the block takes its
+words from an overflow sub-stream keyed by (draw index, attempt), so no
+bound exhausts a draw.  Draw indices are handed out by a monotone cursor
 on the stream.
 
 Candidate points for a parallelepiped are drawn uniformly from its
@@ -32,6 +34,10 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1342543DE82EF95
 _WORDS_PER_DRAW = 64
+_OVERFLOW_SALT = 0x8CB92BA72F3D8DD7
+# every attempt accepts with probability > 1/2, so reaching this many
+# rejections in a row means the generator itself is broken
+_MAX_ATTEMPTS = 1024
 _INT64_GUARD = 1 << 62
 
 ALGORITHM_ID = "splitmix64-ctr-v1"
@@ -79,6 +85,7 @@ class RngStream:
         self._s0 = _mix64(
             (_mix64(self.seed & _M64) + (self.stream & _M64) * _STREAM_SALT) & _M64
         )
+        self._overflow_s0 = _mix64(self._s0 ^ _OVERFLOW_SALT)
         self.draw_cursor = 0
 
     def provenance(self) -> dict:
@@ -94,6 +101,20 @@ class RngStream:
                 + (indices + np.uint64(1)) * np.uint64(_GAMMA)
             )
 
+    def overflow_word(self, index: int, attempt: int, w: int) -> int:
+        """Word w of an attempt of draw ``index`` past the end of its block:
+        the sub-stream keyed by (index, attempt)."""
+        key = _mix64(_mix64(self._overflow_s0 + index) + attempt)
+        return _mix64(key + (w + 1) * _GAMMA)
+
+    def overflow_words_np(self, indices: np.ndarray, attempt: int) -> np.ndarray:
+        """``overflow_word(index, attempt, 0)`` for an array of indices."""
+        with np.errstate(over="ignore"):
+            key = _mix64_np(
+                _mix64_np(np.uint64(self._overflow_s0) + indices) + np.uint64(attempt)
+            )
+            return _mix64_np(key + np.uint64(_GAMMA))
+
     def draw_below(self, bound: int, index: Optional[int] = None) -> int:
         """Uniform integer in [0, bound) from the word block of one draw
         index (allocated from the cursor when not given)."""
@@ -108,15 +129,20 @@ class RngStream:
         nwords = (bits + 63) // 64
         mask = (1 << bits) - 1
         base = index * _WORDS_PER_DRAW
-        for attempt in range(_WORDS_PER_DRAW // nwords):
+        in_block = _WORDS_PER_DRAW // nwords
+        for attempt in range(_MAX_ATTEMPTS):
             x = 0
             for w in range(nwords):
-                x |= self.word(base + attempt * nwords + w) << (64 * w)
+                if attempt < in_block:
+                    word = self.word(base + attempt * nwords + w)
+                else:
+                    word = self.overflow_word(index, attempt, w)
+                x |= word << (64 * w)
             x &= mask
             if x < bound:
                 return x
         raise SamplerError(
-            f"draw block exhausted for bound {bound}: generator fault",
+            f"{_MAX_ATTEMPTS} draws rejected for bound {bound}: generator fault",
             acceptance_estimate=0.0,
         )
 
@@ -407,15 +433,19 @@ class RejectionSampler:
         reject = x >= self._np_range
         attempt = 1
         while reject.any():
-            if attempt >= _WORDS_PER_DRAW:
+            if attempt >= _MAX_ATTEMPTS:
                 raise SamplerError(
-                    "draw block exhausted: generator fault", self.acceptance_estimate
+                    f"{_MAX_ATTEMPTS} draws rejected: generator fault",
+                    self.acceptance_estimate,
                 )
             pos = np.flatnonzero(reject.ravel())
-            with np.errstate(over="ignore"):
-                repl = self.rng.words_np(
-                    idx[pos] * np.uint64(_WORDS_PER_DRAW) + np.uint64(attempt)
-                )
+            if attempt < _WORDS_PER_DRAW:
+                with np.errstate(over="ignore"):
+                    repl = self.rng.words_np(
+                        idx[pos] * np.uint64(_WORDS_PER_DRAW) + np.uint64(attempt)
+                    )
+            else:
+                repl = self.rng.overflow_words_np(idx[pos], attempt)
             cols = pos % self.n
             repl &= self._np_mask[cols]
             flat = x.ravel()

@@ -5,15 +5,23 @@ integer basis combinations; the counting bounds are then checked against
 it instance by instance.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from latgen.exactmat import RationalMatrix
+from latgen.enclosure import sqrt_enclosure
+from latgen.exactmat import RationalMatrix, rank_of_rows
+from latgen.experiments import default_lemma_instances
 from latgen.lattice import (
     LatticeBasis,
     Window,
+    _ceil,
+    _floor,
+    _int_gram,
+    _quadform,
     count_in_hyperplane,
     covering_radius_estimate,
     covering_radius_upper,
@@ -95,6 +103,68 @@ def test_covering_radius_estimate_guard():
 def test_estimate_below_upper_bound():
     for basis in (Z1, Z2, SKEW, lat([2, 0], [1, 3])):
         assert covering_radius_estimate(basis, 24) <= covering_radius_upper(basis)
+
+
+def covering_radius_estimate_scalar(lattice: LatticeBasis, res: int) -> Fraction:
+    """Oracle: one exact nearest-point search per grid point, each in a box
+    sized from that point's own starting distance."""
+    n = lattice.dim
+    gram = _int_gram(lattice._scaled_rows)
+    row_norm_sq = [sum(e * e for e in row) for row in lattice.inverse.to_rows()]
+    qq_res = (lattice._scale * res) ** 2
+    max_dist_sq = Fraction(0)
+    for g in itertools.product(range(res), repeat=n):
+        c0 = [_floor(Fraction(gi, res) + Fraction(1, 2)) for gi in g]
+        w0 = [gi - res * c0i for gi, c0i in zip(g, c0)]
+        best = _quadform(gram, w0)
+        if best:
+            radii = [
+                isqrt(_ceil(rn * Fraction(best, qq_res))) + 1 for rn in row_norm_sq
+            ]
+            for offs in itertools.product(*(range(-r, r + 1) for r in radii)):
+                w = [w0i - res * o for w0i, o in zip(w0, offs)]
+                best = min(best, _quadform(gram, w))
+        max_dist_sq = max(max_dist_sq, Fraction(best, qq_res))
+    return sqrt_enclosure(max_dist_sq, 25).lo
+
+
+def test_covering_radius_estimate_matches_scalar_on_lemma_instances():
+    for inst in default_lemma_instances():
+        res = inst.grid_resolution
+        fast = covering_radius_estimate(inst.lattice, res)
+        assert fast == covering_radius_estimate_scalar(inst.lattice, res), inst.name
+
+
+def random_rational_basis(rng: random.Random, n: int) -> LatticeBasis:
+    while True:
+        columns = [
+            [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5))) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if RationalMatrix.from_columns(columns).det() != 0:
+            return lat(*columns)
+
+
+@pytest.mark.parametrize(
+    "n,resolutions", [(1, (1, 2, 7, 33)), (2, (1, 3, 8, 15)), (3, (1, 2, 5))]
+)
+def test_covering_radius_estimate_matches_scalar_on_random_bases(n, resolutions):
+    rng = random.Random(1000 + n)
+    for _ in range(6):
+        basis = random_rational_basis(rng, n)
+        for res in resolutions:
+            fast = covering_radius_estimate(basis, res)
+            assert fast == covering_radius_estimate_scalar(basis, res), (basis, res)
+
+
+def test_covering_radius_estimate_large_entries_match_scalar():
+    basis = lat([10**12, 3], [Fraction(1, 7), 10**12 + 9])
+    gram = _int_gram(basis._scaled_rows)
+    # squared distances pass 2^62 here, so the search runs on Python integers
+    assert max(abs(x) for row in gram for x in row) > 2**62
+    for res in (4, 9):
+        fast = covering_radius_estimate(basis, res)
+        assert fast == covering_radius_estimate_scalar(basis, res)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +262,48 @@ def test_count_in_hyperplane_errors():
         count_in_hyperplane(Z2, Window(2, 3), [(1, 2), (2, 4)])
     with pytest.raises(ValueError):
         count_in_hyperplane(Z2, Window(2, 3), [(1, 0), (0, 1)])
+
+
+def count_in_hyperplane_by_rank(basis: LatticeBasis, window: Window, spanning) -> int:
+    """Oracle: a Fraction rank test of span + [point] for every window point."""
+    span_rows = [[Fraction(x) for x in v] for v in spanning]
+    k = rank_of_rows(span_rows)
+    return sum(
+        1
+        for point in enumerate_window(basis, window)
+        if rank_of_rows(span_rows + [list(point)]) == k
+    )
+
+
+def test_count_in_hyperplane_matches_rank_oracle():
+    rng = random.Random(404)
+    cases = [(inst.lattice, inst.bound) for inst in default_lemma_instances()]
+    cases += [(random_rational_basis(rng, n), 5) for n in (2, 3) for _ in range(4)]
+    for basis, bound in cases:
+        n = basis.dim
+        window = Window(n, bound)
+        columns = basis.basis.columns()
+        spans = [
+            [columns[j] for j in subset]
+            for k in range(1, n)
+            for subset in itertools.combinations(range(n), k)
+        ]
+        # spans that are not spanned by basis vectors: rational, mixed signs
+        spans += [
+            [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(k)
+            ]
+            for k in range(1, n)
+        ]
+        for spanning in spans:
+            if rank_of_span(spanning) != len(spanning):
+                continue
+            count = count_in_hyperplane(basis, window, spanning)
+            assert count == count_in_hyperplane_by_rank(basis, window, spanning), (
+                basis,
+                spanning,
+            )
 
 
 def test_hyperplane_count_within_bound():

@@ -5,8 +5,10 @@ integer points; the uniformity check is a chi-square test against the
 enumerated support with a documented 1-in-10-seeds flakiness budget.
 """
 
+import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -48,8 +50,6 @@ def test_stream_separation():
 
 
 def test_words_np_matches_scalar():
-    import numpy as np
-
     rng = RngStream(seed=42, stream=5)
     idx = np.arange(0, 200, dtype=np.uint64)
     vec = rng.words_np(idx)
@@ -74,6 +74,98 @@ def test_draw_below_huge_bound():
     assert max(values) > bound // 4  # sanity: actually spread out
     again = RngStream(seed=9)
     assert values == [again.draw_below(bound) for _ in range(200)]
+
+
+def test_draw_below_in_block_values_pinned():
+    # values from before overflow sub-streams existed: every draw that
+    # finishes inside its 64-word block keeps its exact value
+    rng = RngStream(seed=2024, stream=3)
+    assert [rng.draw_below(17, i) for i in range(6)] == [6, 1, 11, 11, 14, 6]
+    assert [rng.draw_below(1000, i) for i in range(6)] == [582, 65, 561, 299, 238, 984]
+    assert [rng.draw_below(2**64 + 1, i) for i in range(3)] == [
+        7023393112780940715,
+        3152349911881556033,
+        6576846864092154042,
+    ]
+
+    def digest(values):
+        return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+
+    wide = [rng.draw_below(2**512 + 1, i) for i in range(64)]
+    assert digest(wide) == (
+        "4266dcc5419450bf49ab353a299f981b4198afd07c0245d23d8f397dc3f8e561"
+    )
+    # at 1025 bits a block holds 3 attempts; these indices used to exhaust it
+    exhausted = {7, 8, 17, 18, 21, 27, 48, 60, 61}
+    bound = 2**1024 + 1
+    in_block = [rng.draw_below(bound, i) for i in range(64) if i not in exhausted]
+    assert digest(in_block) == (
+        "6c6ddea8e43e15fa13713f8b0a04723082f37cc3825afc77faa4cdd2eb7a1d3a"
+    )
+    assert all(0 <= rng.draw_below(bound, i) < bound for i in exhausted)
+
+
+@pytest.mark.parametrize("bound", [2**4096 + 1, 2**8192 + 1])
+def test_draw_below_beyond_block(bound):
+    # more than 64 words per attempt: every attempt is an overflow one
+    rng = RngStream(seed=5, stream=1)
+    values = [rng.draw_below(bound) for _ in range(40)]
+    assert all(0 <= v < bound for v in values)
+    assert len(set(values)) == 40
+    again = RngStream(seed=5, stream=1)
+    assert values == [again.draw_below(bound) for _ in range(40)]
+
+
+def test_overflow_words_np_matches_scalar():
+    rng = RngStream(seed=42, stream=5)
+    idx = np.arange(0, 50, dtype=np.uint64)
+    for attempt in (64, 65, 700):
+        vec = rng.overflow_words_np(idx, attempt)
+        assert vec.tolist() == [rng.overflow_word(i, attempt, 0) for i in range(50)]
+
+
+class _SaturatedBlocks(RngStream):
+    """A stream whose in-block words are all ones, so a draw below a bound
+    that is not a power of two only ever succeeds past its block."""
+
+    def word(self, index):
+        return (1 << 64) - 1
+
+    def words_np(self, indices):
+        return np.full(indices.shape, (1 << 64) - 1, dtype=np.uint64)
+
+
+def test_engines_bit_identical_past_the_block():
+    p = Parallelepiped([[4, 1], [1, 4]], translate=[2, 5])  # box ranges 5 and 5
+    fast_rng = _SaturatedBlocks(seed=77, stream=9)
+    exact_rng = _SaturatedBlocks(seed=77, stream=9)
+    fast = p.sampler(fast_rng)
+    exact = p.sampler(exact_rng, force_exact=True)
+    assert fast._fast and not exact._fast
+    samples = fast.take(200)
+    assert samples == exact.take(200)
+    assert fast_rng.draw_cursor == exact_rng.draw_cursor
+    assert all(p.contains_integer_point(z) for z in samples)
+
+
+class _BrokenGenerator(_SaturatedBlocks):
+    """Every word all ones, overflow sub-streams included."""
+
+    def overflow_word(self, index, attempt, w):
+        return (1 << 64) - 1
+
+    def overflow_words_np(self, indices, attempt):
+        return np.full(indices.shape, (1 << 64) - 1, dtype=np.uint64)
+
+
+def test_broken_generator_still_reported():
+    with pytest.raises(SamplerError, match="generator fault"):
+        _BrokenGenerator(seed=1).draw_below(5)
+    p = Parallelepiped([[4, 1], [1, 4]])
+    for force_exact in (False, True):
+        sampler = p.sampler(_BrokenGenerator(seed=1), force_exact=force_exact)
+        with pytest.raises(SamplerError, match="generator fault"):
+            sampler.take(1)
 
 
 def test_draw_int_inclusive():
