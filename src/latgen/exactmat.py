@@ -214,14 +214,70 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, (g - x * a) // b
 
 
+def _bareiss_columns(
+    cols: Sequence[Sequence[int]], n: int
+) -> tuple[int, list[int], list[list[int]]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination over integer
+    columns of length n, with column pivoting.
+
+    Row k takes as pivot the first unused column whose row-k entry is
+    nonzero.  Returns (D, pivots, others): pivots[k] is the index of row
+    k's pivot column, D is the last pivot, the determinant of the pivot
+    columns A_P taken in that order, and others holds every non-pivot
+    column a_j, in input order, as D A_P^-1 a_j.  By Cramer's rule entry
+    k of such a column is the maximal minor that puts a_j in place of
+    pivot column k (same column order as D).  Every division is exact
+    (Sylvester's identity), so all entries are minors of the input and
+    never grow past Hadamard's bound.  D = 0 when a row has no pivot,
+    that is when the columns have rank below n.  The input is not
+    modified.
+    """
+    others = list(cols)
+    index = list(range(len(cols)))
+    pivots = []
+    prev = 1
+    for k in range(n):
+        for t, pc in enumerate(others):
+            if pc[k]:
+                break
+        else:
+            return 0, pivots, others
+        del others[t]
+        pivots.append(index.pop(t))
+        p = pc[k]
+        updated = []
+        for col in others:
+            a = col[k]
+            col = [(p * x - y * a) // prev for x, y in zip(col, pc)]
+            col[k] = a
+            updated.append(col)
+        others = updated
+        prev = p
+    return prev, pivots, others
+
+
 def unimodular_columns(cols: Sequence[Sequence[int]], n: int) -> bool:
     """True iff the given columns (length n each) generate Z^n.
 
-    Decides the HNF-pivots-all-one condition row by row: a Bezout
-    combination of the active columns realizes the row gcd as a new
-    pivot column (anything but 1 fails immediately), after which the row
-    is eliminated from the rest.  Equivalent to inspecting the pivot
-    block of hnf(), but one pass per row and no transform bookkeeping.
+    Minor criterion: integer columns generate Z^n exactly when the gcd of
+    their n x n minors is 1 (d_1...d_n of the Smith form).  One
+    fraction-free elimination (``_bareiss_columns``) yields the minor D
+    of the pivot columns and, in every other column a_j, the n minors
+    that put a_j in place of one pivot column.
+
+    * m < n, or rank below n: False.  n = 1: a gcd scan.
+    * m = n + 1: those are all n + 1 maximal minors, so the answer is
+      gcd(D, ...) == 1, stopping as soon as the running gcd reaches 1.
+    * m > n + 1: a gcd g of 1 still decides True.  Otherwise the columns
+      are decided exactly modulo g by ``_generates_mod``: the pivot
+      columns with one more column a_j span a lattice of index
+      g_j = gcd(D, minors of a_j), which therefore contains g_j Z^n, so
+      the span of all the columns contains g Z^n (g = gcd of the g_j)
+      and generates Z^n exactly when it generates (Z/g)^n.  Entries
+      there stay below g <= |D|.
+
+    Integers only; every entry of the elimination is a minor of the
+    input, so nothing grows past Hadamard's bound.
     """
     m = len(cols)
     if m < n:
@@ -233,49 +289,49 @@ def unimodular_columns(cols: Sequence[Sequence[int]], n: int) -> bool:
             if g == 1:
                 return True
         return False
-    work = [list(c) for c in cols]
+    d, _, others = _bareiss_columns(cols, n)
+    if not d:
+        return False
+    g = abs(d)
+    for col in others:
+        for x in col:
+            g = gcd(g, x)
+            if g == 1:
+                return True
+    return g == 1 if m <= n + 1 else _generates_mod(cols, n, g)
+
+
+def _generates_mod(cols: Sequence[Sequence[int]], n: int, modulus: int) -> bool:
+    """True iff the columns generate (Z/modulus)^n, modulus > 1.
+
+    Row by row, a Bezout combination of the active columns reaches a row
+    entry that is a unit modulo the modulus (none exists: the columns
+    fail), is scaled to 1 and clears that row from the other columns.
+    All entries are kept reduced into [0, modulus).
+    """
+    work = [[x % modulus for x in c] for c in cols]
     for i in range(n):
-        # cheap necessary condition first: the row gcd is the HNF pivot
-        g = 0
-        for j in range(i, len(work)):
-            v = work[j][i]
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-        if g != 1:
-            return False
-        g = 0
         combo = None
-        for j in range(i, len(work)):
-            a = work[j][i]
-            if not a:
+        g = 0
+        for col in work:
+            a = col[i]
+            if not a or (g and a % g == 0):
                 continue
             if combo is None:
-                combo = work[j][i:]
-                g = -a if a < 0 else a
-                if g != a:
-                    combo = [-u for u in combo]
-                if g == 1:
-                    break
-                continue
-            if a % g == 0:
-                continue
-            g, x, y = _xgcd(g, a)
-            cj = work[j]
-            combo = [x * u + y * cj[i + t] for t, u in enumerate(combo)]
-            if g == 1:
+                combo, g = col, a
+            else:
+                g, x, y = _xgcd(g, a)
+                combo = [(x * u + y * v) % modulus for u, v in zip(combo, col)]
+            if gcd(g, modulus) == 1:
                 break
-        if combo is None or g != 1:
+        else:
             return False
-        # row i of every active column dies; the combo becomes the pivot
-        for j in range(i, len(work)):
-            cj = work[j]
-            q = cj[i]
+        inv = pow(g, -1, modulus)
+        combo = [u * inv % modulus for u in combo]
+        for t, col in enumerate(work):
+            q = col[i]
             if q:
-                for t in range(i, n):
-                    cj[t] -= q * combo[t - i]
-        work.insert(i, [0] * i + combo)
+                work[t] = [(v - q * u) % modulus for v, u in zip(col, combo)]
     return True
 
 

@@ -40,6 +40,7 @@ from .groupgen import quotient_group
 from .lattice import (
     LatticeBasis,
     Window,
+    _window_scaled,
     count_in_hyperplane,
     covering_radius_estimate,
     enumerate_window,
@@ -601,7 +602,7 @@ def run_lemma_verification(
         lattice, window = inst.lattice, Window(inst.lattice.dim, inst.bound)
         n = lattice.dim
         nu_est = covering_radius_estimate(lattice, inst.grid_resolution)
-        points = enumerate_window(lattice, window)
+        points = _window_scaled(lattice, window)
         count = len(points)
         lower, upper = lemma1_bounds(lattice, window, nu_est)
         ok = lower <= count <= upper
@@ -611,7 +612,7 @@ def run_lemma_verification(
             for k in range(1, n):
                 for subset in itertools.combinations(range(n), k):
                     spanning = [columns[j] for j in subset]
-                    h_count = count_in_hyperplane(lattice, window, spanning)
+                    h_count = count_in_hyperplane(lattice, window, spanning, points)
                     h_bound = lemma2_count_bound(lattice, window, k)
                     hyper.append((k, h_count, h_bound))
                     ok = ok and h_count <= h_bound

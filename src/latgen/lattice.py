@@ -368,6 +368,7 @@ def count_in_hyperplane(
     lattice: LatticeBasis,
     window: Window,
     spanning: Sequence[Sequence],
+    scaled_points: Optional[Sequence[Sequence[int]]] = None,
 ) -> int:
     """Count lattice points of the window lying in the span of the given
     vectors (k = len(spanning), 1 <= k < n).
@@ -375,7 +376,9 @@ def count_in_hyperplane(
     The span is cut out by integer normals: the kernel columns of the
     Hermite form of the spanning rows (denominators cleared).  A window
     point lies in the span exactly when its scaled integer coordinates
-    are orthogonal to every normal.
+    are orthogonal to every normal.  ``scaled_points`` takes the window's
+    points as ``_window_scaled`` returns them, so a caller counting many
+    spans enumerates the window once; they are enumerated when omitted.
     """
     k = len(spanning)
     n = lattice.dim
@@ -392,9 +395,11 @@ def count_in_hyperplane(
     if sum(1 for col in h.columns() if any(col)) != k:
         raise ValueError("spanning set is not independent")
     normals = u.columns()[k:]
+    if scaled_points is None:
+        scaled_points = _window_scaled(lattice, window)
     return sum(
         1
-        for ys in _window_scaled(lattice, window)
+        for ys in scaled_points
         if not any(sum(a * y for a, y in zip(normal, ys)) for normal in normals)
     )
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmat import ExactMatrix, RationalMatrix, det
+from .exactmat import ExactMatrix, _bareiss_columns, det
 from .lattice import LatticeBasis, Window, _ceil, _floor
 
 _M64 = (1 << 64) - 1
@@ -188,24 +188,23 @@ class Parallelepiped:
         self._membership: Optional[tuple[list[list[int]], int]] = None
 
     def _membership_data(self):
-        """(test rows T, limit L) with membership: 0 <= (T (z - t))_i < L."""
+        """(test rows T, limit L) with membership: 0 <= (T (z - t))_i < L.
+
+        T = |det V| V^-1 = +-adj(V), read off one fraction-free
+        elimination of [V | I]: V is nonsingular, so its columns take
+        every pivot and the identity columns end up as D (V P)^-1 for the
+        pivot order P and the last pivot D = +-det V.
+        """
         if self._membership is not None:
             return self._membership
         n = self.dim
-        inv = RationalMatrix(
-            n, n, [Fraction(e) for e in self.matrix.entries]
-        ).inverse()
-        sign = 1 if self.det > 0 else -1
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                e = inv.entry(i, j) * self.det * sign
-                if e.denominator != 1:
-                    raise AssertionError("adjugate must be integral")
-                row.append(e.numerator)
-            rows.append(row)
-        self._membership = (rows, abs(self.det))
+        identity = [[int(i == j) for i in range(n)] for j in range(n)]
+        d, pivots, inverse = _bareiss_columns(self.generators + tuple(identity), n)
+        sign = 1 if d > 0 else -1
+        rows = [None] * n
+        for k, c in enumerate(pivots):
+            rows[c] = [sign * col[k] for col in inverse]
+        self._membership = (rows, abs(d))
         return self._membership
 
     def integer_box(self) -> list[tuple[int, int]]:

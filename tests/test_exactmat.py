@@ -2,8 +2,8 @@
 
 Oracles used here are independent of the implementations they check:
 cofactor expansion for determinants, gcd-of-minors for unimodularity and
-Smith divisors, and an additive-closure search for "do these columns
-generate Z^n".
+Smith divisors, a Bezout row elimination for unimodularity, and an
+additive-closure search for "do these columns generate Z^n".
 """
 
 import random
@@ -16,6 +16,7 @@ import pytest
 from latgen.exactmat import (
     ExactMatrix,
     RationalMatrix,
+    _bareiss_columns,
     det,
     hnf,
     is_unimodular,
@@ -91,6 +92,84 @@ def generates_zn_closure(columns, n, step_bound):
                 nxt.append(cand)
         frontier = nxt
     return len(found) == len(targets)
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g (b != 0)."""
+    x, next_x = 1, 0
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        g, x = -g, -x
+    return g, x, (g - x * a) // b
+
+
+def _unimodular_by_rows(cols, n):
+    """Row-elimination oracle for "the columns generate Z^n".
+
+    Decides the HNF-pivots-all-one condition row by row: a Bezout
+    combination of the active columns realizes the row gcd as a new
+    pivot column (anything but 1 fails immediately), after which the row
+    is eliminated from the rest.  Entries grow along the way, which is
+    why the library decides from maximal minors instead.
+    """
+    m = len(cols)
+    if m < n:
+        return False
+    if n == 1:
+        g = 0
+        for col in cols:
+            g = gcd(g, col[0])
+            if g == 1:
+                return True
+        return False
+    work = [list(c) for c in cols]
+    for i in range(n):
+        # cheap necessary condition first: the row gcd is the HNF pivot
+        g = 0
+        for j in range(i, len(work)):
+            v = work[j][i]
+            if v:
+                g = gcd(g, v)
+                if g == 1:
+                    break
+        if g != 1:
+            return False
+        g = 0
+        combo = None
+        for j in range(i, len(work)):
+            a = work[j][i]
+            if not a:
+                continue
+            if combo is None:
+                combo = work[j][i:]
+                g = -a if a < 0 else a
+                if g != a:
+                    combo = [-u for u in combo]
+                if g == 1:
+                    break
+                continue
+            if a % g == 0:
+                continue
+            g, x, y = _xgcd(g, a)
+            cj = work[j]
+            combo = [x * u + y * cj[i + t] for t, u in enumerate(combo)]
+            if g == 1:
+                break
+        if combo is None or g != 1:
+            return False
+        # row i of every active column dies; the combo becomes the pivot
+        for j in range(i, len(work)):
+            cj = work[j]
+            q = cj[i]
+            if q:
+                for t in range(i, n):
+                    cj[t] -= q * combo[t - i]
+        work.insert(i, [0] * i + combo)
+    return True
 
 
 def random_matrix(rng, n, m, lo, hi):
@@ -303,6 +382,91 @@ def test_unimodular_columns_matches_matrix_form():
         assert unimodular_columns(cols, n) == is_unimodular(
             ExactMatrix.from_columns(cols)
         )
+
+
+def test_unimodular_columns_matches_row_elimination_oracle():
+    rng = random.Random(20260)
+    checked = 0
+    for bound in (6, 10**4, 10**18):
+        for n in range(1, 7):
+            for m in range(n, n + 4):
+                # small n and m are cheap and hit every branch; fewer of
+                # the large ones keep the oracle's entry growth affordable
+                for _ in range(max(120, 700 - 100 * n)):
+                    cols = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+                    assert unimodular_columns(cols, n) == _unimodular_by_rows(cols, n), (
+                        n,
+                        cols,
+                    )
+                    checked += 1
+    assert checked >= 20000
+
+
+def test_unimodular_columns_edge_cases():
+    cases = [
+        # singular leading 2 x 2 block, full rank overall
+        ([[1, 0], [2, 0], [0, 1]], 2, True),
+        ([[2, 0], [4, 0], [0, 1]], 2, False),
+        ([[1, 1, 0], [2, 2, 0], [0, 0, 1], [0, 1, 0]], 3, True),
+        # rank deficient
+        ([[1, 2], [2, 4], [3, 6]], 2, False),
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 3, 0]], 3, False),
+        # zero columns
+        ([[0, 0], [1, 0], [0, 1]], 2, True),
+        ([[0, 0], [0, 0], [0, 0]], 2, False),
+        ([[0], [0]], 1, False),
+        # fewer columns than rows
+        ([[1, 0]], 2, False),
+        ([], 1, False),
+        # square: decided by the determinant alone
+        ([[2, 1], [1, 1]], 2, True),
+        ([[2, 0], [0, 1]], 2, False),
+    ]
+    for cols, n, expected in cases:
+        assert unimodular_columns(cols, n) == expected, cols
+        assert _unimodular_by_rows(cols, n) == expected, cols
+
+
+@pytest.mark.parametrize("p", [2, 6, 10**18 + 9])
+def test_unimodular_columns_generate_past_a_one_swap_gcd(p):
+    # the groupgen shape: diag(p, p) next to the elements.  The pivot
+    # columns are diag(p, p), so D = p^2 and every one-swap minor is 0 or
+    # +-p: their gcd is p, yet the columns generate, which only the
+    # modular path can tell
+    cols = [[p, 0], [0, p], [1, 0], [0, 1]]
+    d, pivots, others = _bareiss_columns(cols, 2)
+    assert (d, pivots) == (p * p, [0, 1])
+    assert gcd(d, *others[0], *others[1]) == p
+    assert unimodular_columns(cols, 2)
+    assert not unimodular_columns([[p, 0], [0, p], [1, 0], [0, p + p]], 2)
+    assert unimodular_columns([[p, 0], [0, p], [1, 2], [1, 3]], 2)
+
+
+def test_bareiss_columns_yields_maximal_minors():
+    rng = random.Random(1968)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(n, n + 2)
+        bound = rng.choice([2, 50, 10**18])
+        cols = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        snapshot = [list(c) for c in cols]
+        d, pivots, others = _bareiss_columns(cols, n)
+        assert cols == snapshot
+        if d == 0:
+            assert minors_gcd(ExactMatrix.from_columns(cols).to_rows(), n) == 0
+            continue
+
+        def minor(columns):
+            return det_cofactor([[c[i] for c in columns] for i in range(n)])
+
+        pivot_cols = [cols[j] for j in pivots]
+        assert d == minor(pivot_cols)
+        rest = [cols[j] for j in range(m) if j not in pivots]
+        assert len(others) == len(rest) == m - n
+        for col, eliminated in zip(rest, others):
+            for k in range(n):
+                swapped = pivot_cols[:k] + [col] + pivot_cols[k + 1 :]
+                assert eliminated[k] == minor(swapped)
 
 
 # ---------------------------------------------------------------------------

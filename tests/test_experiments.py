@@ -6,6 +6,7 @@ import pytest
 
 from latgen.experiments import (
     ExperimentConfig,
+    _unimodular_shard,
     cluster_radius,
     default_lemma_instances,
     default_tv_instances,
@@ -21,6 +22,7 @@ from latgen.experiments import (
     wilson_radius,
 )
 from latgen.lattice import LatticeBasis
+from latgen.sampling import ALGORITHM_ID
 
 Z1 = LatticeBasis.from_columns([[1]])
 Z2 = LatticeBasis.from_columns([[1, 0], [0, 1]])
@@ -108,6 +110,22 @@ def test_unimodular_deterministic_and_worker_invariant():
     for a, b in zip(one, multi):
         assert a.frequencies == b.frequencies
         assert a.successes == b.successes
+
+
+def test_unimodular_shard_successes_pinned():
+    # (shard, successes, resamples) of the first 500 matrices of shards 0
+    # and 1 at the acceptance-criterion-5 settings; any change here means
+    # the sample stream or the unimodularity decision moved
+    expected = {
+        1: [(0, 301, 0), (1, 315, 0)],
+        2: [(0, 248, 0), (1, 225, 0)],
+        3: [(0, 214, 0), (1, 226, 0)],
+        4: [(0, 220, 0), (1, 222, 0)],
+    }
+    assert ALGORITHM_ID == "splitmix64-ctr-v1"
+    for n, rows in expected.items():
+        got = [_unimodular_shard((0, n, n + 1, 10000, 500, shard, 10**6)) for shard in (0, 1)]
+        assert got == rows, n
 
 
 def test_unimodular_seed_matters():

@@ -6,6 +6,7 @@ enumerated support with a documented 1-in-10-seeds flakiness budget.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,28 @@ def test_integer_box_half_open():
     for z in mixed.enumerate_integer_points():
         for (lo, hi), coord in zip(box, z):
             assert lo <= coord <= hi
+
+
+def test_membership_rows_are_scaled_inverse():
+    # T V = |det V| I on random generators, entries up to 10^18
+    rng = random.Random(1805)
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        bound = rng.choice([3, 10**4, 10**18])
+        generators = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        try:
+            p = Parallelepiped(generators)
+        except ValueError:
+            continue
+        rows, limit = p._membership_data()
+        assert limit == abs(p.det)
+        for i in range(n):
+            for j in range(n):
+                product = sum(rows[i][k] * generators[j][k] for k in range(n))
+                assert product == (limit if i == j else 0)
+        checked += 1
+    assert checked > 150
 
 
 def test_enumerate_matches_membership():
