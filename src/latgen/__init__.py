@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``exactmat``   -- arbitrary-precision integer/rational matrices, HNF,
-                    SNF, determinants, unimodularity, integral solves
+* ``exactmat``   -- arbitrary-precision integer matrices, HNF, SNF,
+                    determinants, adjugates, unimodularity
 * ``lattice``    -- full-rank lattices, covering-radius bounds, window
                     enumeration, generation tests
 * ``bounds``     -- certified enclosures for every closed-form constant
@@ -16,13 +16,12 @@ Library layout:
 __version__ = "0.1.0"
 
 from .enclosure import Enclosure
-from .exactmat import ExactMatrix, RationalMatrix
+from .exactmat import ExactMatrix
 from .lattice import LatticeBasis, Window
 
 __all__ = [
     "Enclosure",
     "ExactMatrix",
-    "RationalMatrix",
     "LatticeBasis",
     "Window",
     "__version__",

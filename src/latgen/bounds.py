@@ -3,8 +3,8 @@
 Every non-rational constant is produced as an :class:`Enclosure` whose
 endpoints are exact rationals, so "matches the printed table to k
 decimals" is a decidable assertion rather than a floating-point hope.
-Purely rational quantities (the total-variation bound, the coprimality
-ratio) are returned as exact ``Fraction`` values.
+Purely rational quantities (the total-variation bound) are returned as
+exact ``Fraction`` values.
 
 zeta(s) is evaluated by partial summation with a certified
 Euler-Maclaurin tail: the correction terms alternate and decay fast at
@@ -18,7 +18,6 @@ integral bracket alone is already below the grid and is used directly.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -335,19 +334,6 @@ def totient_summatory(n: int) -> int:
     return sum(totients(n)[1:])
 
 
-def coprime_prob_exact(n: int) -> Fraction:
-    """The normalized coprimality count (2 * sum_{k<=n} phi(k) + 1) / (n (n+1)).
-
-    The numerator counts the pairs (x, y) in {0..n}^2 with gcd(x, y) = 1.
-    Over 1 <= n <= 1000 the minimum of this ratio is exactly 13/22,
-    attained only at n = 10.  (The ratio exceeds 1 at n = 1, where the
-    normalization n(n+1) is smaller than the pair count.)
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Fraction(2 * totient_summatory(n) + 1, n * (n + 1))
-
-
 def lehmer_delta_bound(n: int) -> Enclosure:
     """Enclosure of (3/2) n + n log n, bounding the totient summatory
     residual |sum phi(k) - n^2 / (2 zeta(2))|."""
@@ -357,56 +343,3 @@ def lehmer_delta_bound(n: int) -> Enclosure:
     return (
         Enclosure.exact(Fraction(3 * n, 2)) + n * ln_enclosure(n, ctx.grid_digits)
     ).round_outward(ctx.grid_digits)
-
-
-# ---------------------------------------------------------------------------
-# summary report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BoundReport:
-    """Per-dimension snapshot of the bound pipeline at window ratio j."""
-
-    n: int
-    j: Enclosure
-    pk_values: list[Enclosure]
-    fullrank_lower: Enclosure
-    alpha_n: Optional[Enclosure]
-    precision: int
-
-    def __post_init__(self):
-        if len(self.pk_values) != self.n:
-            raise ValueError("need one P_k value per k in 0..n-1")
-        if any(p.hi < 0 for p in self.pk_values):
-            raise ValueError("P_k must be nonnegative")
-        if not (0 <= self.fullrank_lower.lo and self.fullrank_lower.hi <= 1):
-            raise ValueError("full-rank bound must lie in [0, 1]")
-        if self.alpha_n is not None and not (
-            0 <= self.alpha_n.lo and self.alpha_n.hi <= 1
-        ):
-            raise ValueError("alpha must lie in [0, 1]")
-
-
-def bound_report(
-    n: int,
-    ctx: Optional[ZetaContext] = None,
-    j: Union[None, int, Fraction, Enclosure] = None,
-) -> BoundReport:
-    """Evaluate P_0..P_{n-1}, the full-rank product and alpha at ratio j
-    (default j = 8 n^(n/2), the ratio the closed forms are tuned to)."""
-    ctx = ctx or default_context()
-    if j is None:
-        j_enc = 8 * _n_pow_half(n, n, ctx.grid_digits)
-    elif isinstance(j, Enclosure):
-        j_enc = j
-    else:
-        j_enc = Enclosure.exact(j)
-    return BoundReport(
-        n=n,
-        j=j_enc,
-        pk_values=[pk_bound(n, j_enc, k, ctx) for k in range(n)],
-        fullrank_lower=fullrank_lower_bound(n, ctx),
-        alpha_n=alpha(n, ctx) if n >= 2 else None,
-        precision=ctx.precision,
-    )

@@ -142,9 +142,6 @@ class Enclosure:
             raise ValueError(f"disjoint enclosures: {self!r}, {other!r}")
         return Enclosure(lo, hi)
 
-    def hull(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def round_outward(self, digits: int) -> "Enclosure":
         """Pad outward to the decimal grid of spacing 10**-digits."""
         scale = 10**digits

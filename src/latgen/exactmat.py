@@ -1,9 +1,14 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra.
 
-Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point enters any computation.  Entry
+Everything here runs on Python's arbitrary-precision integers; no
+floating point or rational arithmetic enters any computation.  Entry
 magnitudes around 10**18 are routine (products of minors far exceed
 machine words, which is why exactness is non-negotiable).
+
+Two kernels answer every question: the column Hermite form
+(``_hnf_columns``: lattice bases, rank) and fraction-free Gauss-Jordan
+elimination (``_bareiss_columns``: determinants, adjugates, maximal
+minors and the unimodularity decision).
 
 Hermite normal form convention (column style): for an n x m matrix A we
 return H = A @ U with U in GL_m(Z) such that
@@ -19,8 +24,6 @@ identity.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
@@ -75,9 +78,6 @@ class ExactMatrix:
             for j in range(self.cols)
         ]
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_rows(self.columns())
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -101,22 +101,6 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix.from_rows({self.to_rows()!r})"
-
-    # JSON carries entries as decimal strings so arbitrary magnitudes
-    # survive any parser.
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rows": self.rows,
-                "cols": self.cols,
-                "entries": [str(e) for e in self.entries],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExactMatrix":
-        obj = json.loads(text)
-        return cls(obj["rows"], obj["cols"], [int(e) for e in obj["entries"]])
 
 
 # ---------------------------------------------------------------------------
@@ -346,40 +330,46 @@ def is_unimodular(a: ExactMatrix) -> bool:
 
 
 def det(a: ExactMatrix) -> int:
+    """Determinant: the sign of the pivot order times the last pivot of
+    one fraction-free elimination (``_bareiss_columns``); 1 for n = 0."""
     if a.rows != a.cols:
         raise ValueError("determinant requires a square matrix")
-    return _det_rows(a.to_rows())
+    d, pivots, _ = _bareiss_columns(a.columns(), a.rows)
+    return _permutation_sign(pivots) * d if d else 0
 
 
-def _det_rows(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+def _scaled_inverse(cols: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
+    """(det V, rows of T = |det V| V^-1) for the n x n integer matrix V
+    with the given columns; (0, []) when V is singular.
+
+    One fraction-free elimination of [V | I]: the identity columns come
+    last, so they take a pivot only when V is singular; otherwise they end
+    up as D (V P)^-1 for the pivot order P and the last pivot
+    D = +-det V.  T = +-adj(V) is integral.
+    """
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    d, pivots, inverse = _bareiss_columns(list(cols) + identity, n)
+    if any(c >= n for c in pivots):
+        return 0, []
+    sign = 1 if d > 0 else -1
+    rows = [None] * n
+    for k, c in enumerate(pivots):
+        rows[c] = [sign * col[k] for col in inverse]
+    return _permutation_sign(pivots) * d, rows
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """+1 or -1: the parity of a permutation of range(len(perm))."""
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        j = perm[start]
+        seen[start] = True
+        while not seen[j]:  # each further element of the cycle is one swap
+            seen[j] = True
+            j = perm[j]
+            sign = -sign
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -508,215 +498,3 @@ def snf_with_transforms(
     u_m = ExactMatrix.from_rows(u) if u is not None else None
     v_m = ExactMatrix.from_rows(v) if v is not None else None
     return divisors, u_m, v_m
-
-
-# ---------------------------------------------------------------------------
-# Exact linear solves
-# ---------------------------------------------------------------------------
-
-
-def solve_integral(b: ExactMatrix, v: Sequence[int]) -> Optional[list[int]]:
-    """Solve B x = v over the integers; None when x is not integral.
-
-    B must be square and nonsingular (singular raises).  The solve runs
-    in exact rational arithmetic, then checks integrality.
-    """
-    if b.rows != b.cols:
-        raise ValueError("solve_integral requires a square matrix")
-    if len(v) != b.rows:
-        raise ValueError("dimension mismatch")
-    x = _solve_fractions([[Fraction(e) for e in row] for row in b.to_rows()],
-                         [Fraction(int(c)) for c in v])
-    if x is None:
-        raise ValueError("singular matrix")
-    if all(c.denominator == 1 for c in x):
-        return [c.numerator for c in x]
-    return None
-
-
-def _solve_fractions(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    """Gaussian elimination over Fractions; None when singular."""
-    n = len(rows)
-    aug = [rows[i] + [rhs[i]] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k]), None)
-        if pivot_row is None:
-            return None
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pk = aug[k][k]
-        for i in range(k + 1, n):
-            if aug[i][k]:
-                factor = aug[i][k] / pk
-                for j in range(k, n + 1):
-                    aug[i][j] -= factor * aug[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = aug[k][n] - sum(aug[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / aug[k][k]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Rational matrices
-# ---------------------------------------------------------------------------
-
-
-class RationalMatrix:
-    """Immutable matrix of exact rationals (Fraction keeps entries reduced
-    with positive denominators, which is exactly the canonical form we
-    need)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
-        entries = tuple(Fraction(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count mismatch")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, [Fraction(e) for row in rows for e in row])
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "RationalMatrix":
-        m = len(columns)
-        n = len(columns[0]) if m else 0
-        return cls(n, m, [Fraction(columns[j][i]) for i in range(n) for j in range(m)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def columns(self) -> list[list[Fraction]]:
-        return [
-            [self.entries[i * self.cols + j] for i in range(self.rows)]
-            for j in range(self.cols)
-        ]
-
-    def column(self, j: int) -> list[Fraction]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix.from_rows({[[str(e) for e in row] for row in self.to_rows()]!r})"
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        rows_a = self.to_rows()
-        cols_b = other.columns()
-        out = [
-            sum(a * b for a, b in zip(row, col)) for row in rows_a for col in cols_b
-        ]
-        return RationalMatrix(self.rows, other.cols, out)
-
-    def apply(self, vec: Sequence) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        vec = [Fraction(x) for x in vec]
-        return [
-            sum(self.entry(i, j) * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        ]
-
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        # clear denominators, run integer Bareiss, divide back out
-        rows = self.to_rows()
-        scale = Fraction(1)
-        int_rows = []
-        for row in rows:
-            denom = 1
-            for e in row:
-                denom = denom * e.denominator // gcd(denom, e.denominator)
-            scale /= denom
-            int_rows.append([int(e * denom) for e in row])
-        return scale * _det_rows(int_rows)
-
-    def solve(self, rhs: Sequence) -> Optional[list[Fraction]]:
-        """Solve self @ x = rhs exactly; None when singular."""
-        if self.rows != self.cols or len(rhs) != self.rows:
-            raise ValueError("solve requires square matrix and matching rhs")
-        return _solve_fractions(self.to_rows(), [Fraction(x) for x in rhs])
-
-    def inverse(self) -> "RationalMatrix":
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse requires a square matrix")
-        cols = []
-        for j in range(n):
-            e_j = [Fraction(int(i == j)) for i in range(n)]
-            x = self.solve(e_j)
-            if x is None:
-                raise ValueError("singular matrix")
-            cols.append(x)
-        return RationalMatrix.from_columns(cols)
-
-    def rank(self) -> int:
-        return rank_of_rows(self.to_rows())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rows": self.rows,
-                "cols": self.cols,
-                "entries": [str(e) for e in self.entries],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalMatrix":
-        obj = json.loads(text)
-        return cls(obj["rows"], obj["cols"], [Fraction(e) for e in obj["entries"]])
-
-
-def rank_of_rows(rows: list[list[Fraction]]) -> int:
-    """Exact rank by fraction-free elimination on a copy."""
-    work = [[Fraction(e) for e in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pv = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col]:
-                f = work[i][col] / pv
-                for j in range(col, ncols):
-                    work[i][j] -= f * work[rank][j]
-        rank += 1
-        col += 1
-    return rank

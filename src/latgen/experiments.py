@@ -560,7 +560,7 @@ def default_lemma_instances() -> list[LemmaInstance]:
     """Twenty desk-scale lattices (n <= 3) with matched windows."""
 
     def lb(*cols):
-        return LatticeBasis.from_columns(list(cols))
+        return LatticeBasis(list(cols))
 
     instances = [
         ("Z1", lb([1]), Fraction(10), 64),
@@ -608,7 +608,7 @@ def run_lemma_verification(
         ok = lower <= count <= upper
         hyper = []
         if n >= 2:
-            columns = lattice.basis.columns()
+            columns = lattice.columns
             for k in range(1, n):
                 for subset in itertools.combinations(range(n), k):
                     spanning = [columns[j] for j in subset]
@@ -678,7 +678,7 @@ def run_tv_check(
     n = lattice.dim
     b1 = Fraction(b1)
     group, projection = quotient_group(lattice, sub)
-    sub_lattice = LatticeBasis.from_columns([list(map(Fraction, v)) for v in sub])
+    sub_lattice = LatticeBasis([list(map(Fraction, v)) for v in sub])
     nu1_upper = sub_lattice.nu_upper
     if b1 <= 2 * nu1_upper:
         raise ValueError("hypothesis violated: need B1 > 2 * nu1_upper")
@@ -709,7 +709,7 @@ def run_tv_check(
 
 def default_tv_instances() -> list[tuple[str, LatticeBasis, list, Fraction]]:
     def lb(*cols):
-        return LatticeBasis.from_columns(list(cols))
+        return LatticeBasis(list(cols))
 
     z1 = lb([1])
     z2 = lb([1, 0], [0, 1])

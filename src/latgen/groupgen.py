@@ -2,9 +2,8 @@
 
 A group is a chain d_1 | d_2 | ... | d_k of invariant factors (each >= 2
 after normalization), elements are coordinate tuples with coords[i] in
-[0, d_i).  Generation probabilities come in two independent flavors: the
-exact per-prime product formula, and an exhaustive tuple count used as
-its oracle.
+[0, d_i).  Generation probabilities come from the exact per-prime
+product formula; the tests check it against an exhaustive tuple count.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import bounds
-from .exactmat import ExactMatrix, _hnf_columns, det, snf_with_transforms, unimodular_columns
+from .exactmat import ExactMatrix, det, snf_with_transforms, unimodular_columns
 from .lattice import LatticeBasis
 
 GroupElement = tuple[int, ...]
@@ -188,54 +187,6 @@ def generates(group: FiniteAbelianGroup, elems: Iterable[Sequence[int]]) -> bool
         col[i] = d
         cols.append(col)
     return unimodular_columns(cols, k)
-
-
-def generation_prob_bruteforce(group: FiniteAbelianGroup, t: int) -> Fraction:
-    """Exhaustive count of generating t-tuples over all |G|^t tuples.
-
-    Counts by walking tuple prefixes and merging prefixes that span the
-    same subgroup (the subgroup is kept as a canonical Hermite basis), so
-    the count is exactly the naive enumeration's without repeating
-    identical continuations.  Guarded to |G|^t <= 10^7 nominal tuples.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    order = group.order
-    if order**t > 10**7:
-        raise ValueError(f"brute force guard exceeded: |G|^t = {order ** t}")
-    k = group.ngens
-    if k == 0:
-        return Fraction(1)
-    if t < k:
-        return Fraction(0)
-
-    diag_cols = []
-    for i, d in enumerate(group.invariant_factors):
-        col = [0] * k
-        col[i] = d
-        diag_cols.append(col)
-
-    def canonical(extra_cols: list[list[int]]) -> tuple:
-        cols = [list(c) for c in extra_cols] + [list(c) for c in diag_cols]
-        _hnf_columns(cols, k, None)
-        return tuple(tuple(col) for col in cols[:k])
-
-    identity_key = canonical(
-        [[1 if i == j else 0 for i in range(k)] for j in range(k)]
-    )
-    start_key = canonical([])
-    elements = [list(e) for e in group.elements()]
-
-    levels: dict[tuple, int] = {start_key: 1}
-    for _ in range(t):
-        nxt: dict[tuple, int] = {}
-        for key, count in levels.items():
-            base_cols = [list(col) for col in key]
-            for g in elements:
-                new_key = canonical(base_cols + [g])
-                nxt[new_key] = nxt.get(new_key, 0) + count
-        levels = nxt
-    return Fraction(levels.get(identity_key, 0), order**t)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ produces one-sided bounds (a certified upper bound from the closed form,
 a grid under-estimate for the lower side of the window-count bracket),
 since the exact covering radius is never needed.
 
+A basis B is held as the integer matrix S = q B (q the least common
+denominator of its entries) together with |det S| and the integer matrix
+T = |det S| S^-1, both from one fraction-free elimination; coordinates,
+membership and the inverse rows used to size search boxes are integer
+arithmetic on these.
+
 Window membership is half-open throughout: a point belongs to [0, B)^n
 when every coordinate satisfies 0 <= y_i < B under exact comparison.
 """
@@ -24,9 +30,9 @@ import numpy as np
 from .enclosure import sqrt_enclosure
 from .exactmat import (
     ExactMatrix,
-    RationalMatrix,
+    _hnf_columns,
+    _scaled_inverse,
     hnf,
-    rank_of_rows,
     unimodular_columns,
 )
 
@@ -62,33 +68,29 @@ class Window:
 
 
 class LatticeBasis:
-    """Full-rank lattice spanned by the columns of a rational matrix."""
+    """Full-rank lattice spanned by n rational column vectors of length n."""
 
-    def __init__(self, basis: RationalMatrix):
-        if basis.rows != basis.cols:
-            raise ValueError("basis matrix must be square")
-        if basis.rows < 1:
+    def __init__(self, columns: Sequence[Sequence]):
+        columns = tuple(tuple(Fraction(x) for x in col) for col in columns)
+        n = len(columns)
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        d = basis.det()
+        if any(len(col) != n for col in columns):
+            raise ValueError("basis matrix must be square")
+        scale = lcm(*(x.denominator for col in columns for x in col))
+        scaled_cols = [[int(x * scale) for x in col] for col in columns]
+        d, adjugate = _scaled_inverse(scaled_cols, n)
         if d == 0:
             raise ValueError("basis is singular")
-        self.basis = basis
-        self.det = abs(d)
-        self._inverse: Optional[RationalMatrix] = None
+        self.columns = columns
+        self._scale = scale
+        self._scaled_rows = [list(row) for row in zip(*scaled_cols)]
+        # T = |det S| S^-1, so B^-1 = scale * T / |det S|
+        self._adjugate = adjugate
+        self._scaled_det = abs(d)
+        self.det = Fraction(abs(d), scale**n)
         self._lambda1_sq: Optional[Fraction] = None
         self._nu_upper: Optional[Fraction] = None
-        # integer form: scaled = denominator * basis, entries integral
-        denom = 1
-        for e in basis.entries:
-            denom = denom * e.denominator // _gcd(denom, e.denominator)
-        self._scale = denom
-        self._scaled_rows = [
-            [int(e * denom) for e in row] for row in basis.to_rows()
-        ]
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "LatticeBasis":
-        return cls(RationalMatrix.from_columns(columns))
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeBasis":
@@ -102,42 +104,44 @@ class LatticeBasis:
         vectors = [[Fraction(e) for e in vec] for vec in obj["basis"]]
         if len(vectors) != n or any(len(v) != n for v in vectors):
             raise ValueError("basis shape does not match n")
-        if obj.get("column_major", True):
-            return cls(RationalMatrix.from_columns(vectors))
-        return cls(RationalMatrix.from_rows(vectors))
+        if not obj.get("column_major", True):
+            vectors = list(zip(*vectors))
+        return cls(vectors)
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "n": self.dim,
-                "basis": [[str(e) for e in col] for col in self.basis.columns()],
+                "basis": [[str(e) for e in col] for col in self.columns],
                 "column_major": True,
             }
         )
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.columns)
 
-    @property
-    def inverse(self) -> RationalMatrix:
-        if self._inverse is None:
-            self._inverse = self.basis.inverse()
-        return self._inverse
-
-    def coordinates_rational(self, vector: Sequence) -> list[Fraction]:
-        return self.inverse.apply([Fraction(x) for x in vector])
+    def _coordinate_numerators(self, vector: Sequence) -> tuple[list[int], int]:
+        """(u, d) with the basis coordinates of the vector equal to u / d."""
+        if len(vector) != self.dim:
+            raise ValueError("dimension mismatch")
+        vector = [Fraction(x) for x in vector]
+        den = lcm(*(x.denominator for x in vector))
+        w = [x.numerator * (den // x.denominator) * self._scale for x in vector]
+        u = [sum(t * x for t, x in zip(row, w)) for row in self._adjugate]
+        return u, self._scaled_det * den
 
     def coordinates(self, vector: Sequence) -> list[int]:
         """Integer basis coordinates of a lattice vector; raises when the
         vector is not in the lattice (that always signals a caller bug)."""
-        coords = self.coordinates_rational(vector)
-        if any(c.denominator != 1 for c in coords):
+        u, d = self._coordinate_numerators(vector)
+        if any(x % d for x in u):
             raise ValueError(f"vector {tuple(vector)} is not a lattice point")
-        return [c.numerator for c in coords]
+        return [x // d for x in u]
 
     def contains(self, vector: Sequence) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates_rational(vector))
+        u, d = self._coordinate_numerators(vector)
+        return not any(x % d for x in u)
 
     def point_from_coordinates(self, coords: Sequence[int]) -> tuple[Fraction, ...]:
         return tuple(
@@ -185,22 +189,16 @@ class LatticeBasis:
 
     def _coordinate_radii(self, norm_sq_bound: Fraction) -> list[int]:
         """Integer radii r_i with |c_i| <= r_i for every lattice vector of
-        squared norm <= norm_sq_bound (via rows of the inverse basis)."""
-        radii = []
-        for row in self.inverse.to_rows():
-            row_norm_sq = sum(e * e for e in row)
-            q = row_norm_sq * norm_sq_bound
-            radii.append(isqrt(_ceil(q)) + 1)
-        return radii
+        squared norm <= norm_sq_bound (via rows of the inverse basis
+        B^-1 = scale * T / |det S|)."""
+        factor = Fraction(self._scale**2, self._scaled_det**2) * norm_sq_bound
+        return [
+            isqrt(_ceil(sum(t * t for t in row) * factor)) + 1
+            for row in self._adjugate
+        ]
 
     def __repr__(self) -> str:
-        return f"LatticeBasis({self.basis!r})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+        return f"LatticeBasis({[[str(e) for e in col] for col in self.columns]!r})"
 
 
 def _int_gram(rows: list[list[int]]) -> list[list[int]]:
@@ -304,15 +302,33 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_ranges(lattice: LatticeBasis, window: Window) -> list[range]:
-    inv_rows = lattice.inverse.to_rows()
-    b = window.bound
-    ranges = []
-    for row in inv_rows:
-        lo = b * sum(min(e, 0) for e in row)
-        hi = b * sum(max(e, 0) for e in row)
-        ranges.append(range(_ceil(lo), _floor(hi) + 1))
-    return ranges
+def _half_open_range(
+    lo: Fraction, hi: Fraction, has_negative: bool, has_positive: bool
+) -> tuple[int, int]:
+    """Integer range for a coordinate whose real range is (lo, hi) with
+    the endpoints attained exactly when the matching sign is absent."""
+    lo_int = _ceil(lo)
+    if lo_int == lo and has_negative:
+        lo_int += 1
+    hi_int = _floor(hi)
+    if hi_int == hi and has_positive:
+        hi_int -= 1
+    return lo_int, hi_int
+
+
+def _coordinate_box(lattice: LatticeBasis, bound: Fraction) -> list[tuple[int, int]]:
+    """Inclusive ranges holding coordinate i of every lattice point of
+    [0, bound)^n, from row i of B^-1 (a positive multiple of row i of T)."""
+    per_unit = bound * Fraction(lattice._scale, lattice._scaled_det)
+    return [
+        _half_open_range(
+            per_unit * sum(min(t, 0) for t in row),
+            per_unit * sum(max(t, 0) for t in row),
+            any(t < 0 for t in row),
+            any(t > 0 for t in row),
+        )
+        for row in lattice._adjugate
+    ]
 
 
 def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[Fraction, ...]]:
@@ -340,7 +356,7 @@ def _window_scaled(lattice: LatticeBasis, window: Window) -> list[tuple[int, ...
         raise ValueError(
             f"enumeration guard exceeded: predicted count {float(predicted):.3g}"
         )
-    ranges = _coordinate_ranges(lattice, window)
+    ranges = [range(lo, hi + 1) for lo, hi in _coordinate_box(lattice, window.bound)]
     box = 1
     for r in ranges:
         box *= len(r)
@@ -384,12 +400,7 @@ def count_in_hyperplane(
     n = lattice.dim
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n spanning vectors")
-    rows = []
-    for v in spanning:
-        v = [Fraction(x) for x in v]
-        d = lcm(*(x.denominator for x in v))
-        rows.append([int(x * d) for x in v])
-    h, u = hnf(ExactMatrix.from_rows(rows))
+    h, u = hnf(ExactMatrix.from_rows(_clear_denominators(spanning)))
     # A @ U = H with the zero columns of H last: the matching columns of U
     # are an integer basis of {x : A x = 0}
     if sum(1 for col in h.columns() if any(col)) != k:
@@ -436,11 +447,23 @@ def lemma2_count_bound(lattice: LatticeBasis, window: Window, k: int) -> Fractio
 # ---------------------------------------------------------------------------
 
 
+def _clear_denominators(vectors: Sequence[Sequence]) -> list[list[int]]:
+    """Each vector times the lcm of its entries' denominators."""
+    out = []
+    for v in vectors:
+        v = [Fraction(x) for x in v]
+        d = lcm(*(x.denominator for x in v))
+        out.append([x.numerator * (d // x.denominator) for x in v])
+    return out
+
+
 def rank_of_span(vectors: Sequence[Sequence]) -> int:
-    """Rank over the rationals of an arbitrary list of vectors."""
+    """Rank over the rationals of an arbitrary list of vectors: the pivot
+    count of the column Hermite form of the vectors, denominators cleared."""
     if not vectors:
         return 0
-    return rank_of_rows([[Fraction(x) for x in v] for v in vectors])
+    cols = _clear_denominators(vectors)
+    return len(_hnf_columns(cols, len(cols[0]), None))
 
 
 def generates_lattice(lattice: LatticeBasis, vectors: Sequence[Sequence]) -> bool:

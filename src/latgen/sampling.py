@@ -22,13 +22,14 @@ sequence.  No floating point participates in any accept/reject decision.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmat import ExactMatrix, _bareiss_columns, det
-from .lattice import LatticeBasis, Window, _ceil, _floor
+from .exactmat import _scaled_inverse
+from .lattice import LatticeBasis, Window, _coordinate_box, _half_open_range
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -180,32 +181,13 @@ class Parallelepiped:
         )
         if len(self.translate) != n:
             raise ValueError("translate length mismatch")
-        self.matrix = ExactMatrix.from_columns(self.generators)
-        self.det = det(self.matrix)
+        self.det, rows = _scaled_inverse(self.generators, n)
         if self.det == 0:
             raise ValueError("degenerate parallelepiped: generators are dependent")
         self.resamples = resamples
-        self._membership: Optional[tuple[list[list[int]], int]] = None
-
-    def _membership_data(self):
-        """(test rows T, limit L) with membership: 0 <= (T (z - t))_i < L.
-
-        T = |det V| V^-1 = +-adj(V), read off one fraction-free
-        elimination of [V | I]: V is nonsingular, so its columns take
-        every pivot and the identity columns end up as D (V P)^-1 for the
-        pivot order P and the last pivot D = +-det V.
-        """
-        if self._membership is not None:
-            return self._membership
-        n = self.dim
-        identity = [[int(i == j) for i in range(n)] for j in range(n)]
-        d, pivots, inverse = _bareiss_columns(self.generators + tuple(identity), n)
-        sign = 1 if d > 0 else -1
-        rows = [None] * n
-        for k, c in enumerate(pivots):
-            rows[c] = [sign * col[k] for col in inverse]
-        self._membership = (rows, abs(d))
-        return self._membership
+        # (test rows T, limit L) with membership 0 <= (T (z - t))_i < L,
+        # T = |det V| V^-1 from the same elimination as det V, L = |det V|
+        self._membership = (rows, abs(self.det))
 
     def integer_box(self) -> list[tuple[int, int]]:
         """Inclusive coordinate ranges covering all integer points."""
@@ -225,7 +207,7 @@ class Parallelepiped:
         return out
 
     def contains_integer_point(self, z: Sequence[int]) -> bool:
-        rows, limit = self._membership_data()
+        rows, limit = self._membership
         w = [int(z[i]) - self.translate[i] for i in range(self.dim)]
         for row in rows:
             u = sum(r * x for r, x in zip(row, w))
@@ -241,11 +223,9 @@ class Parallelepiped:
             size *= max(0, hi - lo + 1)
         if size > guard:
             raise ValueError(f"enumeration box too large ({size})")
-        rows, limit = self._membership_data()
+        rows, limit = self._membership
         out = []
         t = self.translate
-        import itertools
-
         for z in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
             w = [z[i] - t[i] for i in range(self.dim)]
             if all(0 <= sum(r * x for r, x in zip(row, w)) < limit for row in rows):
@@ -255,7 +235,7 @@ class Parallelepiped:
     def sampler(
         self, rng: RngStream, max_rejects: int = 10**6, force_exact: bool = False
     ) -> "RejectionSampler":
-        rows, limit = self._membership_data()
+        rows, limit = self._membership
         return RejectionSampler(
             rng,
             self.integer_box(),
@@ -265,20 +245,6 @@ class Parallelepiped:
             max_rejects=max_rejects,
             force_exact=force_exact,
         )
-
-
-def _half_open_range(
-    lo: Fraction, hi: Fraction, has_negative: bool, has_positive: bool
-) -> tuple[int, int]:
-    """Integer range for a coordinate whose real range is (lo, hi) with
-    the endpoints attained exactly when the matching sign is absent."""
-    lo_int = _ceil(lo)
-    if lo_int == lo and has_negative:
-        lo_int += 1
-    hi_int = _floor(hi)
-    if hi_int == hi and has_positive:
-        hi_int -= 1
-    return lo_int, hi_int
 
 
 def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
@@ -496,13 +462,6 @@ class RejectionSampler:
 # ---------------------------------------------------------------------------
 
 
-def sample_integer_point(
-    parallelepiped: Parallelepiped, rng: RngStream, max_rejects: int = 10**6
-) -> tuple[int, ...]:
-    """One integer point of the parallelepiped, uniform over all of them."""
-    return parallelepiped.sampler(rng, max_rejects=max_rejects).take(1)[0]
-
-
 class WindowSampler:
     """Uniform lattice points of [0, B)^n via the coordinate-space
     parallelepiped X = {a : basis a in the window}: candidate coordinate
@@ -522,16 +481,7 @@ class WindowSampler:
         self.lattice = lattice
         n = lattice.dim
         b = window.bound
-        inv_rows = lattice.inverse.to_rows()
-        box = []
-        for row in inv_rows:
-            lo = b * sum(min(e, 0) for e in row)
-            hi = b * sum(max(e, 0) for e in row)
-            box.append(
-                _half_open_range(
-                    lo, hi, any(e < 0 for e in row), any(e > 0 for e in row)
-                )
-            )
+        box = _coordinate_box(lattice, b)
         # accept a iff 0 <= (scaled_basis a)_i * den < num * scale
         rows = [[e * b.denominator for e in row] for row in lattice._scaled_rows]
         limit = b.numerator * lattice._scale
@@ -554,14 +504,3 @@ class WindowSampler:
             self.lattice.point_from_coordinates(coords)
             for coords in self._core.take(count)
         ]
-
-
-def sample_lattice_point_in_window(
-    lattice: LatticeBasis,
-    window: Window,
-    rng: RngStream,
-    max_rejects: int = 10**6,
-) -> tuple[Fraction, ...]:
-    """One uniform point of lattice ∩ [0, B)^n (the origin guarantees the
-    set is nonempty)."""
-    return WindowSampler(lattice, window, rng, max_rejects=max_rejects).take(1)[0]

@@ -11,11 +11,10 @@ from math import gcd
 import pytest
 
 from latgen.bounds import (
-    BoundReport,
     ZetaContext,
+    _n_pow_half,
     alpha,
-    bound_report,
-    coprime_prob_exact,
+    default_context,
     fullrank_lower_bound,
     ideal_probability,
     lehmer_delta_bound,
@@ -28,6 +27,7 @@ from latgen.bounds import (
     zeta_hat,
 )
 from latgen.enclosure import Enclosure, ln_enclosure, sqrt_enclosure
+from latgen.experiments import run_coprime_table
 
 
 def coprime_pairs_bruteforce(n):
@@ -201,11 +201,12 @@ def test_pk_bound_rejects_small_ratio():
 
 
 def test_pk_sum_below_half_at_reference_ratio():
+    ctx = default_context()
     for n in range(1, 9):
-        report = bound_report(n)
+        j = 8 * _n_pow_half(n, n, ctx.grid_digits)  # the ratio 8 n^(n/2)
         total = Enclosure.exact(0)
-        for p in report.pk_values:
-            total = total + p
+        for k in range(n):
+            total = total + pk_bound(n, j, k, ctx)
         assert total.hi < Fraction(1, 2)
 
 
@@ -345,15 +346,17 @@ def test_zeta_context_precision_cap():
 
 
 def test_coprime_prob_exact_values():
-    assert coprime_prob_exact(10) == Fraction(13, 22)
-    assert coprime_prob_exact(1) == Fraction(3, 2)
-    assert coprime_prob_exact(2) == Fraction(5, 6)
+    assert run_coprime_table(1).ratios == [Fraction(3, 2)]
+    ratios = run_coprime_table(10).ratios
+    assert ratios[:2] == [Fraction(3, 2), Fraction(5, 6)]
+    assert ratios[9] == Fraction(13, 22)
 
 
 def test_coprime_prob_matches_bruteforce_counts():
     # incremental pairwise-gcd count, no totients involved
     count = 1  # (0, 0) excluded, (0, ...) handled in the loop; start at n=0: pairs {(0,0)} -> 0 coprime... build explicitly
     count = 0
+    ratios = run_coprime_table(300).ratios
     for x in range(0, 1):
         for y in range(0, 1):
             count += 1 if gcd(x, y) == 1 else 0
@@ -362,14 +365,16 @@ def test_coprime_prob_matches_bruteforce_counts():
         for t in range(n):
             count += 1 if gcd(t, n) == 1 else 0
             count += 1 if gcd(n, t) == 1 else 0
-        assert coprime_prob_exact(n) == Fraction(count, n * (n + 1))
+        assert ratios[n - 1] == Fraction(count, n * (n + 1))
 
 
 def test_coprime_minimum_at_ten():
-    values = {n: coprime_prob_exact(n) for n in range(1, 1001)}
+    table = run_coprime_table(1000)
+    values = dict(enumerate(table.ratios, start=1))
     floor = Fraction(13, 22)
     assert all(v >= floor for v in values.values())
     assert [n for n, v in values.items() if v == floor] == [10]
+    assert table.ok and table.minimum == floor and table.argmin == [10]
 
 
 def test_lehmer_delta_bound():
@@ -385,18 +390,3 @@ def test_lehmer_delta_bound():
         residual = Enclosure.exact(totient_summatory(n)) - expected
         bound = lehmer_delta_bound(n)
         assert max(abs(residual.lo), abs(residual.hi)) <= bound.lo
-
-
-# ---------------------------------------------------------------------------
-# report plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_bound_report_shape():
-    report = bound_report(4)
-    assert isinstance(report, BoundReport)
-    assert len(report.pk_values) == 4
-    assert report.alpha_n is not None
-    assert report.precision == 30
-    r1 = bound_report(1)
-    assert r1.alpha_n is None

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, config files, output files."""
 
+import hashlib
 import json
 
+import pytest
 
 from latgen.cli import _parse_n_values, main
 
@@ -143,3 +145,29 @@ def test_operational_error_exit_one(capsys):
     # usage errors are operational too; --help stays a success
     assert main(["no-such-command"]) == 1
     assert main(["--help"]) == 0
+
+
+# sha256 of each certify output, fixed when the exact linear algebra moved
+# from Fractions to the integer elimination kernels: every table must stay
+# byte-identical.
+CERTIFY_SHA256 = [
+    (["coprime", "--n-max", "1000"],
+     "49c175d2158d1762ed70b3c048d9022e02b0cc93f447a48b86f20fa4e0477f4b"),
+    (["bounds-table", "--n-max", "15"],
+     "05eafd2cbacf26f0571ae218f1684572f64d43a09556699aeba8136896bc5212"),
+    (["lemma-verify"],
+     "7e5f866267941e15200f291aa7ffc7ac3d4280eb1a9703c809f417e91343c262"),
+    (["tv-check"],
+     "6f9bc02602fee37c8c841c10a00cd8ff24b841415e5a1a76b424bcfa9038a183"),
+    (["fullrank-check", "--trials", "2000"],
+     "2cce76c32937b3921f7e88e885cebd98995ab2ce75433b312113137a23785122"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", CERTIFY_SHA256, ids=[" ".join(argv) for argv, _ in CERTIFY_SHA256]
+)
+def test_certify_outputs_pinned(argv, digest, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest

@@ -2,8 +2,9 @@
 
 Oracles used here are independent of the implementations they check:
 cofactor expansion for determinants, gcd-of-minors for unimodularity and
-Smith divisors, a Bezout row elimination for unimodularity, and an
-additive-closure search for "do these columns generate Z^n".
+Smith divisors, a Bezout row elimination for unimodularity, an
+additive-closure search for "do these columns generate Z^n", and
+Gaussian elimination over Fractions (``oracles``) for solves and rank.
 """
 
 import random
@@ -15,17 +16,16 @@ import pytest
 
 from latgen.exactmat import (
     ExactMatrix,
-    RationalMatrix,
     _bareiss_columns,
     det,
     hnf,
     is_unimodular,
-    rank_of_rows,
     snf,
     snf_with_transforms,
-    solve_integral,
     unimodular_columns,
 )
+from latgen.lattice import LatticeBasis, rank_of_span
+from oracles import fraction_inverse, fraction_solve, rank_of_rows
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -272,6 +272,11 @@ def test_hnf_rejects_empty():
 def test_det_examples():
     assert det(ExactMatrix.identity(4)) == 1
     assert det(ExactMatrix.from_rows([[2, 0], [0, 3]])) == 6
+    assert det(ExactMatrix(0, 0, [])) == 1
+    assert det(ExactMatrix.from_rows([[-7]])) == -7
+    assert det(ExactMatrix.from_rows([[0]])) == 0
+    assert det(ExactMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert det(ExactMatrix.from_rows([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
 
 
 def test_det_matches_cofactor_oracle():
@@ -280,6 +285,30 @@ def test_det_matches_cofactor_oracle():
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n, -10, 10)
         assert det(a) == det_cofactor(a.to_rows())
+
+
+def test_det_pivot_order_and_singular_match_cofactor_oracle():
+    """Sparse, permuted and rank-deficient matrices: pivots out of order
+    (both signs of the permutation) and determinant 0."""
+    rng = random.Random(321)
+    signs = set()
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:  # repeat a combination of rows
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [rng.randint(-2, 2) * x for x in rows[j]]
+        a = ExactMatrix.from_rows(rows)
+        expected = det_cofactor(rows)
+        assert det(a) == expected, rows
+        d, pivots, _ = _bareiss_columns(a.columns(), n)
+        if expected:
+            signs.add((pivots == sorted(pivots), expected * d > 0))
+        else:
+            singular += 1
+    assert (False, False) in signs and (False, True) in signs
+    assert singular > 50
 
 
 def test_det_requires_square():
@@ -470,19 +499,22 @@ def test_bareiss_columns_yields_maximal_minors():
 
 
 # ---------------------------------------------------------------------------
-# solves
+# integral solves (lattice coordinates) and the Fraction oracles
 # ---------------------------------------------------------------------------
 
 
 def test_solve_integral_examples():
-    assert solve_integral(ExactMatrix.identity(2), [3, 5]) == [3, 5]
-    assert solve_integral(ExactMatrix.from_rows([[2, 0], [0, 2]]), [2, 4]) == [1, 2]
-    assert solve_integral(ExactMatrix.from_rows([[2, 0], [0, 2]]), [1, 0]) is None
+    assert LatticeBasis([[1, 0], [0, 1]]).coordinates([3, 5]) == [3, 5]
+    two = LatticeBasis([[2, 0], [0, 2]])
+    assert two.coordinates([2, 4]) == [1, 2]
+    assert not two.contains([1, 0])
+    with pytest.raises(ValueError, match="not a lattice point"):
+        two.coordinates([1, 0])
 
 
 def test_solve_integral_singular_raises():
-    with pytest.raises(ValueError):
-        solve_integral(ExactMatrix.from_rows([[1, 2], [2, 4]]), [1, 1])
+    with pytest.raises(ValueError, match="singular"):
+        LatticeBasis([[1, 2], [2, 4]])
 
 
 def test_solve_integral_random_roundtrip():
@@ -494,18 +526,7 @@ def test_solve_integral_random_roundtrip():
             continue
         x = [rng.randint(-20, 20) for _ in range(n)]
         v = [sum(a.entry(i, j) * x[j] for j in range(n)) for i in range(n)]
-        assert solve_integral(a, v) == x
-
-
-# ---------------------------------------------------------------------------
-# rational matrices
-# ---------------------------------------------------------------------------
-
-
-def test_rational_entries_canonical():
-    m = RationalMatrix.from_rows([[Fraction(2, 4), Fraction(-3, -6)]])
-    assert m.entry(0, 0) == Fraction(1, 2)
-    assert m.entry(0, 1).denominator == 2
+        assert LatticeBasis(a.columns()).coordinates(v) == x
 
 
 def test_rational_inverse_and_solve():
@@ -516,24 +537,28 @@ def test_rational_inverse_and_solve():
             [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(n)]
             for _ in range(n)
         ]
-        m = RationalMatrix.from_rows(rows)
-        if m.det() == 0:
+        inv = fraction_inverse(rows)
+        if inv is None:
+            assert rank_of_rows(rows) < n
             continue
-        inv = m.inverse()
-        assert m @ inv == RationalMatrix.identity(n)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        product = [
+            [sum(rows[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert product == identity
         rhs = [Fraction(rng.randint(-10, 10)) for _ in range(n)]
-        x = m.solve(rhs)
-        assert m.apply(x) == rhs
+        x = fraction_solve(rows, rhs)
+        assert [sum(r * y for r, y in zip(row, x)) for row in rows] == rhs
 
 
 def test_rank_of_rows():
-    assert rank_of_rows([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
-    assert rank_of_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert rank_of_rows([]) == 0
-
-
-def test_matrix_json_roundtrip():
-    a = ExactMatrix.from_rows([[10**18, -3], [0, 7]])
-    assert ExactMatrix.from_json(a.to_json()) == a
-    r = RationalMatrix.from_rows([[Fraction(1, 3), Fraction(-7, 2)]])
-    assert RationalMatrix.from_json(r.to_json()) == r
+    for rows, rank in [
+        ([[1, 0], [0, 1]], 2),
+        ([[1, 2], [2, 4]], 1),
+        ([], 0),
+        ([[0, 0, 0]], 0),
+        ([[Fraction(1, 2), 0, 0], [0, 1, 0], [1, 2, 0]], 2),
+    ]:
+        assert rank_of_rows(rows) == rank
+        assert rank_of_span(rows) == rank

@@ -24,8 +24,8 @@ from latgen.experiments import (
 from latgen.lattice import LatticeBasis
 from latgen.sampling import ALGORITHM_ID
 
-Z1 = LatticeBasis.from_columns([[1]])
-Z2 = LatticeBasis.from_columns([[1, 0], [0, 1]])
+Z1 = LatticeBasis([[1]])
+Z2 = LatticeBasis([[1, 0], [0, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from latgen.groupgen import (
     abelian_groups_of_order,
     abelian_groups_up_to,
     generates,
-    generation_prob_bruteforce,
     generation_prob_exact,
     lambda_t_pgroup,
     proposition1_check,
     quotient_group,
 )
 from latgen.lattice import LatticeBasis
+from oracles import generation_prob_bruteforce
 
 
 def closure_size(group, elems):
@@ -55,7 +55,7 @@ def count_generating_tuples(group, t):
     return total
 
 
-Z2 = LatticeBasis.from_columns([[1, 0], [0, 1]])
+Z2 = LatticeBasis([[1, 0], [0, 1]])
 
 
 # ---------------------------------------------------------------------------

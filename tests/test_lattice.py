@@ -2,7 +2,8 @@
 
 The enumeration oracle is a blunt coefficient scan over a generous box of
 integer basis combinations; the counting bounds are then checked against
-it instance by instance.
+it instance by instance.  Determinants, coordinates, membership and rank
+are checked against Gaussian elimination over Fractions (``oracles``).
 """
 
 import itertools
@@ -13,7 +14,6 @@ from math import isqrt
 import pytest
 
 from latgen.enclosure import sqrt_enclosure
-from latgen.exactmat import RationalMatrix, rank_of_rows
 from latgen.experiments import default_lemma_instances
 from latgen.lattice import (
     LatticeBasis,
@@ -31,10 +31,15 @@ from latgen.lattice import (
     lemma2_count_bound,
     rank_of_span,
 )
+from oracles import fraction_det, fraction_inverse, rank_of_rows
 
 
 def lat(*columns):
-    return LatticeBasis.from_columns(list(columns))
+    return LatticeBasis(columns)
+
+
+def rows_of(columns):
+    return [list(row) for row in zip(*columns)]
 
 
 def enumerate_by_scan(basis: LatticeBasis, bound, coeff_box=12):
@@ -48,7 +53,7 @@ def enumerate_by_scan(basis: LatticeBasis, bound, coeff_box=12):
             if all(0 <= x < bound for x in acc):
                 points.add(tuple(acc))
             return
-        col = basis.basis.column(i)
+        col = basis.columns[i]
         for c in range(-coeff_box, coeff_box + 1):
             rec(i + 1, [a + c * e for a, e in zip(acc, col)])
 
@@ -110,7 +115,8 @@ def covering_radius_estimate_scalar(lattice: LatticeBasis, res: int) -> Fraction
     sized from that point's own starting distance."""
     n = lattice.dim
     gram = _int_gram(lattice._scaled_rows)
-    row_norm_sq = [sum(e * e for e in row) for row in lattice.inverse.to_rows()]
+    inverse = fraction_inverse(rows_of(lattice.columns))
+    row_norm_sq = [sum(e * e for e in row) for row in inverse]
     qq_res = (lattice._scale * res) ** 2
     max_dist_sq = Fraction(0)
     for g in itertools.product(range(res), repeat=n):
@@ -141,7 +147,7 @@ def random_rational_basis(rng: random.Random, n: int) -> LatticeBasis:
             [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5))) for _ in range(n)]
             for _ in range(n)
         ]
-        if RationalMatrix.from_columns(columns).det() != 0:
+        if fraction_det(columns) != 0:
             return lat(*columns)
 
 
@@ -235,7 +241,7 @@ def test_enumerate_window_lexicographic_and_deterministic():
 def test_enumerate_window_guards():
     with pytest.raises(ValueError, match="guard"):
         enumerate_window(Z1, Window(1, 10**9))
-    l5 = LatticeBasis(RationalMatrix.identity(5))
+    l5 = LatticeBasis([[int(i == j) for i in range(5)] for j in range(5)])
     with pytest.raises(ValueError):
         enumerate_window(l5, Window(5, 2))
 
@@ -282,7 +288,7 @@ def test_count_in_hyperplane_matches_rank_oracle():
     for basis, bound in cases:
         n = basis.dim
         window = Window(n, bound)
-        columns = basis.basis.columns()
+        columns = basis.columns
         spans = [
             [columns[j] for j in subset]
             for k in range(1, n)
@@ -341,8 +347,7 @@ def test_generates_lattice_examples():
 
 def test_generates_lattice_own_basis():
     for basis in (Z1, Z2, TWOZ2, SKEW, lat([Fraction(1, 3), 0], [1, 2])):
-        cols = basis.basis.columns()
-        assert generates_lattice(basis, cols)
+        assert generates_lattice(basis, basis.columns)
 
 
 def test_generates_lattice_permutation_invariant():
@@ -367,6 +372,53 @@ def test_rank_of_span():
     assert rank_of_span([(Fraction(1, 2), 0, 0), (0, 1, 0)]) == 2
 
 
+def test_rank_of_span_matches_fraction_rank():
+    """Mixed-rank rational sets: random vectors, then combinations of them."""
+    rng = random.Random(2024)
+    ranks = set()
+    for _ in range(600):
+        dim = rng.randint(1, 5)
+        base = [
+            [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(dim)]
+            for _ in range(rng.randint(1, dim))
+        ]
+        vectors = base + [
+            [sum(rng.randint(-2, 2) * v[i] for v in base) for i in range(dim)]
+            for _ in range(rng.randint(0, 3))
+        ]
+        rng.shuffle(vectors)
+        expected = rank_of_rows(vectors)
+        assert rank_of_span(vectors) == expected, vectors
+        ranks.add((len(vectors), expected))
+    assert any(size > rank > 0 for size, rank in ranks)
+    assert any(size == rank for size, rank in ranks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_basis_kernel_matches_fraction_inverse(n):
+    """det, coordinates and contains on seeded random rational bases."""
+    rng = random.Random(90 + n)
+    for _ in range(25):
+        basis = random_rational_basis(rng, n)
+        rows = rows_of(basis.columns)
+        assert basis.det == abs(fraction_det(rows))
+        inverse = fraction_inverse(rows)
+        coords = [rng.randint(-9, 9) for _ in range(n)]
+        point = basis.point_from_coordinates(coords)
+        assert [sum(e * x for e, x in zip(row, point)) for row in inverse] == coords
+        assert basis.coordinates(point) == coords
+        assert basis.contains(point)
+        # a rational vector whose oracle coordinates are not all integers
+        while True:
+            vector = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+            exact = [sum(e * x for e, x in zip(row, vector)) for row in inverse]
+            if any(c.denominator != 1 for c in exact):
+                break
+        assert not basis.contains(vector)
+        with pytest.raises(ValueError, match="not a lattice point"):
+            basis.coordinates(vector)
+
+
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
@@ -375,19 +427,19 @@ def test_rank_of_span():
 def test_lattice_json_roundtrip():
     basis = lat([Fraction(1, 3), 0], [1, 2])
     loaded = LatticeBasis.from_json(basis.to_json())
-    assert loaded.basis == basis.basis
+    assert loaded.columns == basis.columns
 
 
 def test_lattice_json_row_major():
     text = '{"n": 2, "basis": [["1", "1"], ["0", "1"]], "column_major": false}'
     basis = LatticeBasis.from_json(text)
-    assert basis.basis.to_rows() == [[1, 1], [0, 1]]
+    assert rows_of(basis.columns) == [[1, 1], [0, 1]]
 
 
 def test_lattice_json_preserves_exactness():
     text = '{"n": 1, "basis": [["1/3"]], "column_major": true}'
     basis = LatticeBasis.from_json(text)
-    assert basis.basis.entry(0, 0) == Fraction(1, 3)
+    assert basis.columns[0][0] == Fraction(1, 3)
 
 
 def test_singular_basis_rejected():
