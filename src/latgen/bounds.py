@@ -329,11 +329,6 @@ def totients(limit: int) -> list[int]:
     return phi
 
 
-def totient_summatory(n: int) -> int:
-    """Exact sum_{k=1}^{n} phi(k)."""
-    return sum(totients(n)[1:])
-
-
 def lehmer_delta_bound(n: int) -> Enclosure:
     """Enclosure of (3/2) n + n log n, bounding the totient summatory
     residual |sum phi(k) - n^2 / (2 zeta(2))|."""

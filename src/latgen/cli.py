@@ -1,10 +1,12 @@
 """latgen command line interface.
 
 Subcommands: unimodular, coprime, bounds-table, lemma-verify, tv-check,
-fullrank-check.  CSV (with a JSON header line) goes to --out or stdout;
-human-readable progress goes to stderr.  Exit codes: 0 when every check
-passes, 2 when a check fails, 1 on operational errors (bad arguments,
-sampler faults, unreadable files).
+fullrank-check.  `SUBCOMMANDS` lists each one with its help text and
+flags; its handler `_cmd_<name>` (dashes as underscores) only computes
+the result `Table` and a status text.  `main` writes every table the same
+way: CSV (with a JSON header line) to --out or stdout, the status to
+stderr.  Exit codes: 0 when every check passes, 2 when a check fails, 1
+on operational errors (bad arguments, sampler faults, unreadable files).
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import ZetaContext
+from .bounds import ZetaContext, window_thresholds
 from .experiments import (
     PAPER_SCALE_DEFAULTS,
     ExperimentConfig,
-    reports_to_csv,
+    Table,
+    reports_table,
     run_bounds_table,
     run_coprime_table,
     run_fullrank_check,
@@ -27,6 +30,7 @@ from .experiments import (
     run_tv_check,
     run_tv_suite,
     run_unimodular_experiment,
+    tv_table,
 )
 from .lattice import LatticeBasis
 from .sampling import SamplerError
@@ -39,14 +43,6 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
             lo, hi = text.split(sep, 1)
             return tuple(range(int(lo), int(hi) + 1))
     return tuple(int(part) for part in text.split(","))
-
-
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_lattice(path: Optional[str], default: Optional[str] = None) -> LatticeBasis:
@@ -87,92 +83,70 @@ def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_json_dict(settings)
 
 
-def _cmd_unimodular(args) -> int:
+def _tag(ok: bool) -> str:
+    return "[ok]" if ok else "[FAIL]"
+
+
+# Each handler returns (table, stderr status text) and leaves writing the
+# table and choosing the exit code to `main`.
+
+
+def _cmd_unimodular(args) -> tuple[Table, str]:
     cfg = _experiment_config(args)
+    args.out = cfg.out  # a config file may name the output file
     reports = run_unimodular_experiment(cfg)
-    _emit(reports_to_csv(reports), cfg.out)
-    failed = False
+    lines = []
     for report in reports:
         verdict = report.within_tolerance()
-        status = "n/a" if verdict is None else ("ok" if verdict else "FAIL")
-        print(
+        ideal = ""
+        if report.ideal_lo is not None:
+            ideal = float((report.ideal_lo + report.ideal_hi) / 2)
+        lines.append(
             f"unimodular n={report.n} m={report.m}: avg={float(report.average):.6f}"
             f" min={float(report.minimum):.6f} radius={report.radius:.2g}"
-            f" ideal={'' if report.ideal_lo is None else float((report.ideal_lo + report.ideal_hi) / 2)}"
-            f" [{status}]",
-            file=sys.stderr,
+            f" ideal={ideal} [{'n/a' if verdict is None else 'ok' if verdict else 'FAIL'}]"
         )
-        if verdict is False:
-            failed = True
-    return 2 if failed else 0
+    return reports_table(reports), "\n".join(lines)
 
 
-def _cmd_coprime(args) -> int:
+def _cmd_coprime(args) -> tuple[Table, str]:
     table = run_coprime_table(args.n_max)
-    _emit(table.to_csv(), args.out)
-    print(
-        f"coprime n<=:{args.n_max} min={table.minimum} at n={table.argmin}"
-        f" [{'ok' if table.ok else 'FAIL'}]",
-        file=sys.stderr,
-    )
-    return 0 if table.ok else 2
+    minimum, argmin = Fraction(table.header["minimum"]), table.header["argmin"]
+    return table, f"coprime n<=:{args.n_max} min={minimum} at n={argmin} {_tag(table.ok)}"
 
 
-def _cmd_bounds_table(args) -> int:
-    ctx = ZetaContext(precision=args.precision)
-    table = run_bounds_table(args.n_max, ctx)
-    _emit(table.to_csv(), args.out)
-    print(
-        f"bounds-table n<=:{args.n_max} [{'ok' if table.ok else 'FAIL'}]",
-        file=sys.stderr,
-    )
-    return 0 if table.ok else 2
+def _cmd_bounds_table(args) -> tuple[Table, str]:
+    table = run_bounds_table(args.n_max, ZetaContext(precision=args.precision))
+    return table, f"bounds-table n<=:{args.n_max} {_tag(table.ok)}"
 
 
-def _cmd_lemma_verify(args) -> int:
-    report = run_lemma_verification()
-    _emit(report.to_csv(), args.out)
-    print(
-        f"lemma-verify {len(report.rows)} instances"
-        f" [{'ok' if report.ok else 'FAIL'}]",
-        file=sys.stderr,
-    )
-    return 0 if report.ok else 2
+def _cmd_lemma_verify(args) -> tuple[Table, str]:
+    table = run_lemma_verification()
+    return table, f"lemma-verify {len(table.rows)} instances {_tag(table.ok)}"
 
 
-def _cmd_tv_check(args) -> int:
+def _cmd_tv_check(args) -> tuple[Table, str]:
     if args.lattice or args.sub or args.B1:
         if not (args.lattice and args.sub and args.B1):
             raise ValueError("custom tv-check needs --lattice, --sub and --B1")
         lattice = _load_lattice(args.lattice)
         sub = [[Fraction(x) for x in vec] for vec in json.loads(args.sub)]
-        row = run_tv_check(lattice, sub, Fraction(args.B1), name="custom")
-        rows = [row]
-        from .experiments import TvReport
-
-        report = TvReport(rows)
+        table = tv_table([run_tv_check(lattice, sub, Fraction(args.B1), name="custom")])
     else:
-        report = run_tv_suite()
-    _emit(report.to_csv(), args.out)
-    print(
-        f"tv-check {len(report.rows)} instances [{'ok' if report.ok else 'FAIL'}]",
-        file=sys.stderr,
-    )
-    return 0 if report.ok else 2
+        table = run_tv_suite()
+    return table, f"tv-check {len(table.rows)} instances {_tag(table.ok)}"
 
 
-def _cmd_fullrank_check(args) -> int:
+def _cmd_fullrank_check(args) -> tuple[Table, str]:
     lattice = _load_lattice(args.lattice, default=_Z2_JSON)
     nu = Fraction(args.nu_upper) if args.nu_upper else None
     if args.B:
         window_bound = Fraction(args.B)
     else:
-        from .bounds import window_thresholds
-
         window_bound = window_thresholds(
             lattice.dim, nu if nu is not None else lattice.nu_upper
         )[0]
-    report = run_fullrank_check(
+    table = run_fullrank_check(
         lattice,
         window_bound,
         trials=args.trials,
@@ -180,15 +154,50 @@ def _cmd_fullrank_check(args) -> int:
         nu_upper=nu,
         allow_out_of_hypothesis=args.allow_out_of_hypothesis,
     )
-    _emit(report.to_csv(), args.out)
-    freq = "n/a" if report.frequency is None else f"{float(report.frequency):.4f}"
-    print(
-        f"fullrank-check n={report.n} B={report.window_bound} freq={freq}"
-        f" hypothesis={'yes' if report.hypothesis_held else 'no'}"
-        f" [{'ok' if report.ok else 'FAIL'}]",
-        file=sys.stderr,
+    (row,) = table.rows
+    freq = "n/a" if row.frequency is None else f"{float(row.frequency):.4f}"
+    return table, (
+        f"fullrank-check n={row.n} B={row.B} freq={freq}"
+        f" hypothesis={'yes' if row.hypothesis_held else 'no'} {_tag(table.ok)}"
     )
-    return 0 if report.ok else 2
+
+
+# name -> (help, [(flag, add_argument keywords)]); every subcommand also
+# takes the common flags of `build_parser`.
+SUBCOMMANDS = {
+    "unimodular": ("random-parallelepiped unimodularity experiment", [
+        ("--n", dict(help="dimensions, e.g. 2 or 1..4 or 1,3")),
+        ("--m", dict(help="columns policy: n+1 (default), n, or an integer")),
+        ("--C", dict(type=int, help="parallelepiped coordinate bound")),
+        ("--reps", dict(type=int, help="parallelepipeds per n")),
+        ("--samples", dict(type=int, help="matrices per parallelepiped")),
+        ("--max-rejects", dict(type=int)),
+        ("--paper-scale", dict(
+            action="store_true",
+            help="reps=1000, C=10^18, n=1..15 unless overridden (hours of compute)",
+        )),
+    ]),
+    "coprime": ("exact coprimality ratios", [
+        ("--n-max", dict(type=int, default=1000)),
+    ]),
+    "bounds-table": ("closed-form bound table", [
+        ("--n-max", dict(type=int, default=15)),
+        ("--precision", dict(type=int, default=30)),
+    ]),
+    "lemma-verify": ("window counting bound checks", []),
+    "tv-check": ("total-variation distance checks", [
+        ("--lattice", dict(help="lattice JSON file")),
+        ("--sub", dict(help="sublattice generators as JSON")),
+        ("--B1", dict(help="window bound")),
+    ]),
+    "fullrank-check": ("full-rank sampling frequency", [
+        ("--lattice", dict(help="lattice JSON file (default Z^2)")),
+        ("--B", dict(help="window bound (default: threshold)")),
+        ("--trials", dict(type=int, default=2000)),
+        ("--nu-upper", dict()),
+        ("--allow-out-of-hypothesis", dict(action="store_true")),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,63 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output CSV path (default stdout)")
     common.add_argument("--config", default=None, help="JSON config file")
 
-    p = sub.add_parser(
-        "unimodular",
-        parents=[common],
-        help="random-parallelepiped unimodularity experiment",
-    )
-    p.add_argument("--n", default=None, help="dimensions, e.g. 2 or 1..4 or 1,3")
-    p.add_argument("--m", default=None, help="columns policy: n+1 (default), n, or an integer")
-    p.add_argument("--C", type=int, default=None, help="parallelepiped coordinate bound")
-    p.add_argument("--reps", type=int, default=None, help="parallelepipeds per n")
-    p.add_argument("--samples", type=int, default=None, help="matrices per parallelepiped")
-    p.add_argument("--max-rejects", dest="max_rejects", type=int, default=None)
-    p.add_argument(
-        "--paper-scale",
-        dest="paper_scale",
-        action="store_true",
-        help="reps=1000, C=10^18, n=1..15 unless overridden (hours of compute)",
-    )
-    p.set_defaults(func=_cmd_unimodular)
-
-    p = sub.add_parser("coprime", parents=[common], help="exact coprimality ratios")
-    p.add_argument("--n-max", dest="n_max", type=int, default=1000)
-    p.set_defaults(func=_cmd_coprime)
-
-    p = sub.add_parser(
-        "bounds-table", parents=[common], help="closed-form bound table"
-    )
-    p.add_argument("--n-max", dest="n_max", type=int, default=15)
-    p.add_argument("--precision", type=int, default=30)
-    p.set_defaults(func=_cmd_bounds_table)
-
-    p = sub.add_parser(
-        "lemma-verify", parents=[common], help="window counting bound checks"
-    )
-    p.set_defaults(func=_cmd_lemma_verify)
-
-    p = sub.add_parser(
-        "tv-check", parents=[common], help="total-variation distance checks"
-    )
-    p.add_argument("--lattice", default=None, help="lattice JSON file")
-    p.add_argument("--sub", default=None, help="sublattice generators as JSON")
-    p.add_argument("--B1", default=None, help="window bound")
-    p.set_defaults(func=_cmd_tv_check)
-
-    p = sub.add_parser(
-        "fullrank-check", parents=[common], help="full-rank sampling frequency"
-    )
-    p.add_argument("--lattice", default=None, help="lattice JSON file (default Z^2)")
-    p.add_argument("--B", default=None, help="window bound (default: threshold)")
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--nu-upper", dest="nu_upper", default=None)
-    p.add_argument(
-        "--allow-out-of-hypothesis",
-        dest="allow_out_of_hypothesis",
-        action="store_true",
-    )
-    p.set_defaults(func=_cmd_fullrank_check)
-
+    # handlers are looked up when the parser is built, not at import, so a
+    # handler replaced on this module is the one dispatched
+    module = globals()
+    for name, (help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=module["_cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -272,13 +232,21 @@ def main(argv=None) -> int:
         # keep exit 2 reserved for failed checks; usage errors are operational
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        table, status = args.func(args)
+        text = table.to_csv()
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except SamplerError as exc:
         print(f"sampler error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(status, file=sys.stderr)
+    return 0 if table.ok else 2
 
 
 if __name__ == "__main__":

@@ -10,10 +10,19 @@ so results are bit-identical regardless of worker count or scheduling
 (aggregation sorts by shard index).  Reports carry the full configuration
 and RNG provenance needed to reproduce them.
 
-Output format: one '# {json}' header line holding config, provenance and
-per-report summaries (exact values as "p/q" strings), then ordinary CSV
-rows.  Frequencies are exact rationals end to end; only the confidence
-radii are floats.
+Every result is one `Table`: a JSON header, the CSV columns and the
+rows.  `Table.to_csv` writes the header as one '# {json}' line (sorted
+keys: "format" names the kind, e.g. "latgen-coprime-v1", beside the
+kind's own fields), then the column line, then one line per row, each
+cell encoded by `_cell`: None as "", bools as 0/1, Fractions as "p/q",
+floats by repr, anything else by str (the window bounds B and B1 are
+stored as str(b), so they read "10", not "10/1").  `Table.from_csv`
+reads any latgen output back with string cells, and writing that back
+gives the same bytes.  Each kind's rows are a namedtuple whose fields
+are its columns.  The unimodular report keeps its per-dimension
+summaries (exact values as "p/q" strings) in the header and parses back
+to `ExperimentReport` objects (`parse_reports_csv`).  Frequencies are
+exact rationals end to end; only the confidence radii are floats.
 
 The reported uncertainty is the Wilson 95% radius on the pooled success
 count together with a between-parallelepiped (cluster) radius; tolerance
@@ -27,14 +36,13 @@ import itertools
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from io import StringIO
-from typing import Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence, Union
 
 from . import bounds
 from .bounds import ZetaContext
-from .enclosure import Enclosure
 from .exactmat import unimodular_columns
 from .groupgen import quotient_group
 from .lattice import (
@@ -114,6 +122,8 @@ class ExperimentConfig:
             raise ValueError("n values must be >= 1")
         if self.C < 1 or self.reps < 1 or self.samples < 1 or self.workers < 1:
             raise ValueError("all counts must be >= 1")
+        if self.max_rejects < 0:
+            raise ValueError("max_rejects must be >= 0")
         self.m_for(max(self.n_values))  # validate the policy eagerly
 
     def m_for(self, n: int) -> int:
@@ -289,7 +299,7 @@ def run_unimodular_experiment(
 
 
 # ---------------------------------------------------------------------------
-# report CSV round trip
+# the report table
 # ---------------------------------------------------------------------------
 
 
@@ -301,7 +311,59 @@ def _frac(text: Optional[str]) -> Optional[Fraction]:
     return None if text is None else Fraction(text)
 
 
-def write_reports_csv(reports: Sequence[ExperimentReport], out: TextIO) -> None:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, Fraction):
+        return _frac_str(value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+@dataclass
+class Table:
+    """One latgen result: a JSON-ready header, the CSV column names, the
+    rows (tuples in column order) and whether every check passed (a table
+    read back takes `ok` from its header, None when the header has none)."""
+
+    header: dict
+    columns: tuple[str, ...]
+    rows: list
+    ok: Optional[bool]
+
+    def to_csv(self) -> str:
+        lines = ["# " + json.dumps(self.header, sort_keys=True), ",".join(self.columns)]
+        lines.extend(",".join(map(_cell, row)) for row in self.rows)
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, text: str) -> "Table":
+        """Read any latgen output back; every cell stays a string."""
+        lines = [line for line in text.splitlines() if line.strip()]
+        if not lines or not lines[0].startswith("# "):
+            raise ValueError("missing JSON header line")
+        if len(lines) < 2:
+            raise ValueError("missing column line")
+        header = json.loads(lines[0][2:])
+        row_type = namedtuple("Row", lines[1].split(","))
+        rows = []
+        for line in lines[2:]:
+            cells = line.split(",")
+            if len(cells) != len(row_type._fields):
+                raise ValueError(f"row {line!r} does not match columns {lines[1]!r}")
+            rows.append(row_type(*cells))
+        return cls(header, row_type._fields, rows, header.get("ok"))
+
+
+ShardRow = namedtuple("ShardRow", "kind n m shard samples successes frequency resamples")
+
+
+def reports_table(reports: Sequence[ExperimentReport]) -> Table:
+    """The unimodular report: per-dimension summaries in the header, one
+    row per shard; ok unless some report is out of tolerance."""
     header = {
         "format": "latgen-reports-v1",
         "summaries": [
@@ -322,43 +384,33 @@ def write_reports_csv(reports: Sequence[ExperimentReport], out: TextIO) -> None:
             for r in reports
         ],
     }
-    out.write("# " + json.dumps(header, sort_keys=True) + "\n")
-    out.write("kind,n,m,shard,samples,successes,frequency,resamples\n")
-    for r in reports:
-        samples = r.config["samples"]
-        for shard, (s, resample) in enumerate(zip(r.successes, r.resamples)):
-            freq = _frac_str(Fraction(s, samples))
-            out.write(
-                f"{r.kind},{r.n},{r.m},{shard},{samples},{s},{freq},{resample}\n"
-            )
+    rows = [
+        ShardRow(r.kind, r.n, r.m, shard, r.config["samples"], *shard_data)
+        for r in reports
+        for shard, shard_data in enumerate(zip(r.successes, r.frequencies, r.resamples))
+    ]
+    ok = all(r.within_tolerance() is not False for r in reports)
+    return Table(header, ShardRow._fields, rows, ok)
 
 
 def reports_to_csv(reports: Sequence[ExperimentReport]) -> str:
-    buf = StringIO()
-    write_reports_csv(reports, buf)
-    return buf.getvalue()
+    return reports_table(reports).to_csv()
 
 
 def parse_reports_csv(text: str) -> list[ExperimentReport]:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError("missing JSON header line")
-    header = json.loads(lines[0][2:])
-    if header.get("format") != "latgen-reports-v1":
+    table = Table.from_csv(text)
+    if table.header.get("format") != "latgen-reports-v1":
         raise ValueError("unknown report format")
-    per_key: dict[tuple, list[tuple[int, int, int, int]]] = {}
-    for line in lines[2:]:
-        kind, n, m, shard, samples, successes, _freq, resamples = line.split(",")
-        per_key.setdefault((kind, int(n), int(m)), []).append(
-            (int(shard), int(samples), int(successes), int(resamples))
+    per_key: dict[tuple, list[tuple[int, int, int]]] = {}
+    for row in table.rows:
+        per_key.setdefault((row.kind, int(row.n), int(row.m)), []).append(
+            (int(row.shard), int(row.successes), int(row.resamples))
         )
     reports = []
-    for summary in header["summaries"]:
-        key = (summary["kind"], summary["n"], summary["m"])
-        rows = sorted(per_key[key])
+    for summary in table.header["summaries"]:
+        rows = sorted(per_key[(summary["kind"], summary["n"], summary["m"])])
         samples = summary["config"]["samples"]
-        successes = tuple(s for _, _, s, _ in rows)
-        resamples = tuple(r for _, _, _, r in rows)
+        successes = tuple(s for _, s, _ in rows)
         config = dict(summary["config"])
         config["n_values"] = list(config["n_values"])
         reports.append(
@@ -369,10 +421,10 @@ def parse_reports_csv(text: str) -> list[ExperimentReport]:
                 config=config,
                 frequencies=tuple(Fraction(s, samples) for s in successes),
                 successes=successes,
-                resamples=resamples,
-                average=_frac(summary["average"]),
-                minimum=_frac(summary["minimum"]),
-                maximum=_frac(summary["maximum"]),
+                resamples=tuple(r for _, _, r in rows),
+                average=Fraction(summary["average"]),
+                minimum=Fraction(summary["minimum"]),
+                maximum=Fraction(summary["maximum"]),
                 wilson_radius=float(summary["wilson_radius"]),
                 cluster_radius=float(summary["cluster_radius"]),
                 ideal_lo=_frac(summary["ideal_lo"]),
@@ -387,34 +439,10 @@ def parse_reports_csv(text: str) -> list[ExperimentReport]:
 # coprimality and bounds tables
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class CoprimeTable:
-    n_max: int
-    ratios: list[Fraction]
-    minimum: Fraction
-    argmin: list[int]
-    ok: bool
-
-    def to_csv(self) -> str:
-        buf = StringIO()
-        header = {
-            "format": "latgen-coprime-v1",
-            "n_max": self.n_max,
-            "minimum": _frac_str(self.minimum),
-            "argmin": self.argmin,
-            "ok": self.ok,
-        }
-        buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        buf.write("n,ratio,ratio_float,is_minimum\n")
-        for n, ratio in enumerate(self.ratios, start=1):
-            buf.write(
-                f"{n},{_frac_str(ratio)},{float(ratio)!r},{int(n in self.argmin)}\n"
-            )
-        return buf.getvalue()
+CoprimeRow = namedtuple("CoprimeRow", "n ratio ratio_float is_minimum")
 
 
-def run_coprime_table(n_max: int) -> CoprimeTable:
+def run_coprime_table(n_max: int) -> Table:
     """Exact coprimality ratios for n = 1..n_max.
 
     The verified facts: every ratio is at least 13/22, with equality
@@ -434,78 +462,47 @@ def run_coprime_table(n_max: int) -> CoprimeTable:
     ok = all(r >= floor for r in ratios)
     if n_max >= 10:
         ok = ok and minimum == floor and argmin == [10]
-    return CoprimeTable(n_max, ratios, minimum, argmin, ok)
+    header = {
+        "format": "latgen-coprime-v1",
+        "n_max": n_max,
+        "minimum": _frac_str(minimum),
+        "argmin": argmin,
+        "ok": ok,
+    }
+    rows = [CoprimeRow(n, r, float(r), n in argmin) for n, r in enumerate(ratios, start=1)]
+    return Table(header, CoprimeRow._fields, rows, ok)
 
 
-@dataclass
-class BoundsRow:
-    n: int
-    fullrank: Enclosure
-    alpha: Optional[Enclosure]
-    ideal: Enclosure
-    b_min: Optional[Fraction]
-    b1_min: Optional[Fraction]
+BoundsRow = namedtuple(
+    "BoundsRow", "n fullrank_lower alpha_lo alpha_hi ideal_lo ideal_hi b_min b1_min"
+)
 
 
-@dataclass
-class BoundsTable:
-    rows: list[BoundsRow]
-    precision: int
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            row.alpha is None or row.alpha.lo >= Fraction(92, 1000)
-            for row in self.rows
-        )
-
-    def to_csv(self) -> str:
-        buf = StringIO()
-        header = {
-            "format": "latgen-bounds-v1",
-            "precision": self.precision,
-            "ok": self.ok,
-        }
-        buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        buf.write(
-            "n,fullrank_lower,alpha_lo,alpha_hi,ideal_lo,ideal_hi,b_min,b1_min\n"
-        )
-        for row in self.rows:
-            alpha_lo = "" if row.alpha is None else f"{float(row.alpha.lo)!r}"
-            alpha_hi = "" if row.alpha is None else f"{float(row.alpha.hi)!r}"
-            b_min = "" if row.b_min is None else _frac_str(row.b_min)
-            b1_min = "" if row.b1_min is None else _frac_str(row.b1_min)
-            buf.write(
-                f"{row.n},{float(row.fullrank.lo)!r},{alpha_lo},{alpha_hi},"
-                f"{float(row.ideal.lo)!r},{float(row.ideal.hi)!r},{b_min},{b1_min}\n"
-            )
-        return buf.getvalue()
-
-
-def run_bounds_table(n_max: int, ctx: Optional[ZetaContext] = None) -> BoundsTable:
+def run_bounds_table(n_max: int, ctx: Optional[ZetaContext] = None) -> Table:
     """Closed-form table: full-rank lower bound, alpha enclosure, ideal
-    probability and window thresholds (unit covering radius) per n."""
+    probability and window thresholds (unit covering radius) per n; ok
+    when every certified alpha is at least 0.092."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ctx = ctx or bounds.default_context()
     rows = []
+    ok = True
     for n in range(1, n_max + 1):
+        alpha_lo = alpha_hi = b_min = b1_min = None
         if n >= 2:
             alpha = bounds.alpha(n, ctx)
+            ok = ok and alpha.lo >= Fraction(92, 1000)
+            alpha_lo, alpha_hi = float(alpha.lo), float(alpha.hi)
             b_min, b1_min = bounds.window_thresholds(n, 1, ctx)
-        else:
-            alpha, b_min, b1_min = None, None, None
+        ideal = bounds.ideal_probability(n, n + 1, ctx)
         rows.append(
             BoundsRow(
-                n=n,
-                fullrank=bounds.fullrank_lower_bound(n, ctx),
-                alpha=alpha,
-                ideal=bounds.ideal_probability(n, n + 1, ctx),
-                b_min=b_min,
-                b1_min=b1_min,
+                n, float(bounds.fullrank_lower_bound(n, ctx).lo), alpha_lo, alpha_hi,
+                float(ideal.lo), float(ideal.hi), b_min, b1_min,
             )
         )
-    return BoundsTable(rows, ctx.precision)
+    header = {"format": "latgen-bounds-v1", "precision": ctx.precision, "ok": ok}
+    return Table(header, BoundsRow._fields, rows, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -521,39 +518,7 @@ class LemmaInstance:
     grid_resolution: int
 
 
-@dataclass
-class LemmaRow:
-    name: str
-    n: int
-    window_bound: Fraction
-    count: int
-    lower: Fraction
-    upper: Fraction
-    hyperplane_checks: list[tuple[int, int, Fraction]]  # (k, count, bound)
-    ok: bool
-
-
-@dataclass
-class LemmaReport:
-    rows: list[LemmaRow] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-    def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write(
-            "# " + json.dumps({"format": "latgen-lemma-v1", "ok": self.ok}) + "\n"
-        )
-        buf.write("name,n,B,count,lower,upper,hyperplane_ok,ok\n")
-        for row in self.rows:
-            hyper_ok = all(c <= b for _, c, b in row.hyperplane_checks)
-            buf.write(
-                f"{row.name},{row.n},{row.window_bound},{row.count},"
-                f"{float(row.lower)!r},{float(row.upper)!r},{int(hyper_ok)},{int(row.ok)}\n"
-            )
-        return buf.getvalue()
+LemmaRow = namedtuple("LemmaRow", "name n B count lower upper hyperplane_ok ok")
 
 
 def default_lemma_instances() -> list[LemmaInstance]:
@@ -589,7 +554,7 @@ def default_lemma_instances() -> list[LemmaInstance]:
 
 def run_lemma_verification(
     instances: Optional[Sequence[LemmaInstance]] = None,
-) -> LemmaReport:
+) -> Table:
     """Check both counting inequalities on every instance.
 
     The two-sided window count bracket uses the grid under-estimate on
@@ -597,7 +562,7 @@ def run_lemma_verification(
     hyperplane bound is checked for the span of every proper subset of
     basis vectors.
     """
-    report = LemmaReport()
+    rows = []
     for inst in instances or default_lemma_instances():
         lattice, window = inst.lattice, Window(inst.lattice.dim, inst.bound)
         n = lattice.dim
@@ -605,66 +570,28 @@ def run_lemma_verification(
         points = _window_scaled(lattice, window)
         count = len(points)
         lower, upper = lemma1_bounds(lattice, window, nu_est)
-        ok = lower <= count <= upper
-        hyper = []
-        if n >= 2:
-            columns = lattice.columns
-            for k in range(1, n):
-                for subset in itertools.combinations(range(n), k):
-                    spanning = [columns[j] for j in subset]
-                    h_count = count_in_hyperplane(lattice, window, spanning, points)
-                    h_bound = lemma2_count_bound(lattice, window, k)
-                    hyper.append((k, h_count, h_bound))
-                    ok = ok and h_count <= h_bound
-        report.rows.append(
+        hyperplane_ok = True
+        for k in range(1, n):
+            for subset in itertools.combinations(lattice.columns, k):
+                h_count = count_in_hyperplane(lattice, window, list(subset), points)
+                h_bound = lemma2_count_bound(lattice, window, k)
+                hyperplane_ok = hyperplane_ok and h_count <= h_bound
+        ok = lower <= count <= upper and hyperplane_ok
+        rows.append(
             LemmaRow(
-                name=inst.name,
-                n=n,
-                window_bound=window.bound,
-                count=count,
-                lower=lower,
-                upper=upper,
-                hyperplane_checks=hyper,
-                ok=ok,
+                inst.name, n, str(window.bound), count, float(lower), float(upper),
+                hyperplane_ok, ok,
             )
         )
-    return report
+    ok = all(row.ok for row in rows)
+    return Table({"format": "latgen-lemma-v1", "ok": ok}, LemmaRow._fields, rows, ok)
 
 
 # ---------------------------------------------------------------------------
 # total-variation checks
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class TvRow:
-    name: str
-    n: int
-    b1: Fraction
-    group_order: int
-    tv_exact: Fraction
-    tv_bound: Fraction
-    ok: bool
-
-
-@dataclass
-class TvReport:
-    rows: list[TvRow] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-    def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write("# " + json.dumps({"format": "latgen-tv-v1", "ok": self.ok}) + "\n")
-        buf.write("name,n,B1,group_order,tv_exact,tv_bound,ok\n")
-        for row in self.rows:
-            buf.write(
-                f"{row.name},{row.n},{row.b1},{row.group_order},"
-                f"{_frac_str(row.tv_exact)},{_frac_str(row.tv_bound)},{int(row.ok)}\n"
-            )
-        return buf.getvalue()
+TvRow = namedtuple("TvRow", "name n B1 group_order tv_exact tv_bound ok")
 
 
 def run_tv_check(
@@ -696,15 +623,12 @@ def run_tv_check(
         tv += abs(share - uniform)
     tv /= 2
     bound = bounds.tv_bound(n, b1, nu1_upper, lattice.nu_upper)
-    return TvRow(
-        name=name,
-        n=n,
-        b1=b1,
-        group_order=order,
-        tv_exact=tv,
-        tv_bound=bound,
-        ok=tv <= bound,
-    )
+    return TvRow(name, n, str(b1), order, tv, bound, tv <= bound)
+
+
+def tv_table(rows: Sequence[TvRow]) -> Table:
+    ok = all(row.ok for row in rows)
+    return Table({"format": "latgen-tv-v1", "ok": ok}, TvRow._fields, list(rows), ok)
 
 
 def default_tv_instances() -> list[tuple[str, LatticeBasis, list, Fraction]]:
@@ -728,48 +652,20 @@ def default_tv_instances() -> list[tuple[str, LatticeBasis, list, Fraction]]:
     ]
 
 
-def run_tv_suite() -> TvReport:
-    report = TvReport()
-    for name, lattice, sub, b1 in default_tv_instances():
-        report.rows.append(run_tv_check(lattice, sub, b1, name=name))
-    return report
+def run_tv_suite() -> Table:
+    return tv_table([
+        run_tv_check(lattice, sub, b1, name=name)
+        for name, lattice, sub, b1 in default_tv_instances()
+    ])
 
 
 # ---------------------------------------------------------------------------
 # full-rank frequency check
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class FullrankReport:
-    name: str
-    n: int
-    window_bound: Fraction
-    threshold: Optional[Fraction]
-    hypothesis_held: bool
-    trials: int
-    successes: int
-    frequency: Optional[Fraction]
-    radius: float
-    ok: bool
-    rng: dict
-
-    def to_csv(self) -> str:
-        buf = StringIO()
-        header = {
-            "format": "latgen-fullrank-v1",
-            "ok": self.ok,
-            "rng": self.rng,
-            "threshold": _frac_str(self.threshold),
-        }
-        buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        buf.write("name,n,B,hypothesis_held,trials,successes,frequency,radius,ok\n")
-        freq = "" if self.frequency is None else _frac_str(self.frequency)
-        buf.write(
-            f"{self.name},{self.n},{self.window_bound},{int(self.hypothesis_held)},"
-            f"{self.trials},{self.successes},{freq},{self.radius!r},{int(self.ok)}\n"
-        )
-        return buf.getvalue()
+FullrankRow = namedtuple(
+    "FullrankRow", "name n B hypothesis_held trials successes frequency radius ok"
+)
 
 
 def run_fullrank_check(
@@ -781,14 +677,17 @@ def run_fullrank_check(
     allow_out_of_hypothesis: bool = False,
     name: str = "fullrank",
     max_rejects: int = 10**6,
-) -> FullrankReport:
+) -> Table:
     """Frequency with which n uniform window points span full rank.
 
     Requires the window to meet the threshold 8 n^(n/2) nu unless
-    explicitly overridden (the report then records hypothesis_held=False
+    explicitly overridden (the row then records hypothesis_held=False
     and asserts nothing); inside the hypothesis, the check is
-    frequency >= 1/2 - 3 Wilson radii.
+    frequency >= 1/2 - 3 Wilson radii.  With zero trials the frequency
+    is empty and nothing is asserted.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     n = lattice.dim
     b = Fraction(window_bound)
     nu = Fraction(nu_upper) if nu_upper is not None else lattice.nu_upper
@@ -804,30 +703,20 @@ def run_fullrank_check(
             "pass allow_out_of_hypothesis=True to report anyway"
         )
     rng = RngStream(seed, stream_id(KIND_FULLRANK, n, 0, 1))
-    if trials == 0:
-        return FullrankReport(
-            name, n, b, threshold, hypothesis_held, 0, 0, None, 0.0,
-            ok=True, rng=rng.provenance(),
-        )
-    sampler = WindowSampler(lattice, Window(n, b), rng, max_rejects=max_rejects)
     successes = 0
-    for _ in range(trials):
-        vectors = sampler.take(n)
-        if rank_of_span(vectors) == n:
-            successes += 1
-    freq = Fraction(successes, trials)
+    if trials:
+        sampler = WindowSampler(lattice, Window(n, b), rng, max_rejects=max_rejects)
+        for _ in range(trials):
+            if rank_of_span(sampler.take(n)) == n:
+                successes += 1
+    freq = Fraction(successes, trials) if trials else None
     radius = wilson_radius(successes, trials)
-    ok = (not hypothesis_held) or float(freq) >= 0.5 - 3 * radius
-    return FullrankReport(
-        name=name,
-        n=n,
-        window_bound=b,
-        threshold=threshold,
-        hypothesis_held=hypothesis_held,
-        trials=trials,
-        successes=successes,
-        frequency=freq,
-        radius=radius,
-        ok=ok,
-        rng=rng.provenance(),
-    )
+    ok = freq is None or not hypothesis_held or float(freq) >= 0.5 - 3 * radius
+    row = FullrankRow(name, n, str(b), hypothesis_held, trials, successes, freq, radius, ok)
+    header = {
+        "format": "latgen-fullrank-v1",
+        "ok": ok,
+        "rng": rng.provenance(),
+        "threshold": _frac_str(threshold),
+    }
+    return Table(header, FullrankRow._fields, [row], ok)

@@ -9,11 +9,9 @@ product formula; the tests check it against an exhaustive tuple count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import bounds
 from .exactmat import ExactMatrix, det, snf_with_transforms, unimodular_columns
 from .lattice import LatticeBasis
 
@@ -241,70 +239,3 @@ def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
     for n in range(1, max_order + 1):
         out.extend(abelian_groups_of_order(n))
     return out
-
-
-@dataclass
-class Prop1Row:
-    factors: tuple[int, ...]
-    n: int
-    t: int
-    probability: Fraction
-    bound_lower: Fraction
-    ok: bool
-
-
-@dataclass
-class Prop1Report:
-    rows: list[Prop1Row] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def proposition1_check(
-    n_max: int, ctx: Optional[bounds.ZetaContext] = None
-) -> Prop1Report:
-    """Check that every n-generated library group is generated by n + 1
-    uniform elements with probability at least the certified zeta-product
-    lower bound (itself at least the infinite-product constant)."""
-    ctx = ctx or bounds.default_context()
-    report = Prop1Report()
-    hat_lower = bounds.zeta_hat(ctx).lo
-    for n in range(1, n_max + 1):
-        bound_lower = bounds.ideal_probability(n, n + 1, ctx).lo
-        assert bound_lower >= hat_lower
-        for group in _library_groups(n):
-            prob = generation_prob_exact(group, n + 1)
-            report.rows.append(
-                Prop1Row(
-                    factors=group.invariant_factors,
-                    n=n,
-                    t=n + 1,
-                    probability=prob,
-                    bound_lower=bound_lower,
-                    ok=prob >= bound_lower,
-                )
-            )
-    return report
-
-
-def _library_groups(n: int) -> list[FiniteAbelianGroup]:
-    """Groups with at most n generators exercising varied prime mixes."""
-    groups = [
-        FiniteAbelianGroup([]),
-        FiniteAbelianGroup([2] * n),
-        FiniteAbelianGroup([6] * n),
-        FiniteAbelianGroup([30] * max(1, n - 1)),
-        FiniteAbelianGroup([12]),
-        FiniteAbelianGroup([2**i for i in range(1, n + 1)]),
-        FiniteAbelianGroup([2, 4] + [12] * max(0, n - 2)),
-    ]
-    # dedupe while preserving order
-    seen = set()
-    unique = []
-    for g in groups:
-        if g.invariant_factors not in seen and g.ngens <= n:
-            seen.add(g.invariant_factors)
-            unique.append(g)
-    return unique

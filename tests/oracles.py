@@ -1,12 +1,14 @@
 """Reference implementations the tests compare the library against.
 
 Exact Gaussian elimination over ``Fraction`` (solve, inverse, rank)
-checks the library's integer elimination kernels, and an exhaustive
-tuple count checks the closed-form group generation probabilities.
+checks the library's integer elimination kernels, an exhaustive tuple
+count checks the closed-form group generation probabilities, and the
+totient summatory carries the coprime pair counts.
 """
 
 from fractions import Fraction
 
+from latgen.bounds import totients
 from latgen.exactmat import _hnf_columns
 
 
@@ -136,3 +138,8 @@ def generation_prob_bruteforce(group, t: int) -> Fraction:
                 nxt[new_key] = nxt.get(new_key, 0) + count
         levels = nxt
     return Fraction(levels.get(identity_key, 0), order**t)
+
+
+def totient_summatory(n: int) -> int:
+    """Exact sum_{k=1}^{n} phi(k)."""
+    return sum(totients(n)[1:])

@@ -116,9 +116,9 @@ def test_criterion_04_coprime_minimum():
     start = time.time()
     table = run_coprime_table(1000)
     ok = (
-        table.ratios[9] == Fraction(13, 22)
-        and table.minimum == Fraction(13, 22)
-        and table.argmin == [10]
+        table.rows[9].ratio == Fraction(13, 22)
+        and Fraction(table.header["minimum"]) == Fraction(13, 22)
+        and table.header["argmin"] == [10]
     )
     elapsed = time.time() - start
     ok = ok and elapsed < 5.0
@@ -249,9 +249,10 @@ def test_criterion_10_fullrank_frequency():
     for name, lattice in (("z2", z2), ("skew", skew)):
         threshold = window_thresholds(2, lattice.nu_upper)[0]
         report = run_fullrank_check(lattice, threshold, trials=1500, seed=0, name=name)
-        floor = 0.5 - 3 * report.radius
-        ok = ok and report.hypothesis_held and float(report.frequency) >= floor
-        details.append(f"{name}: {float(report.frequency):.4f}>={floor:.3f}")
+        (row,) = report.rows
+        floor = 0.5 - 3 * row.radius
+        ok = ok and row.hypothesis_held and float(row.frequency) >= floor
+        details.append(f"{name}: {float(row.frequency):.4f}>={floor:.3f}")
     elapsed = time.time() - start
     ok = ok and elapsed < 60.0
     _report(10, "fullrank-frequency", ok, elapsed, " ".join(details))

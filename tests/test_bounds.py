@@ -19,7 +19,6 @@ from latgen.bounds import (
     ideal_probability,
     lehmer_delta_bound,
     pk_bound,
-    totient_summatory,
     totients,
     tv_bound,
     window_thresholds,
@@ -28,6 +27,7 @@ from latgen.bounds import (
 )
 from latgen.enclosure import Enclosure, ln_enclosure, sqrt_enclosure
 from latgen.experiments import run_coprime_table
+from oracles import totient_summatory
 
 
 def coprime_pairs_bruteforce(n):
@@ -346,8 +346,8 @@ def test_zeta_context_precision_cap():
 
 
 def test_coprime_prob_exact_values():
-    assert run_coprime_table(1).ratios == [Fraction(3, 2)]
-    ratios = run_coprime_table(10).ratios
+    assert [row.ratio for row in run_coprime_table(1).rows] == [Fraction(3, 2)]
+    ratios = [row.ratio for row in run_coprime_table(10).rows]
     assert ratios[:2] == [Fraction(3, 2), Fraction(5, 6)]
     assert ratios[9] == Fraction(13, 22)
 
@@ -356,7 +356,7 @@ def test_coprime_prob_matches_bruteforce_counts():
     # incremental pairwise-gcd count, no totients involved
     count = 1  # (0, 0) excluded, (0, ...) handled in the loop; start at n=0: pairs {(0,0)} -> 0 coprime... build explicitly
     count = 0
-    ratios = run_coprime_table(300).ratios
+    ratios = [row.ratio for row in run_coprime_table(300).rows]
     for x in range(0, 1):
         for y in range(0, 1):
             count += 1 if gcd(x, y) == 1 else 0
@@ -370,11 +370,12 @@ def test_coprime_prob_matches_bruteforce_counts():
 
 def test_coprime_minimum_at_ten():
     table = run_coprime_table(1000)
-    values = dict(enumerate(table.ratios, start=1))
+    values = {row.n: row.ratio for row in table.rows}
     floor = Fraction(13, 22)
     assert all(v >= floor for v in values.values())
     assert [n for n, v in values.items() if v == floor] == [10]
-    assert table.ok and table.minimum == floor and table.argmin == [10]
+    assert table.ok and Fraction(table.header["minimum"]) == floor
+    assert table.header["argmin"] == [10]
 
 
 def test_lehmer_delta_bound():

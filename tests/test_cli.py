@@ -6,6 +6,7 @@ import json
 import pytest
 
 from latgen.cli import _parse_n_values, main
+from latgen.experiments import Table
 
 
 def test_parse_n_values():
@@ -142,32 +143,70 @@ def test_operational_error_exit_one(capsys):
     assert main(["unimodular", "--n", "0"]) == 1
     assert main(["coprime", "--n-max", "0"]) == 1
     assert main(["fullrank-check", "--lattice", "/nonexistent.json"]) == 1
+    # negative counts are refused up front, not reported as a failed check
+    assert main(["fullrank-check", "--trials", "-5"]) == 1
+    assert main(["unimodular", "--n", "3", "--max-rejects", "-3"]) == 1
     # usage errors are operational too; --help stays a success
     assert main(["no-such-command"]) == 1
     assert main(["--help"]) == 0
+
+
+def _round_trip(text: str, kind: str) -> Table:
+    """Parse an output, check it writes back to the same text and that its
+    header names the expected format."""
+    table = Table.from_csv(text)
+    assert table.to_csv() == text
+    assert table.header["format"] == f"latgen-{kind}-v1"
+    return table
 
 
 # sha256 of each certify output, fixed when the exact linear algebra moved
 # from Fractions to the integer elimination kernels: every table must stay
 # byte-identical.
 CERTIFY_SHA256 = [
-    (["coprime", "--n-max", "1000"],
+    (["coprime", "--n-max", "1000"], "coprime",
      "49c175d2158d1762ed70b3c048d9022e02b0cc93f447a48b86f20fa4e0477f4b"),
-    (["bounds-table", "--n-max", "15"],
+    (["bounds-table", "--n-max", "15"], "bounds",
      "05eafd2cbacf26f0571ae218f1684572f64d43a09556699aeba8136896bc5212"),
-    (["lemma-verify"],
+    (["lemma-verify"], "lemma",
      "7e5f866267941e15200f291aa7ffc7ac3d4280eb1a9703c809f417e91343c262"),
-    (["tv-check"],
+    (["tv-check"], "tv",
      "6f9bc02602fee37c8c841c10a00cd8ff24b841415e5a1a76b424bcfa9038a183"),
-    (["fullrank-check", "--trials", "2000"],
+    (["fullrank-check", "--trials", "2000"], "fullrank",
      "2cce76c32937b3921f7e88e885cebd98995ab2ce75433b312113137a23785122"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest", CERTIFY_SHA256, ids=[" ".join(argv) for argv, _ in CERTIFY_SHA256]
+    "argv,kind,digest", CERTIFY_SHA256, ids=[" ".join(argv) for argv, *_ in CERTIFY_SHA256]
 )
-def test_certify_outputs_pinned(argv, digest, tmp_path, capsys):
+def test_certify_outputs_pinned(argv, kind, digest, tmp_path, capsys):
     target = tmp_path / "out.csv"
     assert main([*argv, "--out", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+    _round_trip(target.read_text(), kind)
+
+
+Z1_FILE = "{z1}"  # replaced by a Z^1 lattice JSON file
+ROUND_TRIP = [
+    (["unimodular", "--n", "1..2", "--reps", "3", "--samples", "100", "--C", "100",
+      "--seed", "4"], "reports"),
+    (["tv-check", "--lattice", Z1_FILE, "--sub", "[[2]]", "--B1", "101"], "tv"),
+    (["fullrank-check", "--trials", "0"], "fullrank"),
+    (["fullrank-check", "--lattice", Z1_FILE, "--B", "8", "--trials", "150",
+      "--allow-out-of-hypothesis"], "fullrank"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,kind", ROUND_TRIP, ids=[" ".join(argv) for argv, _ in ROUND_TRIP]
+)
+def test_outputs_round_trip(argv, kind, tmp_path, capsys):
+    lattice_file = tmp_path / "z1.json"
+    lattice_file.write_text('{"n": 1, "basis": [["1"]], "column_major": true}')
+    argv = [str(lattice_file) if arg == Z1_FILE else arg for arg in argv]
+    assert main(argv) == 0
+    table = _round_trip(capsys.readouterr().out, kind)
+    if argv[:3] == ["fullrank-check", "--trials", "0"]:
+        (row,) = table.rows
+        assert (row.trials, row.frequency) == ("0", "")

@@ -1,9 +1,11 @@
 """Experiment harness: reproducibility, statistics, report round trips."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from latgen import experiments
 from latgen.experiments import (
     ExperimentConfig,
     _unimodular_shard,
@@ -21,7 +23,7 @@ from latgen.experiments import (
     run_unimodular_experiment,
     wilson_radius,
 )
-from latgen.lattice import LatticeBasis
+from latgen.lattice import LatticeBasis, count_in_hyperplane
 from latgen.sampling import ALGORITHM_ID
 
 Z1 = LatticeBasis([[1]])
@@ -189,10 +191,10 @@ def test_cube_parallelepiped_matches_ideal():
 
 def test_coprime_table():
     table = run_coprime_table(1000)
-    assert table.ratios[9] == Fraction(13, 22)
-    assert table.ratios[0] == Fraction(3, 2)
-    assert table.minimum == Fraction(13, 22)
-    assert table.argmin == [10]
+    assert table.rows[9].ratio == Fraction(13, 22)
+    assert table.rows[0].ratio == Fraction(3, 2)
+    assert Fraction(table.header["minimum"]) == Fraction(13, 22)
+    assert table.header["argmin"] == [10]
     assert table.ok
     csv_text = table.to_csv()
     assert csv_text.splitlines()[0].startswith("# {")
@@ -203,7 +205,7 @@ def test_coprime_table_small_range():
     # below n = 10 the global minimum is not visible; only the floor holds
     table = run_coprime_table(5)
     assert table.ok
-    assert table.minimum == Fraction(13, 20)
+    assert Fraction(table.header["minimum"]) == Fraction(13, 20)
 
 
 def test_bounds_table():
@@ -212,7 +214,7 @@ def test_bounds_table():
     assert len(table.rows) == 5
     row2 = table.rows[1]
     assert row2.b_min == 16 and row2.b1_min == 1536
-    assert table.rows[0].alpha is None
+    assert table.rows[0].alpha_lo is None
     assert "n,fullrank_lower" in table.to_csv()
 
 
@@ -227,14 +229,22 @@ def test_lemma_suite_instances_cover_spec():
     assert {inst.lattice.dim for inst in instances} == {1, 2, 3}
 
 
-def test_lemma_verification_passes():
-    report = run_lemma_verification()
+def test_lemma_verification_passes(monkeypatch):
+    calls = Counter()
+
+    def spy(lattice, *args):
+        calls[id(lattice)] += 1
+        return count_in_hyperplane(lattice, *args)
+
+    monkeypatch.setattr(experiments, "count_in_hyperplane", spy)
+    instances = default_lemma_instances()
+    report = run_lemma_verification(instances)
     assert report.ok
     assert len(report.rows) >= 20
-    # every 2-d and 3-d row carried hyperplane checks
-    for row in report.rows:
-        if row.n >= 2:
-            assert row.hyperplane_checks
+    # every 2-d and 3-d row carried a hyperplane check per proper subset
+    for inst in instances:
+        n = inst.lattice.dim
+        assert calls[id(inst.lattice)] == (2**n - 2 if n >= 2 else 0), inst.name
     assert "Z2," in report.to_csv()
 
 
@@ -282,16 +292,17 @@ def test_tv_instances_have_varied_groups():
 
 def test_fullrank_z2_at_threshold():
     report = run_fullrank_check(Z2, 32, trials=400, seed=5)
-    assert report.hypothesis_held
-    assert report.threshold == 32
+    (row,) = report.rows
+    assert row.hypothesis_held
+    assert Fraction(report.header["threshold"]) == 32
     assert report.ok
-    assert float(report.frequency) > 0.9
+    assert float(row.frequency) > 0.9
 
 
 def test_fullrank_custom_nu_threshold():
     report = run_fullrank_check(Z2, 16, trials=100, seed=5, nu_upper=Fraction(1))
-    assert report.threshold == 16
-    assert report.hypothesis_held
+    assert Fraction(report.header["threshold"]) == 16
+    assert report.rows[0].hypothesis_held
 
 
 def test_fullrank_out_of_hypothesis():
@@ -300,17 +311,18 @@ def test_fullrank_out_of_hypothesis():
     report = run_fullrank_check(
         Z1, 8, trials=800, seed=2, allow_out_of_hypothesis=True
     )
-    assert not report.hypothesis_held
+    (row,) = report.rows
+    assert not row.hypothesis_held
     assert report.ok  # nothing asserted out of hypothesis
-    assert abs(float(report.frequency) - 7 / 8) < 0.05
+    assert abs(float(row.frequency) - 7 / 8) < 0.05
 
 
 def test_fullrank_zero_trials_vacuous():
     report = run_fullrank_check(Z2, 32, trials=0, seed=0)
-    assert report.ok and report.frequency is None
+    assert report.ok and report.rows[0].frequency is None
 
 
 def test_fullrank_deterministic():
     a = run_fullrank_check(Z2, 32, trials=200, seed=9)
     b = run_fullrank_check(Z2, 32, trials=200, seed=9)
-    assert a.successes == b.successes
+    assert a.rows[0].successes == b.rows[0].successes

@@ -6,11 +6,13 @@ the group order; it shares no code with the normal-form test it checks.
 """
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from latgen.bounds import default_context, ideal_probability, zeta_hat
 from latgen.groupgen import (
     FiniteAbelianGroup,
     abelian_groups_of_order,
@@ -18,7 +20,6 @@ from latgen.groupgen import (
     generates,
     generation_prob_exact,
     lambda_t_pgroup,
-    proposition1_check,
     quotient_group,
 )
 from latgen.lattice import LatticeBasis
@@ -286,14 +287,54 @@ def test_abelian_groups_of_order():
         assert g.order == 72
 
 
+def _library_groups(n):
+    """Groups with at most n generators exercising varied prime mixes."""
+    groups = [
+        FiniteAbelianGroup([]),
+        FiniteAbelianGroup([2] * n),
+        FiniteAbelianGroup([6] * n),
+        FiniteAbelianGroup([30] * max(1, n - 1)),
+        FiniteAbelianGroup([12]),
+        FiniteAbelianGroup([2**i for i in range(1, n + 1)]),
+        FiniteAbelianGroup([2, 4] + [12] * max(0, n - 2)),
+    ]
+    # dedupe while preserving order
+    seen = set()
+    unique = []
+    for g in groups:
+        if g.invariant_factors not in seen and g.ngens <= n:
+            seen.add(g.invariant_factors)
+            unique.append(g)
+    return unique
+
+
+Prop1Row = namedtuple("Prop1Row", "factors n t probability bound_lower ok")
+
+
+def proposition1_check(n_max):
+    """Rows checking that every n-generated library group is generated by
+    n + 1 uniform elements with probability at least the certified
+    zeta-product lower bound (itself at least the infinite-product
+    constant)."""
+    ctx = default_context()
+    rows = []
+    hat_lower = zeta_hat(ctx).lo
+    for n in range(1, n_max + 1):
+        bound_lower = ideal_probability(n, n + 1, ctx).lo
+        assert bound_lower >= hat_lower
+        for group in _library_groups(n):
+            prob = generation_prob_exact(group, n + 1)
+            ok = prob >= bound_lower
+            rows.append(Prop1Row(group.invariant_factors, n, n + 1, prob, bound_lower, ok))
+    return rows
+
+
 def test_proposition1_check_passes():
-    report = proposition1_check(4)
-    assert report.ok
-    assert len(report.rows) > 10
+    rows = proposition1_check(4)
+    assert all(row.ok for row in rows)
+    assert len(rows) > 10
     worst = FiniteAbelianGroup([2] * 3)
-    row = next(
-        r for r in report.rows if r.factors == worst.invariant_factors and r.n == 3
-    )
+    row = next(r for r in rows if r.factors == worst.invariant_factors and r.n == 3)
     assert row.probability >= row.bound_lower
 
 
