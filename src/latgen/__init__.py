@@ -5,7 +5,8 @@ Library layout:
 * ``exactmat``   -- arbitrary-precision integer matrices, HNF, SNF,
                     determinants, adjugates, unimodularity
 * ``lattice``    -- full-rank lattices, covering-radius bounds, window
-                    enumeration, generation tests
+                    enumeration and hyperplane counts; lattice points
+                    travel as integer basis coordinates
 * ``bounds``     -- certified enclosures for every closed-form constant
 * ``groupgen``   -- finite abelian groups and generation probabilities
 * ``sampling``   -- reproducible counter-based RNG and rejection samplers

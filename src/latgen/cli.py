@@ -150,7 +150,7 @@ def _cmd_fullrank_check(args) -> tuple[Table, str]:
         lattice,
         window_bound,
         trials=args.trials,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         nu_upper=nu,
         allow_out_of_hypothesis=args.allow_out_of_hypothesis,
     )
@@ -163,9 +163,12 @@ def _cmd_fullrank_check(args) -> tuple[Table, str]:
 
 
 # name -> (help, [(flag, add_argument keywords)]); every subcommand also
-# takes the common flags of `build_parser`.
+# takes the common flag --out of `build_parser`.
 SUBCOMMANDS = {
     "unimodular": ("random-parallelepiped unimodularity experiment", [
+        ("--seed", dict(type=int, help="master seed")),
+        ("--workers", dict(type=int, help="worker processes")),
+        ("--config", dict(help="JSON config file")),
         ("--n", dict(help="dimensions, e.g. 2 or 1..4 or 1,3")),
         ("--m", dict(help="columns policy: n+1 (default), n, or an integer")),
         ("--C", dict(type=int, help="parallelepiped coordinate bound")),
@@ -191,6 +194,7 @@ SUBCOMMANDS = {
         ("--B1", dict(help="window bound")),
     ]),
     "fullrank-check": ("full-rank sampling frequency", [
+        ("--seed", dict(type=int, default=0, help="master seed")),
         ("--lattice", dict(help="lattice JSON file (default Z^2)")),
         ("--B", dict(help="window bound (default: threshold)")),
         ("--trials", dict(type=int, default=2000)),
@@ -208,10 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--workers", type=int, default=None, help="worker processes")
     common.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    common.add_argument("--config", default=None, help="JSON config file")
 
     # handlers are looked up when the parser is built, not at import, so a
     # handler replaced on this module is the one dispatched

@@ -181,13 +181,6 @@ def sqrt_enclosure(x: Rational, digits: int) -> Enclosure:
     return Enclosure(lo, hi)
 
 
-def sqrt_interval(e: Enclosure, digits: int) -> Enclosure:
-    """Enclosure of sqrt over an enclosure with nonnegative lower end."""
-    return Enclosure(
-        sqrt_enclosure(e.lo, digits).lo, sqrt_enclosure(e.hi, digits).hi
-    )
-
-
 _LN2_CACHE: dict[int, Enclosure] = {}
 
 

@@ -43,18 +43,16 @@ from typing import Optional, Sequence, Union
 
 from . import bounds
 from .bounds import ZetaContext
-from .exactmat import unimodular_columns
+from .exactmat import ExactMatrix, det, unimodular_columns
 from .groupgen import quotient_group
 from .lattice import (
     LatticeBasis,
     Window,
-    _window_scaled,
     count_in_hyperplane,
     covering_radius_estimate,
     enumerate_window,
     lemma1_bounds,
     lemma2_count_bound,
-    rank_of_span,
 )
 from .sampling import (
     ALGORITHM_ID,
@@ -567,7 +565,7 @@ def run_lemma_verification(
         lattice, window = inst.lattice, Window(inst.lattice.dim, inst.bound)
         n = lattice.dim
         nu_est = covering_radius_estimate(lattice, inst.grid_resolution)
-        points = _window_scaled(lattice, window)
+        points = enumerate_window(lattice, window)
         count = len(points)
         lower, upper = lemma1_bounds(lattice, window, nu_est)
         hyperplane_ok = True
@@ -601,12 +599,16 @@ def run_tv_check(
     name: str = "tv",
 ) -> TvRow:
     """Exact total variation between uniform cosets and the projected
-    window distribution, checked against the closed-form bound."""
+    window distribution, checked against the closed-form bound.
+
+    ``sub`` holds n vectors of the lattice spanning a full-rank
+    sublattice; anything else raises ValueError."""
     n = lattice.dim
     b1 = Fraction(b1)
-    group, projection = quotient_group(lattice, sub)
-    sub_lattice = LatticeBasis([list(map(Fraction, v)) for v in sub])
-    nu1_upper = sub_lattice.nu_upper
+    if len(sub) != n:
+        raise ValueError(f"need exactly {n} sublattice generators")
+    group, projection = quotient_group([lattice.coordinates(v) for v in sub])
+    nu1_upper = LatticeBasis(sub).nu_upper
     if b1 <= 2 * nu1_upper:
         raise ValueError("hypothesis violated: need B1 > 2 * nu1_upper")
     points = enumerate_window(lattice, Window(n, b1))
@@ -676,7 +678,6 @@ def run_fullrank_check(
     nu_upper: Optional[Fraction] = None,
     allow_out_of_hypothesis: bool = False,
     name: str = "fullrank",
-    max_rejects: int = 10**6,
 ) -> Table:
     """Frequency with which n uniform window points span full rank.
 
@@ -705,9 +706,10 @@ def run_fullrank_check(
     rng = RngStream(seed, stream_id(KIND_FULLRANK, n, 0, 1))
     successes = 0
     if trials:
-        sampler = WindowSampler(lattice, Window(n, b), rng, max_rejects=max_rejects)
+        sampler = WindowSampler(lattice, Window(n, b), rng)
         for _ in range(trials):
-            if rank_of_span(sampler.take(n)) == n:
+            # B is nonsingular, so the points span R^n iff their coordinates do
+            if det(ExactMatrix.from_columns(sampler.take(n))) != 0:
                 successes += 1
     freq = Fraction(successes, trials) if trials else None
     radius = wilson_radius(successes, trials)

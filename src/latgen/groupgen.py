@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactmat import ExactMatrix, det, snf_with_transforms, unimodular_columns
-from .lattice import LatticeBasis
 
 GroupElement = tuple[int, ...]
 
@@ -76,21 +75,17 @@ class FiniteAbelianGroup:
 
 
 def quotient_group(
-    basis: LatticeBasis, sub: Sequence[Sequence]
-) -> tuple[FiniteAbelianGroup, Callable[[Sequence], GroupElement]]:
-    """Quotient of a lattice by the full-rank sublattice spanned by ``sub``.
+    coordinate_columns: Sequence[Sequence[int]],
+) -> tuple[FiniteAbelianGroup, Callable[[Sequence[int]], GroupElement]]:
+    """Quotient of a lattice by a full-rank sublattice, both in basis
+    coordinates: Z^n modulo the columns of the integer matrix C.
 
-    ``sub`` must be n vectors of the lattice; its coordinate matrix C is
-    diagonalized as U C V = diag(d_i) and the returned projection sends a
-    lattice vector with coordinates x to (U x mod d) restricted to the
+    C is diagonalized as U C V = diag(d_i) and the returned projection
+    sends a coordinate vector x to (U x mod d) restricted to the
     nontrivial factors.  The group order equals |det C|, the sublattice
     index.
     """
-    n = basis.dim
-    if len(sub) != n:
-        raise ValueError(f"need exactly {n} sublattice generators")
-    coord_cols = [basis.coordinates(v) for v in sub]
-    c = ExactMatrix.from_columns(coord_cols)
+    c = ExactMatrix.from_columns(coordinate_columns)
     if det(c) == 0:
         raise ValueError("sublattice generators are not full rank")
     divisors, u, _ = snf_with_transforms(c)
@@ -98,10 +93,9 @@ def quotient_group(
     kept = [i for i, d in enumerate(divisors) if d > 1]
     u_rows = u.to_rows()
 
-    def projection(vector: Sequence) -> GroupElement:
-        x = basis.coordinates(vector)
+    def projection(x: Sequence[int]) -> GroupElement:
         return tuple(
-            sum(u_rows[i][j] * x[j] for j in range(n)) % divisors[i] for i in kept
+            sum(a * b for a, b in zip(u_rows[i], x)) % divisors[i] for i in kept
         )
 
     return group, projection

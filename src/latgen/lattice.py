@@ -1,8 +1,15 @@
 """Full-rank lattices with exact rational bases.
 
-A lattice is held by an n x n nonsingular column basis.  Everything is
-exact: membership, enumeration and rank tests run on integers after
-clearing denominators, and the covering-radius machinery only ever
+A lattice is held by an n x n nonsingular column basis B.  Between the
+modules, a lattice point is its integer coordinate vector c (the point
+is B c): window enumeration and window sampling return coordinate
+tuples, hyperplane counts and quotient projections take them, and the
+generation question is decided on them, since lattice vectors generate
+the lattice exactly when their coordinates generate Z^n.  Rational
+vectors are converted to coordinates only at the edges, by
+``LatticeBasis.coordinates``.
+
+Everything is exact, and the covering-radius machinery only ever
 produces one-sided bounds (a certified upper bound from the closed form,
 a grid under-estimate for the lower side of the window-count bracket),
 since the exact covering radius is never needed.
@@ -13,8 +20,8 @@ T = |det S| S^-1, both from one fraction-free elimination; coordinates,
 membership and the inverse rows used to size search boxes are integer
 arithmetic on these.
 
-Window membership is half-open throughout: a point belongs to [0, B)^n
-when every coordinate satisfies 0 <= y_i < B under exact comparison.
+Window membership is half-open throughout: a point y = B c belongs to
+[0, W)^n when every entry satisfies 0 <= y_i < W under exact comparison.
 """
 
 from __future__ import annotations
@@ -28,13 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .enclosure import sqrt_enclosure
-from .exactmat import (
-    ExactMatrix,
-    _hnf_columns,
-    _scaled_inverse,
-    hnf,
-    unimodular_columns,
-)
+from .exactmat import ExactMatrix, _scaled_inverse, hnf
 
 _ENUM_GUARD = 10**7
 _BOX_GUARD = 5 * 10**7
@@ -142,12 +143,6 @@ class LatticeBasis:
     def contains(self, vector: Sequence) -> bool:
         u, d = self._coordinate_numerators(vector)
         return not any(x % d for x in u)
-
-    def point_from_coordinates(self, coords: Sequence[int]) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(sum(row[j] * coords[j] for j in range(self.dim)), self._scale)
-            for row in self._scaled_rows
-        )
 
     # -- cached invariants ---------------------------------------------------
 
@@ -331,21 +326,14 @@ def _coordinate_box(lattice: LatticeBasis, bound: Fraction) -> list[tuple[int, i
     ]
 
 
-def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[Fraction, ...]]:
-    """All lattice points in [0, B)^n, in lexicographic coordinate order.
+def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[int, ...]]:
+    """Coordinates c of all lattice points B c in the window, in
+    lexicographic order.
 
     Guarded to n <= 4 and a predicted point count of at most 10^7; the
     guards raise instead of truncating, since a silent cut would corrupt
     the counting checks built on top of this.
     """
-    q = lattice._scale
-    return [
-        tuple(Fraction(y, q) for y in ys) for ys in _window_scaled(lattice, window)
-    ]
-
-
-def _window_scaled(lattice: LatticeBasis, window: Window) -> list[tuple[int, ...]]:
-    """The points of ``enumerate_window`` times the basis scale, as integers."""
     n = lattice.dim
     if window.dim != n:
         raise ValueError("window dimension mismatch")
@@ -363,20 +351,17 @@ def _window_scaled(lattice: LatticeBasis, window: Window) -> list[tuple[int, ...
     if box > _BOX_GUARD:
         raise ValueError(f"enumeration coordinate box too large ({box})")
     rows = lattice._scaled_rows
+    # B c in [0, num/den)^n  <=>  every y = (S c)_i has 0 <= y * den < num * q
     num, den = window.bound.numerator, window.bound.denominator
     limit = num * lattice._scale
     out = []
     for c in itertools.product(*ranges):
-        ok = True
-        ys = []
         for row in rows:
             y = sum(row[j] * c[j] for j in range(n))
             if y < 0 or y * den >= limit:
-                ok = False
                 break
-            ys.append(y)
-        if ok:
-            out.append(tuple(ys))
+        else:
+            out.append(c)
     return out
 
 
@@ -384,34 +369,36 @@ def count_in_hyperplane(
     lattice: LatticeBasis,
     window: Window,
     spanning: Sequence[Sequence],
-    scaled_points: Optional[Sequence[Sequence[int]]] = None,
+    points: Optional[Sequence[Sequence[int]]] = None,
 ) -> int:
     """Count lattice points of the window lying in the span of the given
-    vectors (k = len(spanning), 1 <= k < n).
+    rational vectors (k = len(spanning), 1 <= k < n).
 
-    The span is cut out by integer normals: the kernel columns of the
-    Hermite form of the spanning rows (denominators cleared).  A window
-    point lies in the span exactly when its scaled integer coordinates
-    are orthogonal to every normal.  ``scaled_points`` takes the window's
-    points as ``_window_scaled`` returns them, so a caller counting many
-    spans enumerates the window once; they are enumerated when omitted.
+    B c lies in the span exactly when c lies in the span of the vectors'
+    basis coordinates, which is cut out by integer normals: the kernel
+    columns of the Hermite form of the rows u, where u / d are the
+    coordinates of one vector (scaling a row leaves the span unchanged).
+    ``points`` takes the window's coordinate points as ``enumerate_window``
+    returns them, so a caller counting many spans enumerates the window
+    once; they are enumerated when omitted.
     """
     k = len(spanning)
     n = lattice.dim
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n spanning vectors")
-    h, u = hnf(ExactMatrix.from_rows(_clear_denominators(spanning)))
+    rows = [lattice._coordinate_numerators(v)[0] for v in spanning]
+    h, u = hnf(ExactMatrix.from_rows(rows))
     # A @ U = H with the zero columns of H last: the matching columns of U
     # are an integer basis of {x : A x = 0}
     if sum(1 for col in h.columns() if any(col)) != k:
         raise ValueError("spanning set is not independent")
     normals = u.columns()[k:]
-    if scaled_points is None:
-        scaled_points = _window_scaled(lattice, window)
+    if points is None:
+        points = enumerate_window(lattice, window)
     return sum(
         1
-        for ys in scaled_points
-        if not any(sum(a * y for a, y in zip(normal, ys)) for normal in normals)
+        for c in points
+        if not any(sum(a * x for a, x in zip(normal, c)) for normal in normals)
     )
 
 
@@ -440,38 +427,3 @@ def lemma2_count_bound(lattice: LatticeBasis, window: Window, k: int) -> Fractio
     b = window.bound
     n_half = sqrt_enclosure(n**k, 30).hi
     return n_half * (b + 2 * nu) ** k * (2 * nu) ** (n - k) / lattice.det
-
-
-# ---------------------------------------------------------------------------
-# generation tests
-# ---------------------------------------------------------------------------
-
-
-def _clear_denominators(vectors: Sequence[Sequence]) -> list[list[int]]:
-    """Each vector times the lcm of its entries' denominators."""
-    out = []
-    for v in vectors:
-        v = [Fraction(x) for x in v]
-        d = lcm(*(x.denominator for x in v))
-        out.append([x.numerator * (d // x.denominator) for x in v])
-    return out
-
-
-def rank_of_span(vectors: Sequence[Sequence]) -> int:
-    """Rank over the rationals of an arbitrary list of vectors: the pivot
-    count of the column Hermite form of the vectors, denominators cleared."""
-    if not vectors:
-        return 0
-    cols = _clear_denominators(vectors)
-    return len(_hnf_columns(cols, len(cols[0]), None))
-
-
-def generates_lattice(lattice: LatticeBasis, vectors: Sequence[Sequence]) -> bool:
-    """True iff the given lattice vectors span the whole lattice.
-
-    Every input must be a lattice point (anything else raises: it means
-    the sampler feeding this test is broken).  The decision reduces to
-    the coordinate matrix generating Z^n.
-    """
-    coords = [lattice.coordinates(v) for v in vectors]
-    return unimodular_columns(coords, lattice.dim)

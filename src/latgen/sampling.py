@@ -463,44 +463,28 @@ class RejectionSampler:
 
 
 class WindowSampler:
-    """Uniform lattice points of [0, B)^n via the coordinate-space
-    parallelepiped X = {a : basis a in the window}: candidate coordinate
-    vectors come from X's integer bounding box and are accepted by the
-    exact half-open membership test."""
+    """Uniform lattice points of [0, B)^n, as basis coordinate tuples, via
+    the coordinate-space parallelepiped X = {a : basis a in the window}:
+    candidate coordinate vectors come from X's integer bounding box and
+    are accepted by the exact half-open membership test."""
 
-    def __init__(
-        self,
-        lattice: LatticeBasis,
-        window: Window,
-        rng: RngStream,
-        max_rejects: int = 10**6,
-        force_exact: bool = False,
-    ):
+    def __init__(self, lattice: LatticeBasis, window: Window, rng: RngStream):
         if window.dim != lattice.dim:
             raise ValueError("window dimension mismatch")
-        self.lattice = lattice
-        n = lattice.dim
         b = window.bound
-        box = _coordinate_box(lattice, b)
         # accept a iff 0 <= (scaled_basis a)_i * den < num * scale
         rows = [[e * b.denominator for e in row] for row in lattice._scaled_rows]
-        limit = b.numerator * lattice._scale
         self._core = RejectionSampler(
             rng,
-            box,
-            (0,) * n,
+            _coordinate_box(lattice, b),
+            (0,) * lattice.dim,
             rows,
-            limit,
-            max_rejects=max_rejects,
-            force_exact=force_exact,
+            b.numerator * lattice._scale,
         )
 
     @property
     def acceptance_estimate(self) -> float:
         return self._core.acceptance_estimate
 
-    def take(self, count: int) -> list[tuple[Fraction, ...]]:
-        return [
-            self.lattice.point_from_coordinates(coords)
-            for coords in self._core.take(count)
-        ]
+    def take(self, count: int) -> list[tuple[int, ...]]:
+        return self._core.take(count)

@@ -3,7 +3,9 @@
 Exact Gaussian elimination over ``Fraction`` (solve, inverse, rank)
 checks the library's integer elimination kernels, an exhaustive tuple
 count checks the closed-form group generation probabilities, and the
-totient summatory carries the coprime pair counts.
+totient summatory carries the coprime pair counts.  ``lattice_point``
+maps the integer basis coordinates the library returns to rational
+points.
 """
 
 from fractions import Fraction
@@ -90,6 +92,14 @@ def rank_of_rows(rows):
         rank += 1
         col += 1
     return rank
+
+
+def lattice_point(columns, coords):
+    """The point B c of the basis with the given rational columns."""
+    point = [Fraction(0)] * len(columns)
+    for col, c in zip(columns, coords):
+        point = [p + c * Fraction(e) for p, e in zip(point, col)]
+    return tuple(point)
 
 
 def generation_prob_bruteforce(group, t: int) -> Fraction:

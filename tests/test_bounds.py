@@ -354,12 +354,8 @@ def test_coprime_prob_exact_values():
 
 def test_coprime_prob_matches_bruteforce_counts():
     # incremental pairwise-gcd count, no totients involved
-    count = 1  # (0, 0) excluded, (0, ...) handled in the loop; start at n=0: pairs {(0,0)} -> 0 coprime... build explicitly
-    count = 0
+    count = 0  # the pair (0, 0) is not coprime
     ratios = [row.ratio for row in run_coprime_table(300).rows]
-    for x in range(0, 1):
-        for y in range(0, 1):
-            count += 1 if gcd(x, y) == 1 else 0
     for n in range(1, 301):
         count += 1 if gcd(n, n) == 1 else 0
         for t in range(n):

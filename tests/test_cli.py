@@ -146,6 +146,12 @@ def test_operational_error_exit_one(capsys):
     # negative counts are refused up front, not reported as a failed check
     assert main(["fullrank-check", "--trials", "-5"]) == 1
     assert main(["unimodular", "--n", "3", "--max-rejects", "-3"]) == 1
+    # flags a subcommand does not read are refused, not silently ignored
+    assert main([
+        "coprime", "--n-max", "20", "--config", "/nonexistent.json",
+        "--workers", "7", "--seed", "3",
+    ]) == 1
+    assert main(["tv-check", "--config", "/nonexistent.json"]) == 1
     # usage errors are operational too; --help stays a success
     assert main(["no-such-command"]) == 1
     assert main(["--help"]) == 0

@@ -24,7 +24,7 @@ from latgen.exactmat import (
     snf_with_transforms,
     unimodular_columns,
 )
-from latgen.lattice import LatticeBasis, rank_of_span
+from latgen.lattice import LatticeBasis
 from oracles import fraction_inverse, fraction_solve, rank_of_rows
 
 # ---------------------------------------------------------------------------
@@ -561,4 +561,3 @@ def test_rank_of_rows():
         ([[Fraction(1, 2), 0, 0], [0, 1, 0], [1, 2, 0]], 2),
     ]:
         assert rank_of_rows(rows) == rank
-        assert rank_of_span(rows) == rank

@@ -279,6 +279,14 @@ def test_tv_check_rejects_small_window():
         run_tv_check(Z1, [[2]], 1)
 
 
+def test_tv_check_rejects_bad_sublattice():
+    with pytest.raises(ValueError, match="exactly 2"):
+        run_tv_check(Z2, [[1, 0]], 10)
+    # every sublattice generator must be a lattice vector
+    with pytest.raises(ValueError, match="not a lattice point"):
+        run_tv_check(Z2, [[Fraction(1, 2), 0], [0, 1]], 10)
+
+
 def test_tv_instances_have_varied_groups():
     orders = {run_tv_check(l, s, b, name=n).group_order
               for n, l, s, b in default_tv_instances()[:4]}

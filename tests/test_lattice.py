@@ -4,6 +4,8 @@ The enumeration oracle is a blunt coefficient scan over a generous box of
 integer basis combinations; the counting bounds are then checked against
 it instance by instance.  Determinants, coordinates, membership and rank
 are checked against Gaussian elimination over Fractions (``oracles``).
+The library returns lattice points as integer basis coordinates c; the
+tests map them to the rational points B c with ``oracles.lattice_point``.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from math import isqrt
 import pytest
 
 from latgen.enclosure import sqrt_enclosure
+from latgen.exactmat import unimodular_columns
 from latgen.experiments import default_lemma_instances
 from latgen.lattice import (
     LatticeBasis,
@@ -26,16 +29,24 @@ from latgen.lattice import (
     covering_radius_estimate,
     covering_radius_upper,
     enumerate_window,
-    generates_lattice,
     lemma1_bounds,
     lemma2_count_bound,
-    rank_of_span,
 )
-from oracles import fraction_det, fraction_inverse, rank_of_rows
+from oracles import fraction_det, fraction_inverse, lattice_point, rank_of_rows
 
 
 def lat(*columns):
     return LatticeBasis(columns)
+
+
+def window_points(basis: LatticeBasis, window: Window) -> list[tuple]:
+    """The rational points B c of the window, in enumeration order."""
+    return [lattice_point(basis.columns, c) for c in enumerate_window(basis, window)]
+
+
+def generates_lattice(basis: LatticeBasis, vectors) -> bool:
+    """Lattice vectors generate the lattice iff their coordinates generate Z^n."""
+    return unimodular_columns([basis.coordinates(v) for v in vectors], basis.dim)
 
 
 def rows_of(columns):
@@ -189,7 +200,7 @@ def test_lambda1_examples():
 def test_lambda1_matches_window_minimum():
     # rectangular lattices put a shortest vector inside [0, B)^n
     for basis in (Z2, TWOZ2, lat([2, 0], [0, 3])):
-        points = enumerate_window(basis, Window(2, 8))
+        points = window_points(basis, Window(2, 8))
         norms = [x * x + y * y for x, y in points if (x, y) != (0, 0)]
         assert min(norms) == basis.lambda1_sq
 
@@ -201,7 +212,9 @@ def test_lambda1_matches_window_minimum():
 
 def test_enumerate_window_examples():
     assert len(enumerate_window(Z2, Window(2, 3))) == 9
-    pts = enumerate_window(TWOZ2, Window(2, 3))
+    coords = enumerate_window(TWOZ2, Window(2, 3))
+    assert sorted(coords) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pts = window_points(TWOZ2, Window(2, 3))
     assert sorted(pts) == [(0, 0), (0, 2), (2, 0), (2, 2)]
     # rectangular count factorizes: |2Z ∩ [0,12)| * |3Z ∩ [0,12)|
     assert len(enumerate_window(lat([2, 0], [0, 3]), Window(2, 12))) == 24
@@ -217,7 +230,7 @@ def test_enumerate_window_matches_scan_oracle():
         (lat([1, 0, 0], [0, 2, 0], [1, 1, 3]), 4),
     ]
     for basis, bound in cases:
-        got = set(enumerate_window(basis, Window(basis.dim, bound)))
+        got = set(window_points(basis, Window(basis.dim, bound)))
         expected = enumerate_by_scan(basis, bound)
         assert got == expected
     # a couple of random 2-d integer lattices
@@ -226,7 +239,7 @@ def test_enumerate_window_matches_scan_oracle():
         if cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0] == 0:
             continue
         basis = lat(*cols)
-        got = set(enumerate_window(basis, Window(2, 3)))
+        got = set(window_points(basis, Window(2, 3)))
         assert got == enumerate_by_scan(basis, 3, coeff_box=15)
 
 
@@ -234,8 +247,9 @@ def test_enumerate_window_lexicographic_and_deterministic():
     first = enumerate_window(SKEW, Window(2, 3))
     second = enumerate_window(SKEW, Window(2, 3))
     assert first == second
-    coords = [SKEW.coordinates(p) for p in first]
-    assert coords == sorted(coords)
+    assert first == sorted(set(first))
+    points = window_points(SKEW, Window(2, 3))
+    assert [tuple(SKEW.coordinates(p)) for p in points] == first
 
 
 def test_enumerate_window_guards():
@@ -247,7 +261,7 @@ def test_enumerate_window_guards():
 
 
 def test_half_open_membership():
-    pts = enumerate_window(Z2, Window(2, 2))
+    pts = window_points(Z2, Window(2, 2))
     assert (2, 0) not in pts and (0, 2) not in pts
     assert (0, 0) in pts and (1, 1) in pts
 
@@ -276,7 +290,7 @@ def count_in_hyperplane_by_rank(basis: LatticeBasis, window: Window, spanning) -
     k = rank_of_rows(span_rows)
     return sum(
         1
-        for point in enumerate_window(basis, window)
+        for point in window_points(basis, window)
         if rank_of_rows(span_rows + [list(point)]) == k
     )
 
@@ -303,7 +317,7 @@ def test_count_in_hyperplane_matches_rank_oracle():
             for k in range(1, n)
         ]
         for spanning in spans:
-            if rank_of_span(spanning) != len(spanning):
+            if rank_of_rows(spanning) != len(spanning):
                 continue
             count = count_in_hyperplane(basis, window, spanning)
             assert count == count_in_hyperplane_by_rank(basis, window, spanning), (
@@ -365,30 +379,31 @@ def test_generates_lattice_rejects_foreign_vector():
         generates_lattice(TWOZ2, [(1, 0)])
 
 
-def test_rank_of_span():
-    assert rank_of_span([(1, 0), (0, 1)]) == 2
-    assert rank_of_span([(1, 2), (2, 4)]) == 1
-    assert rank_of_span([]) == 0
-    assert rank_of_span([(Fraction(1, 2), 0, 0), (0, 1, 0)]) == 2
-
-
-def test_rank_of_span_matches_fraction_rank():
-    """Mixed-rank rational sets: random vectors, then combinations of them."""
+def test_hyperplane_independence_matches_fraction_rank():
+    """count_in_hyperplane refuses a spanning set exactly when it is
+    dependent: mixed-rank rational sets (random vectors, then combinations
+    of them) in random rational bases, against the Fraction rank."""
     rng = random.Random(2024)
     ranks = set()
     for _ in range(600):
-        dim = rng.randint(1, 5)
+        dim = rng.randint(2, 5)
         base = [
             [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(dim)]
-            for _ in range(rng.randint(1, dim))
+            for _ in range(rng.randint(1, dim - 1))
         ]
         vectors = base + [
             [sum(rng.randint(-2, 2) * v[i] for v in base) for i in range(dim)]
-            for _ in range(rng.randint(0, 3))
+            for _ in range(rng.randint(0, dim - 1 - len(base)))
         ]
         rng.shuffle(vectors)
         expected = rank_of_rows(vectors)
-        assert rank_of_span(vectors) == expected, vectors
+        basis = random_rational_basis(rng, dim)
+        window = Window(dim, 1)
+        if expected == len(vectors):
+            assert count_in_hyperplane(basis, window, vectors, points=[]) == 0
+        else:
+            with pytest.raises(ValueError, match="not independent"):
+                count_in_hyperplane(basis, window, vectors, points=[])
         ranks.add((len(vectors), expected))
     assert any(size > rank > 0 for size, rank in ranks)
     assert any(size == rank for size, rank in ranks)
@@ -404,7 +419,7 @@ def test_basis_kernel_matches_fraction_inverse(n):
         assert basis.det == abs(fraction_det(rows))
         inverse = fraction_inverse(rows)
         coords = [rng.randint(-9, 9) for _ in range(n)]
-        point = basis.point_from_coordinates(coords)
+        point = lattice_point(basis.columns, coords)
         assert [sum(e * x for e, x in zip(row, point)) for row in inverse] == coords
         assert basis.coordinates(point) == coords
         assert basis.contains(point)

@@ -21,6 +21,7 @@ from latgen.sampling import (
     WindowSampler,
     random_parallelepiped,
 )
+from oracles import lattice_point
 
 Z2 = LatticeBasis([[1, 0], [0, 1]])
 
@@ -367,7 +368,9 @@ def test_window_sampler_z2():
 def test_window_sampler_scaled_lattice():
     lattice = LatticeBasis([[2, 0], [0, 2]])
     draws = WindowSampler(lattice, Window(2, 3), RngStream(seed=32)).take(800)
-    assert set(draws) == {(0, 0), (0, 2), (2, 0), (2, 2)}
+    assert set(draws) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    points = {lattice_point(lattice.columns, c) for c in draws}
+    assert points == {(0, 0), (0, 2), (2, 0), (2, 2)}
 
 
 def test_window_sampler_matches_enumeration_support():
@@ -383,8 +386,9 @@ def test_window_sampler_matches_enumeration_support():
 def test_window_sampler_membership_contract():
     lattice = LatticeBasis([[Fraction(3, 2), 0], [1, 2]])
     bound = Fraction(5)
-    for point in WindowSampler(lattice, Window(2, bound), RngStream(seed=34)).take(300):
-        assert all(0 <= c < bound for c in point)
+    for c in WindowSampler(lattice, Window(2, bound), RngStream(seed=34)).take(300):
+        point = lattice_point(lattice.columns, c)
+        assert all(0 <= y < bound for y in point)
 
 
 def test_sample_lattice_point_single():
