@@ -4,12 +4,15 @@ Library layout:
 
 * ``exactmat``   -- arbitrary-precision integer matrices, HNF, SNF,
                     determinants, adjugates, unimodularity
-* ``lattice``    -- full-rank lattices, covering-radius bounds, window
-                    enumeration and hyperplane counts; lattice points
-                    travel as integer basis coordinates
+* ``lattice``    -- full-rank lattices, covering-radius bounds, the
+                    half-open cell (one box, membership test and
+                    enumerator for windows and parallelepipeds) and
+                    hyperplane counts; lattice points travel as integer
+                    basis coordinates
 * ``bounds``     -- certified enclosures for every closed-form constant
 * ``groupgen``   -- finite abelian groups and generation probabilities
-* ``sampling``   -- reproducible counter-based RNG and rejection samplers
+* ``sampling``   -- reproducible counter-based RNG, random parallelepipeds
+                    and the rejection sampler over a half-open cell
 * ``experiments``-- the Monte Carlo harness and CSV reports behind the
                     ``latgen`` CLI
 """

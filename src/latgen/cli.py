@@ -78,6 +78,7 @@ def _experiment_config(args) -> ExperimentConfig:
             settings[key] = value
     if args.paper_scale:
         settings["paper_scale"] = True
+    if settings.get("paper_scale"):
         for key, value in PAPER_SCALE_DEFAULTS.items():
             settings.setdefault(key, value)
     return ExperimentConfig.from_json_dict(settings)

@@ -5,10 +5,12 @@ floating point or rational arithmetic enters any computation.  Entry
 magnitudes around 10**18 are routine (products of minors far exceed
 machine words, which is why exactness is non-negotiable).
 
-Two kernels answer every question: the column Hermite form
-(``_hnf_columns``: lattice bases, rank) and fraction-free Gauss-Jordan
+Three eliminations answer every question: fraction-free Gauss-Jordan
 elimination (``_bareiss_columns``: determinants, adjugates, maximal
-minors and the unimodularity decision).
+minors and the unimodularity decision), the column Hermite form
+(``_hnf_columns``: the integer normals of a span, for hyperplane counts)
+and the Smith form (``snf_with_transforms``: quotient groups, whose
+divisors also decide full rank).
 
 Hermite normal form convention (column style): for an n x m matrix A we
 return H = A @ U with U in GL_m(Z) such that

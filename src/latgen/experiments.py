@@ -122,7 +122,8 @@ class ExperimentConfig:
             raise ValueError("all counts must be >= 1")
         if self.max_rejects < 0:
             raise ValueError("max_rejects must be >= 0")
-        self.m_for(max(self.n_values))  # validate the policy eagerly
+        for n in self.n_values:  # refuse a bad policy before any work
+            self.m_for(n)
 
     def m_for(self, n: int) -> int:
         policy = self.m_policy.strip()

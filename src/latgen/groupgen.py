@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .exactmat import ExactMatrix, det, snf_with_transforms, unimodular_columns
+from .exactmat import ExactMatrix, snf_with_transforms, unimodular_columns
 
 GroupElement = tuple[int, ...]
 
@@ -86,9 +86,11 @@ def quotient_group(
     index.
     """
     c = ExactMatrix.from_columns(coordinate_columns)
-    if det(c) == 0:
-        raise ValueError("sublattice generators are not full rank")
+    if c.rows != c.cols:
+        raise ValueError("sublattice needs n generators of length n")
     divisors, u, _ = snf_with_transforms(c)
+    if len(divisors) < c.rows:
+        raise ValueError("sublattice generators are not full rank")
     group = FiniteAbelianGroup(divisors)
     kept = [i for i, d in enumerate(divisors) if d > 1]
     u_rows = u.to_rows()

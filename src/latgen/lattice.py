@@ -20,8 +20,13 @@ T = |det S| S^-1, both from one fraction-free elimination; coordinates,
 membership and the inverse rows used to size search boxes are integer
 arithmetic on these.
 
-Window membership is half-open throughout: a point y = B c belongs to
-[0, W)^n when every entry satisfies 0 <= y_i < W under exact comparison.
+Every region is one half-open cell (``HalfOpenCell``): the integer points
+z with 0 <= (R z)_i < L for an integer matrix R and L > 0, which are the
+integer points of the parallelotope G [0, 1)^n with G = L R^-1.  The
+window [0, W)^n in basis coordinates is one (``window_cell``), and so is
+a random parallelepiped (``sampling.Parallelepiped``); enumeration and
+both sampling engines decide membership on the same R and L in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import itertools
 import json
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -293,37 +299,74 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# half-open cells and enumeration
 # ---------------------------------------------------------------------------
 
 
-def _half_open_range(
-    lo: Fraction, hi: Fraction, has_negative: bool, has_positive: bool
-) -> tuple[int, int]:
-    """Integer range for a coordinate whose real range is (lo, hi) with
-    the endpoints attained exactly when the matching sign is absent."""
-    lo_int = _ceil(lo)
-    if lo_int == lo and has_negative:
-        lo_int += 1
-    hi_int = _floor(hi)
-    if hi_int == hi and has_positive:
-        hi_int -= 1
-    return lo_int, hi_int
+class HalfOpenCell:
+    """The integer points z with 0 <= (R z)_i < L for every row i of R:
+    those of the half-open parallelotope G [0, 1)^n, G = L R^-1.
+
+    ``box`` holds inclusive ranges covering coordinate i of every point,
+    from row i of G (given by the caller, since G need not be integral).
+    """
+
+    __slots__ = ("rows", "limit", "box")
+
+    def __init__(
+        self,
+        rows: Sequence[Sequence[int]],
+        limit: int,
+        generator_rows: Sequence[Sequence[Union[int, Fraction]]],
+    ):
+        self.rows = rows
+        self.limit = limit
+        self.box = []
+        for row in generator_rows:
+            # coordinate i of G a, a in [0, 1)^n, covers the real range from
+            # the sum of the negative entries of row i to the sum of the
+            # positive ones; an end is attained only where it is 0
+            lo = sum(min(g, 0) for g in row)
+            hi = sum(max(g, 0) for g in row)
+            lo_int, hi_int = _ceil(lo), _floor(hi)
+            self.box.append((lo_int + (lo_int == lo < 0), hi_int - (hi_int == hi > 0)))
+
+    def contains(self, z: Sequence[int]) -> bool:
+        limit = self.limit
+        for row in self.rows:
+            u = sum(map(mul, row, z))
+            if u < 0 or u >= limit:
+                return False
+        return True
+
+    def points(self) -> list[tuple[int, ...]]:
+        """Every integer point of the cell, in lexicographic order; raises
+        when the box holds more than 5 * 10^7 candidates."""
+        size = 1
+        for lo, hi in self.box:
+            size *= hi - lo + 1
+        if size > _BOX_GUARD:
+            raise ValueError(f"enumeration coordinate box too large ({size})")
+        ranges = (range(lo, hi + 1) for lo, hi in self.box)
+        return list(filter(self.contains, itertools.product(*ranges)))
 
 
-def _coordinate_box(lattice: LatticeBasis, bound: Fraction) -> list[tuple[int, int]]:
-    """Inclusive ranges holding coordinate i of every lattice point of
-    [0, bound)^n, from row i of B^-1 (a positive multiple of row i of T)."""
+def window_cell(lattice: LatticeBasis, window: Window) -> HalfOpenCell:
+    """The coordinates c of the lattice points B c of the window.
+
+    B c lies in [0, num/den)^n exactly when 0 <= (den S c)_i < num q, so
+    R = den S, L = num q and G = (num/den) B^-1, whose rows are positive
+    multiples of the rows of T.
+    """
+    if window.dim != lattice.dim:
+        raise ValueError("window dimension mismatch")
+    bound = window.bound
     per_unit = bound * Fraction(lattice._scale, lattice._scaled_det)
-    return [
-        _half_open_range(
-            per_unit * sum(min(t, 0) for t in row),
-            per_unit * sum(max(t, 0) for t in row),
-            any(t < 0 for t in row),
-            any(t > 0 for t in row),
-        )
-        for row in lattice._adjugate
-    ]
+    return HalfOpenCell(
+        [[bound.denominator * e for e in row] for row in lattice._scaled_rows],
+        bound.numerator * lattice._scale,
+        [[per_unit * t for t in row] for row in lattice._adjugate],
+    )
 
 
 def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[int, ...]]:
@@ -334,9 +377,8 @@ def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[int, .
     guards raise instead of truncating, since a silent cut would corrupt
     the counting checks built on top of this.
     """
+    cell = window_cell(lattice, window)
     n = lattice.dim
-    if window.dim != n:
-        raise ValueError("window dimension mismatch")
     if n > 4:
         raise ValueError("enumeration guarded to n <= 4")
     predicted = (window.bound + 2 * lattice.nu_upper) ** n / lattice.det
@@ -344,25 +386,7 @@ def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[int, .
         raise ValueError(
             f"enumeration guard exceeded: predicted count {float(predicted):.3g}"
         )
-    ranges = [range(lo, hi + 1) for lo, hi in _coordinate_box(lattice, window.bound)]
-    box = 1
-    for r in ranges:
-        box *= len(r)
-    if box > _BOX_GUARD:
-        raise ValueError(f"enumeration coordinate box too large ({box})")
-    rows = lattice._scaled_rows
-    # B c in [0, num/den)^n  <=>  every y = (S c)_i has 0 <= y * den < num * q
-    num, den = window.bound.numerator, window.bound.denominator
-    limit = num * lattice._scale
-    out = []
-    for c in itertools.product(*ranges):
-        for row in rows:
-            y = sum(row[j] * c[j] for j in range(n))
-            if y < 0 or y * den >= limit:
-                break
-        else:
-            out.append(c)
-    return out
+    return cell.points()
 
 
 def count_in_hyperplane(

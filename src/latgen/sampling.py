@@ -11,25 +11,24 @@ words from an overflow sub-stream keyed by (draw index, attempt), so no
 bound exhausts a draw.  Draw indices are handed out by a monotone cursor
 on the stream.
 
-Candidate points for a parallelepiped are drawn uniformly from its
-integer bounding box and accepted by the exact test 0 <= (T (z - t))_i <
-L in integer arithmetic (T is the sign-adjusted adjugate, L = |det|, and
-membership is half-open to match the half-open windows used everywhere).
-A vectorized int64 engine is used when precomputed magnitude bounds rule
-out overflow; otherwise a big-integer engine computes the identical
-sequence.  No floating point participates in any accept/reject decision.
+A parallelepiped and a window in basis coordinates are both half-open
+cells (``lattice.HalfOpenCell``).  Candidate points are drawn uniformly
+from the cell's box and accepted by its exact test 0 <= (R z)_i < L in
+integer arithmetic (for a parallelepiped V [0,1)^n, R is the
+sign-adjusted adjugate of V and L = |det V|).  A vectorized int64 engine
+is used when precomputed magnitude bounds rule out overflow; otherwise a
+big-integer engine computes the identical sequence with the cell's own
+test.  No floating point participates in any accept/reject decision.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .exactmat import _scaled_inverse
-from .lattice import LatticeBasis, Window, _coordinate_box, _half_open_range
+from .lattice import HalfOpenCell, LatticeBasis, Window, window_cell
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -160,91 +159,29 @@ class RngStream:
 
 
 class Parallelepiped:
-    """{V a + translate : a in [0,1)^n} for integer generator columns V.
+    """{V a : a in [0,1)^n} for integer generator columns V.
 
+    Its integer points form the half-open cell with R = T = |det V| V^-1
+    (from the same elimination as det V), L = |det V| and G = V.
     Degenerate spans (det V = 0) are rejected at construction.
     """
 
-    def __init__(
-        self,
-        generators: Sequence[Sequence[int]],
-        translate: Optional[Sequence[int]] = None,
-        resamples: int = 0,
-    ):
+    def __init__(self, generators: Sequence[Sequence[int]], resamples: int = 0):
         n = len(generators)
         if n < 1 or any(len(g) != n for g in generators):
             raise ValueError("need n generators of length n")
         self.generators = tuple(tuple(int(x) for x in g) for g in generators)
         self.dim = n
-        self.translate = (
-            tuple(int(x) for x in translate) if translate is not None else (0,) * n
-        )
-        if len(self.translate) != n:
-            raise ValueError("translate length mismatch")
         self.det, rows = _scaled_inverse(self.generators, n)
         if self.det == 0:
             raise ValueError("degenerate parallelepiped: generators are dependent")
         self.resamples = resamples
-        # (test rows T, limit L) with membership 0 <= (T (z - t))_i < L,
-        # T = |det V| V^-1 from the same elimination as det V, L = |det V|
-        self._membership = (rows, abs(self.det))
-
-    def integer_box(self) -> list[tuple[int, int]]:
-        """Inclusive coordinate ranges covering all integer points."""
-        out = []
-        for i in range(self.dim):
-            row = [self.generators[j][i] for j in range(self.dim)]
-            lo = self.translate[i] + sum(min(0, x) for x in row)
-            hi = self.translate[i] + sum(max(0, x) for x in row)
-            out.append(
-                _half_open_range(
-                    Fraction(lo),
-                    Fraction(hi),
-                    any(x < 0 for x in row),
-                    any(x > 0 for x in row),
-                )
-            )
-        return out
-
-    def contains_integer_point(self, z: Sequence[int]) -> bool:
-        rows, limit = self._membership
-        w = [int(z[i]) - self.translate[i] for i in range(self.dim)]
-        for row in rows:
-            u = sum(r * x for r, x in zip(row, w))
-            if u < 0 or u >= limit:
-                return False
-        return True
-
-    def enumerate_integer_points(self, guard: int = 200000) -> list[tuple[int, ...]]:
-        """Exhaustive integer points (small instances; testing support)."""
-        box = self.integer_box()
-        size = 1
-        for lo, hi in box:
-            size *= max(0, hi - lo + 1)
-        if size > guard:
-            raise ValueError(f"enumeration box too large ({size})")
-        rows, limit = self._membership
-        out = []
-        t = self.translate
-        for z in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-            w = [z[i] - t[i] for i in range(self.dim)]
-            if all(0 <= sum(r * x for r, x in zip(row, w)) < limit for row in rows):
-                out.append(z)
-        return out
+        self.cell = HalfOpenCell(rows, abs(self.det), list(zip(*self.generators)))
 
     def sampler(
         self, rng: RngStream, max_rejects: int = 10**6, force_exact: bool = False
     ) -> "RejectionSampler":
-        rows, limit = self._membership
-        return RejectionSampler(
-            rng,
-            self.integer_box(),
-            self.translate,
-            rows,
-            limit,
-            max_rejects=max_rejects,
-            force_exact=force_exact,
-        )
+        return RejectionSampler(rng, self.cell, max_rejects, force_exact)
 
 
 def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
@@ -277,8 +214,8 @@ def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
 
 
 class RejectionSampler:
-    """Uniform sampling of {z integer : all 0 <= (T (z - t))_i < L} via
-    candidates drawn from an integer box.
+    """Uniform sampling of the integer points of a half-open cell via
+    candidates drawn from the cell's box.
 
     Candidates are numbered by the stream cursor; the k-th accepted
     candidate is sample k, and after ``take`` the cursor sits right past
@@ -291,47 +228,34 @@ class RejectionSampler:
     def __init__(
         self,
         rng: RngStream,
-        box: Sequence[tuple[int, int]],
-        translate: Sequence[int],
-        test_rows: Sequence[Sequence[int]],
-        limit: int,
+        cell: HalfOpenCell,
         max_rejects: int = 10**6,
         force_exact: bool = False,
     ):
         self.rng = rng
-        self.box = [(int(lo), int(hi)) for lo, hi in box]
-        self.translate = [int(x) for x in translate]
-        self.test_rows = [[int(x) for x in row] for row in test_rows]
-        self.limit = int(limit)
+        self.cell = cell
         self.max_rejects = max_rejects
-        self.n = len(self.box)
-        if any(hi < lo for lo, hi in self.box):
-            raise ValueError("empty candidate box")
-        self.ranges = [hi - lo + 1 for lo, hi in self.box]
+        self.n = len(cell.box)
+        self.ranges = [hi - lo + 1 for lo, hi in cell.box]
         self.candidates = 0
         self.accepted = 0
         self._since_accept = 0
         self._fast = not force_exact and self._int64_safe()
         if self._fast:
-            self._np_lo = np.array([lo for lo, _ in self.box], dtype=np.int64)
-            self._np_t = np.array(self.translate, dtype=np.int64)
-            self._np_rows = np.array(self.test_rows, dtype=np.int64)
+            self._np_lo = np.array([lo for lo, _ in cell.box], dtype=np.int64)
+            self._np_rows = np.array(cell.rows, dtype=np.int64)
             bits = [(r - 1).bit_length() for r in self.ranges]
             self._np_mask = np.array([(1 << b) - 1 for b in bits], dtype=np.uint64)
             self._np_range = np.array(self.ranges, dtype=np.uint64)
 
     def _int64_safe(self) -> bool:
-        if self.limit >= _INT64_GUARD:
+        cell = self.cell
+        if cell.limit >= _INT64_GUARD or any(r >= _INT64_GUARD for r in self.ranges):
             return False
-        if any(r >= _INT64_GUARD for r in self.ranges):
-            return False
-        w_max = 0
-        for (lo, hi), t in zip(self.box, self.translate):
-            w_max = max(w_max, abs(lo - t), abs(hi - t))
-        t_max = max((max(abs(x) for x in row) for row in self.test_rows), default=0)
-        if any(max(abs(lo), abs(hi)) >= _INT64_GUARD for lo, hi in self.box):
-            return False
-        return self.n * t_max * w_max < _INT64_GUARD
+        # no test row is zero, so this also keeps every box end below the guard
+        z_max = max(max(abs(lo), abs(hi)) for lo, hi in cell.box)
+        r_max = max(max(abs(x) for x in row) for row in cell.rows)
+        return self.n * r_max * z_max < _INT64_GUARD
 
     @property
     def acceptance_estimate(self) -> float:
@@ -359,25 +283,16 @@ class RejectionSampler:
     def _take_exact(self, count: int) -> list[tuple[int, ...]]:
         rng = self.rng
         n = self.n
+        box = self.cell.box
         out: list[tuple[int, ...]] = []
         while len(out) < count:
             base = rng.draw_cursor
             rng.draw_cursor += n
             z = [
-                self.box[i][0] + rng.draw_below(self.ranges[i], base + i)
-                for i in range(n)
+                box[i][0] + rng.draw_below(self.ranges[i], base + i) for i in range(n)
             ]
             self.candidates += 1
-            w = [z[i] - self.translate[i] for i in range(n)]
-            ok = True
-            for row in self.test_rows:
-                u = 0
-                for r, x in zip(row, w):
-                    u += r * x
-                if u < 0 or u >= self.limit:
-                    ok = False
-                    break
-            if ok:
+            if self.cell.contains(z):
                 out.append(tuple(z))
                 self.accepted += 1
                 self._since_accept = 0
@@ -433,8 +348,8 @@ class RejectionSampler:
             batch = max(256, min(batch, 1 << 16))
             base = rng.draw_cursor
             z = self._candidate_batch(base, batch)
-            u = (z - self._np_t) @ self._np_rows.T
-            accept = ((u >= 0) & (u < self.limit)).all(axis=1)
+            u = z @ self._np_rows.T
+            accept = ((u >= 0) & (u < self.cell.limit)).all(axis=1)
             positions = np.flatnonzero(accept)
             if positions.size == 0:
                 rng.draw_cursor = base + batch * n
@@ -463,24 +378,11 @@ class RejectionSampler:
 
 
 class WindowSampler:
-    """Uniform lattice points of [0, B)^n, as basis coordinate tuples, via
-    the coordinate-space parallelepiped X = {a : basis a in the window}:
-    candidate coordinate vectors come from X's integer bounding box and
-    are accepted by the exact half-open membership test."""
+    """Uniform lattice points of [0, B)^n, as basis coordinate tuples: the
+    rejection sampler over the window's cell in coordinates."""
 
     def __init__(self, lattice: LatticeBasis, window: Window, rng: RngStream):
-        if window.dim != lattice.dim:
-            raise ValueError("window dimension mismatch")
-        b = window.bound
-        # accept a iff 0 <= (scaled_basis a)_i * den < num * scale
-        rows = [[e * b.denominator for e in row] for row in lattice._scaled_rows]
-        self._core = RejectionSampler(
-            rng,
-            _coordinate_box(lattice, b),
-            (0,) * lattice.dim,
-            rows,
-            b.numerator * lattice._scale,
-        )
+        self._core = RejectionSampler(rng, window_cell(lattice, window))
 
     @property
     def acceptance_estimate(self) -> float:

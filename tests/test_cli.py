@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,23 @@ def test_unimodular_config_file(tmp_path, capsys):
     # explicit flag overrides the file value
     assert header["summaries"][0]["config"]["samples"] == 80
     assert header["summaries"][0]["config"]["C"] == 300
+
+
+def test_paper_scale_from_config_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"paper_scale": True}))
+    out_path = tmp_path / "r.csv"
+    code = main([
+        "unimodular", "--config", str(path), "--n", "2", "--reps", "1",
+        "--samples", "5", "--out", str(out_path),
+    ])
+    assert code == 0
+    header = json.loads(out_path.read_text().splitlines()[0][2:])
+    config = header["summaries"][0]["config"]
+    # the preset applies as with --paper-scale; the explicit flags win
+    assert config["paper_scale"] is True
+    assert config["C"] == 10**18
+    assert (config["n_values"], config["reps"], config["samples"]) == ([2], 1, 5)
 
 
 def test_lemma_and_tv_subcommands(capsys):
@@ -216,3 +237,36 @@ def test_outputs_round_trip(argv, kind, tmp_path, capsys):
     if argv[:3] == ["fullrank-check", "--trials", "0"]:
         (row,) = table.rows
         assert (row.trials, row.frequency) == ("0", "")
+
+
+# entry points the tracer still looks for although latgen no longer has them
+STALE_TRACED = {
+    "latgen.exactmat.RationalMatrix.det",
+    "latgen.exactmat.RationalMatrix.inverse",
+    "latgen.exactmat.rank_of_rows",
+    "latgen.lattice.rank_of_span",
+    *(f"latgen.experiments.{cls}.to_csv" for cls in (
+        "CoprimeTable", "BoundsTable", "LemmaReport", "TvReport", "FullrankReport",
+    )),
+}
+
+
+@pytest.mark.parametrize("argv,points,decisions", [
+    (["unimodular", "--n", "2", "--reps", "2", "--samples", "50"], 300, 100),
+    (["fullrank-check", "--trials", "200"], 400, 0),
+])
+def test_benchmark_tracer_sees_every_layer(argv, points, decisions, tmp_path):
+    # a subprocess, since the tracer rebinds the library functions
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    prefix = str(tmp_path / "t")
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracing.py"), prefix, "--", *argv,
+         "--out", str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(Path(prefix + ".summary.json").read_text())
+    assert summary["metrics"]["sampling.points"] == points
+    assert summary["metrics"]["exactmat.decisions"] == decisions
+    assert set(summary["absent"]) <= STALE_TRACED

@@ -42,6 +42,9 @@ def test_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(ValueError):
         ExperimentConfig(m_policy="n-5")
+    # every n is checked, not only the largest
+    with pytest.raises(ValueError):
+        ExperimentConfig(n_values=(4, 1), m_policy="n+-1")
 
 
 def test_m_policy():

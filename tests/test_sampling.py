@@ -136,7 +136,7 @@ class _SaturatedBlocks(RngStream):
 
 
 def test_engines_bit_identical_past_the_block():
-    p = Parallelepiped([[4, 1], [1, 4]], translate=[2, 5])  # box ranges 5 and 5
+    p = Parallelepiped([[4, 1], [1, 4]])  # box ranges 5 and 5
     fast_rng = _SaturatedBlocks(seed=77, stream=9)
     exact_rng = _SaturatedBlocks(seed=77, stream=9)
     fast = p.sampler(fast_rng)
@@ -145,7 +145,7 @@ def test_engines_bit_identical_past_the_block():
     samples = fast.take(200)
     assert samples == exact.take(200)
     assert fast_rng.draw_cursor == exact_rng.draw_cursor
-    assert all(p.contains_integer_point(z) for z in samples)
+    assert all(p.cell.contains(z) for z in samples)
 
 
 class _BrokenGenerator(_SaturatedBlocks):
@@ -209,10 +209,10 @@ def test_random_parallelepiped_deterministic():
 
 def test_integer_box_half_open():
     cube = Parallelepiped([[5, 0], [0, 5]])
-    assert cube.integer_box() == [(0, 4), (0, 4)]
+    assert cube.cell.box == [(0, 4), (0, 4)]
     mixed = Parallelepiped([[1, -2], [0, 3]])
-    box = mixed.integer_box()
-    for z in mixed.enumerate_integer_points():
+    box = mixed.cell.box
+    for z in mixed.cell.points():
         for (lo, hi), coord in zip(box, z):
             assert lo <= coord <= hi
 
@@ -229,7 +229,7 @@ def test_membership_rows_are_scaled_inverse():
             p = Parallelepiped(generators)
         except ValueError:
             continue
-        rows, limit = p._membership
+        rows, limit = p.cell.rows, p.cell.limit
         assert limit == abs(p.det)
         for i in range(n):
             for j in range(n):
@@ -241,11 +241,11 @@ def test_membership_rows_are_scaled_inverse():
 
 def test_enumerate_matches_membership():
     p = Parallelepiped([[3, 1], [1, 4]])
-    points = p.enumerate_integer_points()
+    points = p.cell.points()
     assert len(points) == abs(p.det)  # unit-volume cells partition Z^2
     for z in points:
-        assert p.contains_integer_point(z)
-    assert not p.contains_integer_point((100, 100))
+        assert p.cell.contains(z)
+    assert not p.cell.contains((100, 100))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +267,11 @@ def test_sampler_support_matches_enumeration():
     cases = [
         Parallelepiped([[1, 1], [0, 1]]),
         Parallelepiped([[3, 1], [1, 4]]),
-        Parallelepiped([[2, -1], [1, 3]], translate=[7, -2]),
+        Parallelepiped([[2, -1], [1, 3]]),
         Parallelepiped([[-2, 1], [1, -3]]),
     ]
     for p in cases:
-        expected = set(p.enumerate_integer_points())
+        expected = set(p.cell.points())
         rng = RngStream(seed=101, stream=abs(p.det))
         draws = p.sampler(rng).take(220 * max(1, len(expected)))
         got = set(draws)
@@ -280,7 +280,7 @@ def test_sampler_support_matches_enumeration():
 
 def test_degenerate_direction_single_point():
     p = Parallelepiped([[1, 1], [0, 1]])
-    assert p.enumerate_integer_points() == [(0, 0)]
+    assert p.cell.points() == [(0, 0)]
     rng = RngStream(seed=2)
     assert p.sampler(rng).take(1) == [(0, 0)]
 
@@ -293,7 +293,7 @@ def test_boundary_points_excluded():
 
 
 def test_engines_bit_identical():
-    p = Parallelepiped([[3, 1], [1, 4]], translate=[2, 5])
+    p = Parallelepiped([[3, 1], [1, 4]])
     fast_rng = RngStream(seed=77, stream=9)
     exact_rng = RngStream(seed=77, stream=9)
     fast = p.sampler(fast_rng)
@@ -321,7 +321,7 @@ def test_exact_engine_huge_entries():
     sampler = p.sampler(rng)
     assert not sampler._fast  # magnitudes force the big-integer engine
     for z in sampler.take(5):
-        assert p.contains_integer_point(z)
+        assert p.cell.contains(z)
 
 
 def test_max_rejects_error_carries_estimate():
@@ -336,7 +336,7 @@ def test_uniformity_chi_square():
     # 10 seeds, chi-square at significance 1e-3 against the enumerated
     # support; by design one failing seed is tolerated.
     p = Parallelepiped([[3, 1], [1, 4]])
-    support = p.enumerate_integer_points()
+    support = p.cell.points()
     index = {z: i for i, z in enumerate(support)}
     draws_per_seed = 10**5
     critical = scipy.stats.chi2.isf(1e-3, df=len(support) - 1)
