@@ -12,7 +12,9 @@ Library layout:
 * ``bounds``     -- certified enclosures for every closed-form constant
 * ``groupgen``   -- finite abelian groups and generation probabilities
 * ``sampling``   -- reproducible counter-based RNG, random parallelepipeds
-                    and the rejection sampler over a half-open cell
+                    with their rejection-free coset sampler (Smith-form
+                    quotient), and the window sampler, which rejects
+                    from the box of a half-open cell
 * ``experiments``-- the Monte Carlo harness and CSV reports behind the
                     ``latgen`` CLI
 """

@@ -70,7 +70,6 @@ def _experiment_config(args) -> ExperimentConfig:
         "samples": args.samples,
         "seed": args.seed,
         "workers": args.workers,
-        "max_rejects": args.max_rejects,
         "out": args.out,
     }
     for key, value in explicit.items():
@@ -175,7 +174,6 @@ SUBCOMMANDS = {
         ("--C", dict(type=int, help="parallelepiped coordinate bound")),
         ("--reps", dict(type=int, help="parallelepipeds per n")),
         ("--samples", dict(type=int, help="matrices per parallelepiped")),
-        ("--max-rejects", dict(type=int)),
         ("--paper-scale", dict(
             action="store_true",
             help="reps=1000, C=10^18, n=1..15 unless overridden (hours of compute)",

@@ -7,7 +7,7 @@ of kind K at dimension n owns the two streams
                                                     b = 1: column samples
 
 so results are bit-identical regardless of worker count or scheduling
-(aggregation sorts by shard index).  Reports carry the full configuration
+(results are collected in task order).  Reports carry the full configuration
 and RNG provenance needed to reproduce them.
 
 Every result is one `Table`: a JSON header, the CSV columns and the
@@ -55,7 +55,7 @@ from .lattice import (
     lemma2_count_bound,
 )
 from .sampling import (
-    ALGORITHM_ID,
+    COSET_ALGORITHM_ID,
     RngStream,
     SamplerError,
     WindowSampler,
@@ -111,7 +111,6 @@ class ExperimentConfig:
     samples: int = 10**4
     seed: int = 0
     workers: int = 1
-    max_rejects: int = 10**6
     paper_scale: bool = False
     out: Optional[str] = None
 
@@ -120,8 +119,6 @@ class ExperimentConfig:
             raise ValueError("n values must be >= 1")
         if self.C < 1 or self.reps < 1 or self.samples < 1 or self.workers < 1:
             raise ValueError("all counts must be >= 1")
-        if self.max_rejects < 0:
-            raise ValueError("max_rejects must be >= 0")
         for n in self.n_values:  # refuse a bad policy before any work
             self.m_for(n)
 
@@ -146,7 +143,6 @@ class ExperimentConfig:
             "samples": self.samples,
             "seed": self.seed,
             "workers": self.workers,
-            "max_rejects": self.max_rejects,
             "paper_scale": self.paper_scale,
             "out": self.out,
         }
@@ -210,13 +206,10 @@ class ExperimentReport:
 
 
 def _unimodular_shard(task) -> tuple[int, int, int]:
-    seed, n, m, c, samples, shard, max_rejects = task
+    seed, n, m, c, samples, shard = task
     pe_rng = RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 0))
     parallelepiped = random_parallelepiped(n, c, pe_rng)
-    sampler = parallelepiped.sampler(
-        RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 1)),
-        max_rejects=max_rejects,
-    )
+    sampler = parallelepiped.sampler(RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 1)))
     try:
         points = sampler.take(samples * m)
     except SamplerError as exc:
@@ -232,14 +225,12 @@ def _unimodular_shard(task) -> tuple[int, int, int]:
     return shard, successes, parallelepiped.resamples
 
 
-def _run_shards(tasks, workers: int):
+def _run_shards(tasks, workers: int) -> list:
+    """Shard results in task order; workers take the tasks in that order."""
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(processes=workers) as pool:
-            results = list(pool.imap_unordered(_unimodular_shard, tasks, chunksize=1))
-    else:
-        results = [_unimodular_shard(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    return results
+            return list(pool.imap(_unimodular_shard, tasks, chunksize=1))
+    return [_unimodular_shard(t) for t in tasks]
 
 
 def run_unimodular_experiment(
@@ -249,17 +240,23 @@ def run_unimodular_experiment(
 
     For each dimension n: draw `reps` parallelepipeds from [-C, C]^n, for
     each draw `samples` integer n x m matrices with columns uniform in
-    the parallelepiped, and record the fraction that generate Z^n.
+    the parallelepiped, and record the fraction that generate Z^n.  All
+    shards of all n share one worker pool, largest n (the slowest
+    shards) first.
     """
     ctx = ctx or bounds.default_context()
+    tasks = [
+        (cfg.seed, n, cfg.m_for(n), cfg.C, cfg.samples, shard)
+        for n in sorted(set(cfg.n_values), reverse=True)
+        for shard in range(cfg.reps)
+    ]
+    per_n: dict[int, list] = {}
+    for task, result in zip(tasks, _run_shards(tasks, cfg.workers)):
+        per_n.setdefault(task[1], []).append(result)
     reports = []
     for n in cfg.n_values:
         m = cfg.m_for(n)
-        tasks = [
-            (cfg.seed, n, m, cfg.C, cfg.samples, shard, cfg.max_rejects)
-            for shard in range(cfg.reps)
-        ]
-        results = _run_shards(tasks, cfg.workers)
+        results = per_n[n]
         successes = tuple(s for _, s, _ in results)
         resamples = tuple(r for _, _, r in results)
         freqs = tuple(Fraction(s, cfg.samples) for s in successes)
@@ -287,7 +284,7 @@ def run_unimodular_experiment(
                 ideal_lo=ideal_lo,
                 ideal_hi=ideal_hi,
                 rng={
-                    "algorithm": ALGORITHM_ID,
+                    "algorithm": COSET_ALGORITHM_ID,
                     "seed": cfg.seed,
                     "stream_layout": STREAM_LAYOUT,
                     "kind_id": KIND_UNIMODULAR,

@@ -1,4 +1,5 @@
-"""Reproducible random generation: parallelepipeds and rejection samplers.
+"""Reproducible random generation: parallelepipeds, their coset sampler
+and the window sampler.
 
 Randomness comes from a fixed, documented, counter-based generator
 ("splitmix64-ctr-v1"): word k of a stream is the SplitMix64 finalizer
@@ -11,14 +12,44 @@ words from an overflow sub-stream keyed by (draw index, attempt), so no
 bound exhausts a draw.  Draw indices are handed out by a monotone cursor
 on the stream.
 
-A parallelepiped and a window in basis coordinates are both half-open
-cells (``lattice.HalfOpenCell``).  Candidate points are drawn uniformly
-from the cell's box and accepted by its exact test 0 <= (R z)_i < L in
-integer arithmetic (for a parallelepiped V [0,1)^n, R is the
-sign-adjusted adjugate of V and L = |det V|).  A vectorized int64 engine
-is used when precomputed magnitude bounds rule out overflow; otherwise a
-big-integer engine computes the identical sequence with the cell's own
-test.  No floating point participates in any accept/reject decision.
+Parallelepipeds P = V [0,1)^n (integer generator columns V, det V != 0)
+are sampled with no rejection ("coset-v1").  Every coset of V Z^n in Z^n
+has exactly one point in P, so a uniform coset gives a uniform integer
+point of P.  The Smith form U V W = D = diag(d_1 | ... | d_n) splits
+Z^n / V Z^n into the cyclic factors Z/d_i, generated by the columns g_i
+of U^-1 = V W D^-1.  A sample draws y_i uniformly in [0, d_i) for each
+d_i > 1 (sample j of a take starting at draw index `base` uses the
+indices base + j k + i, k the number of such factors, so a cell with
+|det V| = 1 draws nothing) and returns the point of P in the coset of
+sum y_i g_i.  In the coordinates a = e V^-1 z, with e = d_n the largest
+factor, that point is
+
+    z = V a / e,    a = sum_i y_i (e / d_i) w_i  mod e  (componentwise),
+
+w_i column i of W: the big-integer engine computes exactly this, which
+equals x - V floor(T x / |det V|) for x = sum y_i g_i and T = |det V| V^-1.
+
+The int64 engine tabulates, per factor i, 4-bit digit position j and
+digit v < 16, the pair (a, z) of v 16^j y_i's contribution, adds one
+table row per nibble of y_i and folds after each addition: with both
+summands' a in [0, e), the sum's a lies in [0, 2e), and
+
+    f = [a >= e],    a -= e f,    z -= V f
+
+brings the pair back to P with one comparison and no division.  The
+engine runs when e < 2^62 and P's box fits in 62 bits: a never leaves
+int64, and the z updates are ring operations mod 2^64 whose exact
+result, a point of P, fits, so any wrap-around cancels.  Both engines map
+the same y to the same point, so their streams are bit-identical.
+
+The lattice window [0, B)^n is, in basis coordinates, a half-open cell
+(``lattice.HalfOpenCell``) with no such quotient structure at hand.
+`WindowSampler` draws candidates uniformly from the cell's box and
+accepts them by the exact test 0 <= (R z)_i < L, in a vectorized int64
+engine when precomputed magnitude bounds rule out overflow and otherwise
+in a big-integer engine that computes the identical sequence with the
+cell's own test.  No floating point participates in any accept/reject
+decision.
 """
 
 from __future__ import annotations
@@ -27,7 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmat import _scaled_inverse
+from .exactmat import ExactMatrix, _scaled_inverse, snf_with_transforms
 from .lattice import HalfOpenCell, LatticeBasis, Window, window_cell
 
 _M64 = (1 << 64) - 1
@@ -39,12 +70,17 @@ _OVERFLOW_SALT = 0x8CB92BA72F3D8DD7
 # rejections in a row means the generator itself is broken
 _MAX_ATTEMPTS = 1024
 _INT64_GUARD = 1 << 62
+# most samples one vectorized batch computes at once (bounds peak memory)
+_BATCH = 1 << 16
+# consecutive rejected window candidates before a window sampler gives up
+_MAX_REJECTS = 10**6
 
 ALGORITHM_ID = "splitmix64-ctr-v1"
+COSET_ALGORITHM_ID = ALGORITHM_ID + "+coset-v1"
 
 
 class SamplerError(RuntimeError):
-    """Rejection sampling gave up; carries the observed acceptance rate."""
+    """Sampling gave up; carries the observed acceptance rate."""
 
     def __init__(self, message: str, acceptance_estimate: float):
         super().__init__(message)
@@ -153,6 +189,56 @@ class RngStream:
         return lo + self.draw_below(hi - lo + 1, index)
 
 
+class _BoundedDraws:
+    """Rows of bounded draws from one stream: row j of the rows starting
+    at draw index ``base`` holds draw base + j k + i below bounds[i], for
+    the k bounds.  ``rows`` computes ``row`` for a batch of rows at once
+    (bounds below 2^64 only) and gives the same values."""
+
+    def __init__(self, rng: RngStream, bounds: Sequence[int], vectorized: bool):
+        self.rng = rng
+        self.bounds = list(bounds)
+        if vectorized:
+            bits = [(b - 1).bit_length() for b in self.bounds]
+            self._mask = np.array([(1 << b) - 1 for b in bits], dtype=np.uint64)
+            self._bound = np.array(self.bounds, dtype=np.uint64)
+
+    def row(self, base: int) -> list[int]:
+        return [self.rng.draw_below(b, base + i) for i, b in enumerate(self.bounds)]
+
+    def rows(self, base: int, batch: int) -> np.ndarray:
+        k = len(self.bounds)
+        idx = np.arange(base, base + batch * k, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            words = self.rng.words_np(idx * np.uint64(_WORDS_PER_DRAW))
+        x = words.reshape(batch, k) & self._mask
+        reject = x >= self._bound
+        attempt = 1
+        while reject.any():
+            if attempt >= _MAX_ATTEMPTS:
+                raise SamplerError(
+                    f"{_MAX_ATTEMPTS} draws rejected: generator fault", 0.0
+                )
+            pos = np.flatnonzero(reject.ravel())
+            if attempt < _WORDS_PER_DRAW:
+                with np.errstate(over="ignore"):
+                    repl = self.rng.words_np(
+                        idx[pos] * np.uint64(_WORDS_PER_DRAW) + np.uint64(attempt)
+                    )
+            else:
+                repl = self.rng.overflow_words_np(idx[pos], attempt)
+            cols = pos % k
+            repl &= self._mask[cols]
+            flat = x.ravel()
+            flat[pos] = repl
+            x = flat.reshape(batch, k)
+            reject_flat = np.zeros(batch * k, dtype=bool)
+            reject_flat[pos] = repl >= self._bound[cols]
+            reject = reject_flat.reshape(batch, k)
+            attempt += 1
+        return x
+
+
 # ---------------------------------------------------------------------------
 # parallelepipeds
 # ---------------------------------------------------------------------------
@@ -178,10 +264,8 @@ class Parallelepiped:
         self.resamples = resamples
         self.cell = HalfOpenCell(rows, abs(self.det), list(zip(*self.generators)))
 
-    def sampler(
-        self, rng: RngStream, max_rejects: int = 10**6, force_exact: bool = False
-    ) -> "RejectionSampler":
-        return RejectionSampler(rng, self.cell, max_rejects, force_exact)
+    def sampler(self, rng: RngStream, force_exact: bool = False) -> "CosetSampler":
+        return CosetSampler(self, rng, force_exact)
 
 
 def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
@@ -208,14 +292,109 @@ def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
                 )
 
 
+class CosetSampler:
+    """Uniform integer points of a parallelepiped, one uniform coset of
+    V Z^n per sample (the module docstring gives the method).
+
+    ``take(count)`` consumes exactly count * k draw indices from the
+    cursor, k the number of nontrivial Smith factors; the engine choice
+    depends only on the parallelepiped, never on sampled values.
+    """
+
+    def __init__(
+        self, parallelepiped: Parallelepiped, rng: RngStream, force_exact: bool = False
+    ):
+        generators = parallelepiped.generators
+        n = parallelepiped.dim
+        divisors, _, w = snf_with_transforms(ExactMatrix.from_columns(generators))
+        e = divisors[-1]
+        kept = [i for i, d in enumerate(divisors) if d > 1]
+        self.n = n
+        self._generators = generators
+        self._exponent = e
+        # g_i = V w_i / d_i in the coordinates a = e V^-1 z, reduced mod e
+        self._steps = [
+            [(e // divisors[i]) * (w.entry(r, i) % divisors[i]) for r in range(n)]
+            for i in kept
+        ]
+        box = parallelepiped.cell.box
+        self._fast = not force_exact and e < _INT64_GUARD and all(
+            max(-lo, hi) < _INT64_GUARD for lo, hi in box
+        )
+        self._core = _BoundedDraws(rng, [divisors[i] for i in kept], self._fast)
+        if self._fast:
+            self._tables = [
+                self._nibble_table(step, divisors[i]) for step, i in zip(self._steps, kept)
+            ]
+            # row k: what one fold subtracts from (a, z) when a_k >= e
+            fold = [[e * (r == k) for r in range(n)] + list(generators[k]) for k in range(n)]
+            self._fold = np.array(fold, dtype=np.int64)
+
+    def _point(self, a: Sequence[int]) -> list[int]:
+        """V a / e: the point of P with coordinates a = e V^-1 z in [0, e)."""
+        e = self._exponent
+        return [
+            sum(g[r] * c for g, c in zip(self._generators, a)) // e for r in range(self.n)
+        ]
+
+    def _nibble_table(self, step: Sequence[int], bound: int) -> np.ndarray:
+        """table[j, v] = (a, z), the point z of P with a = v 16^j step mod e."""
+        e = self._exponent
+        table = []
+        for j in range(-(-(bound - 1).bit_length() // 4)):
+            rows = []
+            for v in range(16):
+                a = [(v << (4 * j)) * s % e for s in step]
+                rows.append(a + self._point(a))
+            table.append(rows)
+        return np.array(table, dtype=np.int64)
+
+    def _point_exact(self, y: Sequence[int]) -> tuple[int, ...]:
+        """The point of P in the coset of y, in Python integers."""
+        e = self._exponent
+        a = [
+            sum(yi * step[r] for yi, step in zip(y, self._steps)) % e for r in range(self.n)
+        ]
+        return tuple(self._point(a))
+
+    def _points_int64(self, y: np.ndarray) -> np.ndarray:
+        """The points of P in the cosets of the rows of y, by the int64
+        nibble tables (only when the engine guard holds)."""
+        n, e = self.n, self._exponent
+        state = np.zeros((len(y), 2 * n), dtype=np.int64)
+        with np.errstate(over="ignore"):
+            for i, table in enumerate(self._tables):
+                digits = y[:, i].astype(np.int64)
+                for j in range(len(table)):
+                    state += table[j][(digits >> (4 * j)) & 15]
+                    state -= (state[:, :n] >= e) @ self._fold
+        return state[:, n:]
+
+    def take(self, count: int) -> list[tuple[int, ...]]:
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        core = self._core
+        k = len(core.bounds)
+        base = core.rng.draw_cursor
+        if self._fast:
+            out: list[tuple[int, ...]] = []
+            for start in range(0, count, _BATCH):
+                y = core.rows(base + start * k, min(_BATCH, count - start))
+                out.extend(map(tuple, self._points_int64(y).tolist()))
+        else:
+            out = [self._point_exact(core.row(base + j * k)) for j in range(count)]
+        core.rng.draw_cursor = base + count * k
+        return out
+
+
 # ---------------------------------------------------------------------------
-# rejection sampling core
+# window sampling
 # ---------------------------------------------------------------------------
 
 
-class RejectionSampler:
-    """Uniform sampling of the integer points of a half-open cell via
-    candidates drawn from the cell's box.
+class WindowSampler:
+    """Uniform lattice points of [0, B)^n, as basis coordinate tuples, by
+    rejection from the box of the window's cell in coordinates.
 
     Candidates are numbered by the stream cursor; the k-th accepted
     candidate is sample k, and after ``take`` the cursor sits right past
@@ -226,31 +405,23 @@ class RejectionSampler:
     """
 
     def __init__(
-        self,
-        rng: RngStream,
-        cell: HalfOpenCell,
-        max_rejects: int = 10**6,
-        force_exact: bool = False,
+        self, lattice: LatticeBasis, window: Window, rng: RngStream, force_exact: bool = False
     ):
-        self.rng = rng
-        self.cell = cell
-        self.max_rejects = max_rejects
+        self.cell = cell = window_cell(lattice, window)
         self.n = len(cell.box)
-        self.ranges = [hi - lo + 1 for lo, hi in cell.box]
+        ranges = [hi - lo + 1 for lo, hi in cell.box]
         self.candidates = 0
         self.accepted = 0
         self._since_accept = 0
-        self._fast = not force_exact and self._int64_safe()
+        self._fast = not force_exact and self._int64_safe(ranges)
+        self._core = _BoundedDraws(rng, ranges, self._fast)
         if self._fast:
             self._np_lo = np.array([lo for lo, _ in cell.box], dtype=np.int64)
             self._np_rows = np.array(cell.rows, dtype=np.int64)
-            bits = [(r - 1).bit_length() for r in self.ranges]
-            self._np_mask = np.array([(1 << b) - 1 for b in bits], dtype=np.uint64)
-            self._np_range = np.array(self.ranges, dtype=np.uint64)
 
-    def _int64_safe(self) -> bool:
+    def _int64_safe(self, ranges: Sequence[int]) -> bool:
         cell = self.cell
-        if cell.limit >= _INT64_GUARD or any(r >= _INT64_GUARD for r in self.ranges):
+        if cell.limit >= _INT64_GUARD or any(r >= _INT64_GUARD for r in ranges):
             return False
         # no test row is zero, so this also keeps every box end below the guard
         z_max = max(max(abs(lo), abs(hi)) for lo, hi in cell.box)
@@ -264,9 +435,9 @@ class RejectionSampler:
         return self.accepted / self.candidates
 
     def _reject_overflow(self, gap: int):
-        if gap > self.max_rejects:
+        if gap > _MAX_REJECTS:
             raise SamplerError(
-                f"exceeded {self.max_rejects} rejects for one sample "
+                f"exceeded {_MAX_REJECTS} rejects for one sample "
                 f"(acceptance so far {self.acceptance_estimate:.3g})",
                 acceptance_estimate=self.acceptance_estimate,
             )
@@ -281,16 +452,14 @@ class RejectionSampler:
     # -- big-integer engine ------------------------------------------------
 
     def _take_exact(self, count: int) -> list[tuple[int, ...]]:
-        rng = self.rng
+        rng = self._core.rng
         n = self.n
         box = self.cell.box
         out: list[tuple[int, ...]] = []
         while len(out) < count:
             base = rng.draw_cursor
             rng.draw_cursor += n
-            z = [
-                box[i][0] + rng.draw_below(self.ranges[i], base + i) for i in range(n)
-            ]
+            z = [lo + x for (lo, _), x in zip(box, self._core.row(base))]
             self.candidates += 1
             if self.cell.contains(z):
                 out.append(tuple(z))
@@ -303,51 +472,17 @@ class RejectionSampler:
 
     # -- vectorized engine ---------------------------------------------------
 
-    def _candidate_batch(self, base: int, batch: int) -> np.ndarray:
-        """Candidate coordinates for draw indices [base, base + batch*n)."""
-        n = self.n
-        idx = np.arange(base, base + batch * n, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            words = self.rng.words_np(idx * np.uint64(_WORDS_PER_DRAW))
-        x = words.reshape(batch, n) & self._np_mask
-        reject = x >= self._np_range
-        attempt = 1
-        while reject.any():
-            if attempt >= _MAX_ATTEMPTS:
-                raise SamplerError(
-                    f"{_MAX_ATTEMPTS} draws rejected: generator fault",
-                    self.acceptance_estimate,
-                )
-            pos = np.flatnonzero(reject.ravel())
-            if attempt < _WORDS_PER_DRAW:
-                with np.errstate(over="ignore"):
-                    repl = self.rng.words_np(
-                        idx[pos] * np.uint64(_WORDS_PER_DRAW) + np.uint64(attempt)
-                    )
-            else:
-                repl = self.rng.overflow_words_np(idx[pos], attempt)
-            cols = pos % self.n
-            repl &= self._np_mask[cols]
-            flat = x.ravel()
-            flat[pos] = repl
-            x = flat.reshape(batch, n)
-            reject_flat = np.zeros(batch * n, dtype=bool)
-            reject_flat[pos] = repl >= self._np_range[cols]
-            reject = reject_flat.reshape(batch, n)
-            attempt += 1
-        return self._np_lo + x.astype(np.int64)
-
     def _take_fast(self, count: int) -> list[tuple[int, ...]]:
-        rng = self.rng
+        rng = self._core.rng
         n = self.n
         out: list[tuple[int, ...]] = []
         while len(out) < count:
             need = count - len(out)
             rate = self.accepted / self.candidates if self.candidates else 0.5
             batch = int(need / max(rate, 1e-6) * 1.2) + 32
-            batch = max(256, min(batch, 1 << 16))
+            batch = max(256, min(batch, _BATCH))
             base = rng.draw_cursor
-            z = self._candidate_batch(base, batch)
+            z = self._np_lo + self._core.rows(base, batch).astype(np.int64)
             u = z @ self._np_rows.T
             accept = ((u >= 0) & (u < self.cell.limit)).all(axis=1)
             positions = np.flatnonzero(accept)
@@ -370,23 +505,3 @@ class RejectionSampler:
             for row in z[taken].tolist():
                 out.append(tuple(row))
         return out
-
-
-# ---------------------------------------------------------------------------
-# public sampling operations
-# ---------------------------------------------------------------------------
-
-
-class WindowSampler:
-    """Uniform lattice points of [0, B)^n, as basis coordinate tuples: the
-    rejection sampler over the window's cell in coordinates."""
-
-    def __init__(self, lattice: LatticeBasis, window: Window, rng: RngStream):
-        self._core = RejectionSampler(rng, window_cell(lattice, window))
-
-    @property
-    def acceptance_estimate(self) -> float:
-        return self._core.acceptance_estimate
-
-    def take(self, count: int) -> list[tuple[int, ...]]:
-        return self._core.take(count)

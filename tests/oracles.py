@@ -5,7 +5,8 @@ checks the library's integer elimination kernels, an exhaustive tuple
 count checks the closed-form group generation probabilities, and the
 totient summatory carries the coprime pair counts.  ``lattice_point``
 maps the integer basis coordinates the library returns to rational
-points.
+points, and ``box_rejection_sample`` samples a half-open cell by
+rejection from its bounding box.
 """
 
 from fractions import Fraction
@@ -153,3 +154,21 @@ def generation_prob_bruteforce(group, t: int) -> Fraction:
 def totient_summatory(n: int) -> int:
     """Exact sum_{k=1}^{n} phi(k)."""
     return sum(totients(n)[1:])
+
+
+def box_rejection_sample(cell, rng, count):
+    """``count`` uniform integer points of a half-open cell by rejection
+    from its box, one scalar candidate at a time: candidate coordinate i
+    takes draw index cursor + i, and rejected candidates are skipped.  On
+    parallelepipeds this is the "splitmix64-ctr-v1" sample stream, the one
+    before coset sampling."""
+    out = []
+    while len(out) < count:
+        base = rng.draw_cursor
+        rng.draw_cursor += len(cell.box)
+        z = tuple(
+            lo + rng.draw_below(hi - lo + 1, base + i) for i, (lo, hi) in enumerate(cell.box)
+        )
+        if cell.contains(z):
+            out.append(z)
+    return out

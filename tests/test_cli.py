@@ -166,8 +166,9 @@ def test_operational_error_exit_one(capsys):
     assert main(["fullrank-check", "--lattice", "/nonexistent.json"]) == 1
     # negative counts are refused up front, not reported as a failed check
     assert main(["fullrank-check", "--trials", "-5"]) == 1
-    assert main(["unimodular", "--n", "3", "--max-rejects", "-3"]) == 1
-    # flags a subcommand does not read are refused, not silently ignored
+    # flags a subcommand does not read are refused, not silently ignored;
+    # parallelepiped sampling rejects nothing, so there is no reject cap
+    assert main(["unimodular", "--n", "3", "--max-rejects", "5"]) == 1
     assert main([
         "coprime", "--n-max", "20", "--config", "/nonexistent.json",
         "--workers", "7", "--seed", "3",
@@ -241,6 +242,7 @@ def test_outputs_round_trip(argv, kind, tmp_path, capsys):
 
 # entry points the tracer still looks for although latgen no longer has them
 STALE_TRACED = {
+    "latgen.sampling.RejectionSampler.take",
     "latgen.exactmat.RationalMatrix.det",
     "latgen.exactmat.RationalMatrix.inverse",
     "latgen.exactmat.rank_of_rows",
@@ -251,11 +253,11 @@ STALE_TRACED = {
 }
 
 
-@pytest.mark.parametrize("argv,points,decisions", [
-    (["unimodular", "--n", "2", "--reps", "2", "--samples", "50"], 300, 100),
-    (["fullrank-check", "--trials", "200"], 400, 0),
+@pytest.mark.parametrize("argv,shards,decisions", [
+    (["unimodular", "--n", "2", "--reps", "2", "--samples", "50"], 2, 100),
+    (["fullrank-check", "--trials", "200"], 0, 0),
 ])
-def test_benchmark_tracer_sees_every_layer(argv, points, decisions, tmp_path):
+def test_benchmark_tracer_sees_every_layer(argv, shards, decisions, tmp_path):
     # a subprocess, since the tracer rebinds the library functions
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -267,6 +269,8 @@ def test_benchmark_tracer_sees_every_layer(argv, points, decisions, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     summary = json.loads(Path(prefix + ".summary.json").read_text())
-    assert summary["metrics"]["sampling.points"] == points
-    assert summary["metrics"]["exactmat.decisions"] == decisions
+    metrics = summary["metrics"]
+    assert len(metrics["shard_times"]) == shards  # experiments.shard_count
+    assert (metrics["sampling.window_take_s"] > 0) == (argv[0] == "fullrank-check")
+    assert metrics["exactmat.decisions"] == decisions
     assert set(summary["absent"]) <= STALE_TRACED

@@ -7,6 +7,7 @@ import pytest
 
 from latgen import experiments
 from latgen.experiments import (
+    KIND_UNIMODULAR,
     ExperimentConfig,
     _unimodular_shard,
     cluster_radius,
@@ -21,10 +22,13 @@ from latgen.experiments import (
     run_tv_check,
     run_tv_suite,
     run_unimodular_experiment,
+    stream_id,
     wilson_radius,
 )
+from latgen.exactmat import unimodular_columns
 from latgen.lattice import LatticeBasis, count_in_hyperplane
-from latgen.sampling import ALGORITHM_ID
+from latgen.sampling import ALGORITHM_ID, COSET_ALGORITHM_ID, RngStream, random_parallelepiped
+from oracles import box_rejection_sample
 
 Z1 = LatticeBasis([[1]])
 Z2 = LatticeBasis([[1, 0], [0, 1]])
@@ -102,7 +106,7 @@ def test_unimodular_reports_structure():
         total = sum(report.successes)
         assert report.average == Fraction(total, SMALL.reps * SMALL.samples)
         assert report.ideal_lo is not None
-        assert report.rng["algorithm"] == "splitmix64-ctr-v1"
+        assert report.rng["algorithm"] == "splitmix64-ctr-v1+coset-v1"
 
 
 def test_unimodular_deterministic_and_worker_invariant():
@@ -120,7 +124,22 @@ def test_unimodular_deterministic_and_worker_invariant():
 def test_unimodular_shard_successes_pinned():
     # (shard, successes, resamples) of the first 500 matrices of shards 0
     # and 1 at the acceptance-criterion-5 settings; any change here means
-    # the sample stream or the unimodularity decision moved
+    # the coset sample stream or the unimodularity decision moved
+    expected = {
+        1: [(0, 301, 0), (1, 315, 0)],
+        2: [(0, 269, 0), (1, 247, 0)],
+        3: [(0, 244, 0), (1, 231, 0)],
+        4: [(0, 206, 0), (1, 223, 0)],
+    }
+    assert COSET_ALGORITHM_ID == "splitmix64-ctr-v1+coset-v1"
+    for n, rows in expected.items():
+        got = [_unimodular_shard((0, n, n + 1, 10000, 500, shard)) for shard in (0, 1)]
+        assert got == rows, n
+
+
+def test_box_rejection_oracle_reproduces_rejection_pins():
+    # the same shards sampled by bounding-box rejection, the stream of
+    # "splitmix64-ctr-v1" reports, keep that stream's pinned counts
     expected = {
         1: [(0, 301, 0), (1, 315, 0)],
         2: [(0, 248, 0), (1, 225, 0)],
@@ -128,8 +147,21 @@ def test_unimodular_shard_successes_pinned():
         4: [(0, 220, 0), (1, 222, 0)],
     }
     assert ALGORITHM_ID == "splitmix64-ctr-v1"
+    samples = 500
     for n, rows in expected.items():
-        got = [_unimodular_shard((0, n, n + 1, 10000, 500, shard, 10**6)) for shard in (0, 1)]
+        m = n + 1
+        got = []
+        for shard in (0, 1):
+            p = random_parallelepiped(
+                n, 10000, RngStream(0, stream_id(KIND_UNIMODULAR, n, shard, 0))
+            )
+            rng = RngStream(0, stream_id(KIND_UNIMODULAR, n, shard, 1))
+            points = box_rejection_sample(p.cell, rng, samples * m)
+            successes = sum(
+                unimodular_columns([list(points[k * m + j]) for j in range(m)], n)
+                for k in range(samples)
+            )
+            got.append((shard, successes, p.resamples))
         assert got == rows, n
 
 

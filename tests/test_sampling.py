@@ -1,11 +1,15 @@
 """Sampler contracts: support exactness, determinism, uniformity.
 
 Ground truth for sampler supports is exhaustive enumeration of the
-integer points; the uniformity check is a chi-square test against the
-enumerated support with a documented 1-in-10-seeds flakiness budget.
+integer points; the coset sampler is also checked exhaustively, every
+draw tuple against the enumerated cell and the Smith-form projection of
+``groupgen.quotient_group``.  The uniformity check is a chi-square test
+against the enumerated support with a documented 1-in-10-seeds flakiness
+budget.
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +17,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from latgen import sampling
+from latgen.groupgen import quotient_group
 from latgen.lattice import LatticeBasis, Window, enumerate_window
 from latgen.sampling import (
     Parallelepiped,
@@ -249,7 +255,7 @@ def test_enumerate_matches_membership():
 
 
 # ---------------------------------------------------------------------------
-# rejection sampling
+# coset sampling
 # ---------------------------------------------------------------------------
 
 
@@ -258,8 +264,8 @@ def test_cube_sampler_accepts_everything():
     rng = RngStream(seed=13)
     sampler = p.sampler(rng)
     samples = sampler.take(2000)
-    assert sampler.acceptance_estimate == 1.0
-    assert {s for s in samples} <= {tuple(v) for v in __import__("itertools").product(range(5), repeat=3)}
+    assert rng.draw_cursor == 2000 * 3  # one draw per Smith factor 5, none rejected
+    assert {s for s in samples} <= {tuple(v) for v in itertools.product(range(5), repeat=3)}
     assert len(set(samples)) == 125  # every point seen
 
 
@@ -324,12 +330,71 @@ def test_exact_engine_huge_entries():
         assert p.cell.contains(z)
 
 
-def test_max_rejects_error_carries_estimate():
-    thin = Parallelepiped([[1, 3000], [0, 1]])
-    rng = RngStream(seed=123)
-    with pytest.raises(SamplerError) as info:
-        thin.sampler(rng, max_rejects=40).take(50)
-    assert 0 <= info.value.acceptance_estimate < 0.2
+def _small_parallelepipeds(seed: int, count: int) -> list[Parallelepiped]:
+    """Random parallelepipeds with n <= 4 and |det V| <= 3000."""
+    rng = random.Random(seed)
+    bound = {1: 3000, 2: 40, 3: 10, 4: 4}
+    found = []
+    while len(found) < count:
+        n = rng.randint(1, 4)
+        generators = [[rng.randint(-bound[n], bound[n]) for _ in range(n)] for _ in range(n)]
+        try:
+            p = Parallelepiped(generators)
+        except ValueError:
+            continue
+        if abs(p.det) <= 3000:
+            found.append(p)
+    return found
+
+
+def test_coset_map_is_a_bijection_onto_the_cell():
+    # every draw tuple y, through either engine, is one point of the cell
+    # in the coset of y, and together they are all of the cell's points
+    several_factors = [
+        Parallelepiped([[4, 2], [2, 4]]),
+        Parallelepiped([[3, 0, 0], [0, 6, 0], [0, 0, 6]]),
+        Parallelepiped([[6, 3, 0], [0, 6, 3], [3, 0, 6]]),
+        Parallelepiped([[2 * (i == j) for i in range(4)] for j in range(4)]),
+    ]
+    for p in several_factors + _small_parallelepipeds(2026, 200):
+        sampler = p.sampler(RngStream(seed=0))
+        assert sampler._fast
+        ys = list(itertools.product(*(range(d) for d in sampler._core.bounds)))
+        exact = [sampler._point_exact(y) for y in ys]
+        fast = sampler._points_int64(np.array(ys, dtype=np.uint64)).tolist()
+        assert [list(z) for z in exact] == fast
+        assert sorted(exact) == p.cell.points()
+        _, projection = quotient_group(p.generators)
+        assert [projection(z) for z in exact] == ys
+
+
+def _guard_cases():
+    yield Parallelepiped([[2**31, 5], [3, 2**31 - 1]]), True  # |det V| = 2^62 - 2^31 - 15
+    yield Parallelepiped([[2**31, 5], [3, 2**31 + 1]]), False  # |det V| = 2^62 + 2^31 - 15
+    for n in range(1, 7):
+        p = random_parallelepiped(n, 10**18, RngStream(seed=21, stream=n))
+        yield p, n == 1  # at n = 1, |det V| <= 10^18 < 2^62
+
+
+@pytest.mark.parametrize("p,fast_engine", list(_guard_cases()))
+def test_coset_engines_bit_identical_at_the_guard(p, fast_engine):
+    fast_rng = RngStream(seed=8, stream=3)
+    exact_rng = RngStream(seed=8, stream=3)
+    fast = p.sampler(fast_rng)
+    exact = p.sampler(exact_rng, force_exact=True)
+    assert fast._fast == fast_engine and not exact._fast
+    samples = fast.take(300)
+    assert samples == exact.take(300)
+    assert fast_rng.draw_cursor == exact_rng.draw_cursor
+    # sample j is the point of the cell in the coset of draws j k + i
+    bounds = fast._core.bounds
+    _, projection = quotient_group(p.generators)
+    draws = RngStream(seed=8, stream=3)
+    for j, z in enumerate(samples):
+        assert p.cell.contains(z)
+        assert projection(z) == tuple(
+            draws.draw_below(d, j * len(bounds) + i) for i, d in enumerate(bounds)
+        )
 
 
 def test_uniformity_chi_square():
@@ -381,6 +446,27 @@ def test_window_sampler_matches_enumeration_support():
         250 * len(expected)
     )
     assert set(draws) == expected
+
+
+def test_max_rejects_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(sampling, "_MAX_REJECTS", 40)
+    thin = LatticeBasis([[1, 0], [3000, 1]])  # 4 window points in a box of 12,002
+    rng = RngStream(seed=123)
+    with pytest.raises(SamplerError) as info:
+        WindowSampler(thin, Window(2, 2), rng).take(50)
+    assert 0 <= info.value.acceptance_estimate < 0.2
+
+
+def test_window_engines_bit_identical():
+    lattice = LatticeBasis([[2, 1], [1, 3]])
+    fast_rng = RngStream(seed=77, stream=9)
+    exact_rng = RngStream(seed=77, stream=9)
+    fast = WindowSampler(lattice, Window(2, 6), fast_rng)
+    exact = WindowSampler(lattice, Window(2, 6), exact_rng, force_exact=True)
+    assert fast._fast and not exact._fast
+    assert fast.take(500) == exact.take(500)
+    assert fast_rng.draw_cursor == exact_rng.draw_cursor
+    assert fast.acceptance_estimate == exact.acceptance_estimate < 1
 
 
 def test_window_sampler_membership_contract():
