@@ -61,7 +61,10 @@ def _experiment_config(args) -> ExperimentConfig:
     settings: dict = {}
     if args.config:
         with open(args.config) as handle:
-            settings.update(json.load(handle))
+            loaded = json.load(handle)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        settings.update(loaded)
     explicit = {
         "n_values": _parse_n_values(args.n) if args.n else None,
         "m_policy": args.m,
@@ -130,7 +133,12 @@ def _cmd_tv_check(args) -> tuple[Table, str]:
         if not (args.lattice and args.sub and args.B1):
             raise ValueError("custom tv-check needs --lattice, --sub and --B1")
         lattice = _load_lattice(args.lattice)
-        sub = [[Fraction(x) for x in vec] for vec in json.loads(args.sub)]
+        try:
+            sub = [[Fraction(x) for x in vec] for vec in json.loads(args.sub)]
+        except TypeError:
+            raise ValueError(
+                f"--sub must be a JSON list of vectors, not {args.sub}"
+            ) from None
         table = tv_table([run_tv_check(lattice, sub, Fraction(args.B1), name="custom")])
     else:
         table = run_tv_suite()
@@ -242,7 +250,7 @@ def main(argv=None) -> int:
     except SamplerError as exc:
         print(f"sampler error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(status, file=sys.stderr)

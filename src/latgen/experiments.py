@@ -153,10 +153,27 @@ class ExperimentConfig:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in obj.items():
+            if key == "n_values":
+                ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
+            elif key in _CONFIG_TYPES:
+                ok = isinstance(value, _CONFIG_TYPES[key])
+            else:
+                ok = _is_int(value)
+            if not ok:
+                raise ValueError(f"config {key} has the wrong type: {value!r}")
         data = dict(obj)
         if "n_values" in data:
             data["n_values"] = tuple(data["n_values"])
         return cls(**data)
+
+
+# the config fields that are not integers or lists of integers
+_CONFIG_TYPES = {"m_policy": str, "paper_scale": bool, "out": (str, type(None))}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 PAPER_SCALE_DEFAULTS = {"reps": 1000, "C": 10**18, "n_values": tuple(range(1, 16))}
@@ -688,7 +705,8 @@ def run_fullrank_check(
     if trials < 0:
         raise ValueError("trials must be >= 0")
     n = lattice.dim
-    b = Fraction(window_bound)
+    window = Window(n, window_bound)  # refuses B <= 0 whatever the trial count
+    b = window.bound
     nu = Fraction(nu_upper) if nu_upper is not None else lattice.nu_upper
     if n >= 2:
         threshold = bounds.window_thresholds(n, nu)[0]
@@ -704,7 +722,7 @@ def run_fullrank_check(
     rng = RngStream(seed, stream_id(KIND_FULLRANK, n, 0, 1))
     successes = 0
     if trials:
-        sampler = WindowSampler(lattice, Window(n, b), rng)
+        sampler = WindowSampler(lattice, window, rng)
         for _ in range(trials):
             # B is nonsingular, so the points span R^n iff their coordinates do
             if det(ExactMatrix.from_columns(sampler.take(n))) != 0:

@@ -45,11 +45,11 @@ the same y to the same point, so their streams are bit-identical.
 The lattice window [0, B)^n is, in basis coordinates, a half-open cell
 (``lattice.HalfOpenCell``) with no such quotient structure at hand.
 `WindowSampler` draws candidates uniformly from the cell's box and
-accepts them by the exact test 0 <= (R z)_i < L, in a vectorized int64
-engine when precomputed magnitude bounds rule out overflow and otherwise
-in a big-integer engine that computes the identical sequence with the
-cell's own test.  No floating point participates in any accept/reject
-decision.
+accepts them by the cell's exact test 0 <= (R z)_i < L, one candidate at
+a time in Python integers.  There is no vectorized window engine: a batch
+computes candidates past the last one a take uses, and full-rank trials
+take only n points each, so a batch spends more than it saves.  No
+floating point participates in any accept/reject decision.
 """
 
 from __future__ import annotations
@@ -396,37 +396,24 @@ class WindowSampler:
     """Uniform lattice points of [0, B)^n, as basis coordinate tuples, by
     rejection from the box of the window's cell in coordinates.
 
-    Candidates are numbered by the stream cursor; the k-th accepted
-    candidate is sample k, and after ``take`` the cursor sits right past
-    the candidate that produced the last returned sample.  The vectorized
-    engine and the big-integer engine therefore produce bit-identical
-    sample streams; the engine choice depends only on magnitude bounds
-    precomputed from the box and test matrix, never on sampled values.
+    Candidates are numbered by the stream cursor: candidate j of a take
+    starting at draw index ``base`` uses the n draws base + j n + i, and
+    is accepted by the cell's own exact test.  The k-th accepted candidate
+    is sample k, and after ``take`` the cursor sits right past the
+    candidate that produced the last returned sample, so a stream does not
+    depend on how its takes are chunked.  This big-integer loop is the one
+    engine (the module docstring says why there is no vectorized one).
+    More than ``_MAX_REJECTS`` rejected candidates in a row raise
+    `SamplerError`.
     """
 
-    def __init__(
-        self, lattice: LatticeBasis, window: Window, rng: RngStream, force_exact: bool = False
-    ):
-        self.cell = cell = window_cell(lattice, window)
-        self.n = len(cell.box)
-        ranges = [hi - lo + 1 for lo, hi in cell.box]
+    def __init__(self, lattice: LatticeBasis, window: Window, rng: RngStream):
+        self.cell = window_cell(lattice, window)
+        self.n = len(self.cell.box)
         self.candidates = 0
         self.accepted = 0
         self._since_accept = 0
-        self._fast = not force_exact and self._int64_safe(ranges)
-        self._core = _BoundedDraws(rng, ranges, self._fast)
-        if self._fast:
-            self._np_lo = np.array([lo for lo, _ in cell.box], dtype=np.int64)
-            self._np_rows = np.array(cell.rows, dtype=np.int64)
-
-    def _int64_safe(self, ranges: Sequence[int]) -> bool:
-        cell = self.cell
-        if cell.limit >= _INT64_GUARD or any(r >= _INT64_GUARD for r in ranges):
-            return False
-        # no test row is zero, so this also keeps every box end below the guard
-        z_max = max(max(abs(lo), abs(hi)) for lo, hi in cell.box)
-        r_max = max(max(abs(x) for x in row) for row in cell.rows)
-        return self.n * r_max * z_max < _INT64_GUARD
+        self._core = _BoundedDraws(rng, [hi - lo + 1 for lo, hi in self.cell.box], False)
 
     @property
     def acceptance_estimate(self) -> float:
@@ -434,74 +421,27 @@ class WindowSampler:
             return 1.0
         return self.accepted / self.candidates
 
-    def _reject_overflow(self, gap: int):
-        if gap > _MAX_REJECTS:
-            raise SamplerError(
-                f"exceeded {_MAX_REJECTS} rejects for one sample "
-                f"(acceptance so far {self.acceptance_estimate:.3g})",
-                acceptance_estimate=self.acceptance_estimate,
-            )
-
     def take(self, count: int) -> list[tuple[int, ...]]:
         if count < 0:
             raise ValueError("count must be >= 0")
-        if self._fast:
-            return self._take_fast(count)
-        return self._take_exact(count)
-
-    # -- big-integer engine ------------------------------------------------
-
-    def _take_exact(self, count: int) -> list[tuple[int, ...]]:
         rng = self._core.rng
-        n = self.n
         box = self.cell.box
         out: list[tuple[int, ...]] = []
         while len(out) < count:
             base = rng.draw_cursor
-            rng.draw_cursor += n
+            rng.draw_cursor += self.n
             z = [lo + x for (lo, _), x in zip(box, self._core.row(base))]
             self.candidates += 1
             if self.cell.contains(z):
                 out.append(tuple(z))
                 self.accepted += 1
                 self._since_accept = 0
-            else:
-                self._since_accept += 1
-                self._reject_overflow(self._since_accept)
-        return out
-
-    # -- vectorized engine ---------------------------------------------------
-
-    def _take_fast(self, count: int) -> list[tuple[int, ...]]:
-        rng = self._core.rng
-        n = self.n
-        out: list[tuple[int, ...]] = []
-        while len(out) < count:
-            need = count - len(out)
-            rate = self.accepted / self.candidates if self.candidates else 0.5
-            batch = int(need / max(rate, 1e-6) * 1.2) + 32
-            batch = max(256, min(batch, _BATCH))
-            base = rng.draw_cursor
-            z = self._np_lo + self._core.rows(base, batch).astype(np.int64)
-            u = z @ self._np_rows.T
-            accept = ((u >= 0) & (u < self.cell.limit)).all(axis=1)
-            positions = np.flatnonzero(accept)
-            if positions.size == 0:
-                rng.draw_cursor = base + batch * n
-                self.candidates += batch
-                self._since_accept += batch
-                self._reject_overflow(self._since_accept)
                 continue
-            taken = positions[: min(positions.size, need)]
-            self._reject_overflow(self._since_accept + int(taken[0]))
-            if taken.size > 1:
-                gaps = np.diff(taken) - 1
-                self._reject_overflow(int(gaps.max()))
-            consumed = int(taken[-1]) + 1
-            rng.draw_cursor = base + consumed * n
-            self.candidates += consumed
-            self.accepted += taken.size
-            self._since_accept = 0
-            for row in z[taken].tolist():
-                out.append(tuple(row))
+            self._since_accept += 1
+            if self._since_accept > _MAX_REJECTS:
+                raise SamplerError(
+                    f"exceeded {_MAX_REJECTS} rejects for one sample "
+                    f"(acceptance so far {self.acceptance_estimate:.3g})",
+                    acceptance_estimate=self.acceptance_estimate,
+                )
         return out

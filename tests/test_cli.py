@@ -160,7 +160,7 @@ def test_fullrank_subcommand(tmp_path, capsys):
     assert code == 0
 
 
-def test_operational_error_exit_one(capsys):
+def test_operational_error_exit_one(tmp_path, capsys):
     assert main(["unimodular", "--n", "0"]) == 1
     assert main(["coprime", "--n-max", "0"]) == 1
     assert main(["fullrank-check", "--lattice", "/nonexistent.json"]) == 1
@@ -174,6 +174,25 @@ def test_operational_error_exit_one(capsys):
         "--workers", "7", "--seed", "3",
     ]) == 1
     assert main(["tv-check", "--config", "/nonexistent.json"]) == 1
+    # malformed inputs are refused with an error line, not a traceback
+    z2 = tmp_path / "z2.json"
+    z2.write_text('{"n": 2, "basis": [["1", "0"], ["0", "1"]], "column_major": true}')
+    malformed = []
+    configs = ["[1, 2]", '{"n_values": 3}', '{"n_values": [1, "2"]}', '{"C": "100"}']
+    for i, text in enumerate(configs):
+        config = tmp_path / f"bad{i}.json"
+        config.write_text(text)
+        malformed.append(["unimodular", "--config", str(config)])
+    for sub in ("null", "5", "[1, 2]", "[[null]]"):
+        malformed.append(["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", "50"])
+    for bound in ("-5", "0", "1/0"):
+        malformed.append([
+            "fullrank-check", "--B", bound, "--allow-out-of-hypothesis", "--trials", "0",
+        ])
+    for argv in malformed:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
     # usage errors are operational too; --help stays a success
     assert main(["no-such-command"]) == 1
     assert main(["--help"]) == 0

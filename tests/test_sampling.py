@@ -457,16 +457,38 @@ def test_max_rejects_error_carries_estimate(monkeypatch):
     assert 0 <= info.value.acceptance_estimate < 0.2
 
 
-def test_window_engines_bit_identical():
-    lattice = LatticeBasis([[2, 1], [1, 3]])
-    fast_rng = RngStream(seed=77, stream=9)
-    exact_rng = RngStream(seed=77, stream=9)
-    fast = WindowSampler(lattice, Window(2, 6), fast_rng)
-    exact = WindowSampler(lattice, Window(2, 6), exact_rng, force_exact=True)
-    assert fast._fast and not exact._fast
-    assert fast.take(500) == exact.take(500)
-    assert fast_rng.draw_cursor == exact_rng.draw_cursor
-    assert fast.acceptance_estimate == exact.acceptance_estimate < 1
+# window streams taken when the window sampler still had an int64 engine
+# (the 2^70 window ran on its big-integer one); every take, whole or
+# chunked, must reproduce them: (lattice columns, bound, samples, cursor)
+WINDOW_STREAM_PINS = [
+    ([[2, 1], [1, 3]], 6, [
+        (2, 0), (2, 1), (2, 0), (0, 1), (-1, 2), (3, -1),
+        (1, 1), (0, 1), (3, -1), (2, 1), (3, -1), (3, -1),
+    ], 84),
+    ([[2, 1], [1, 3]], 2**70, [
+        (590654325345453468064, -180701484761699859770),
+        (467123242930487560196, -133208525773931350294),
+        (391603997047066315624, 86803508804987350867),
+        (124384136216149188795, 108335656527431451176),
+        (94746167214798907177, 109805136729984665584),
+        (441477950746515196950, 140542699152555594343),
+    ], 48),
+]
+
+
+@pytest.mark.parametrize("columns,bound,samples,cursor", WINDOW_STREAM_PINS)
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_window_stream_pinned(columns, bound, samples, cursor, chunk):
+    rng = RngStream(seed=77, stream=9)
+    sampler = WindowSampler(LatticeBasis(columns), Window(2, bound), rng)
+    if chunk is None:
+        taken = sampler.take(len(samples))
+    else:
+        taken = [z for _ in range(len(samples)) for z in sampler.take(chunk)]
+    assert taken == samples
+    assert rng.draw_cursor == cursor
+    assert sampler.candidates == cursor // 2
+    assert sampler.acceptance_estimate < 1
 
 
 def test_window_sampler_membership_contract():
