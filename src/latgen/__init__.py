@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``exactmat``   -- arbitrary-precision integer matrices, HNF, SNF,
-                    determinants, adjugates, unimodularity
+* ``exactmat``   -- exact integer kernels on plain column lists: HNF,
+                    SNF, determinants, adjugates, unimodularity
 * ``lattice``    -- full-rank lattices, covering-radius bounds, the
                     half-open cell (one box, membership test and
                     enumerator for windows and parallelepipeds) and
@@ -22,12 +22,10 @@ Library layout:
 __version__ = "0.1.0"
 
 from .enclosure import Enclosure
-from .exactmat import ExactMatrix
 from .lattice import LatticeBasis, Window
 
 __all__ = [
     "Enclosure",
-    "ExactMatrix",
     "LatticeBasis",
     "Window",
     "__version__",

@@ -32,7 +32,7 @@ from .experiments import (
     run_unimodular_experiment,
     tv_table,
 )
-from .lattice import LatticeBasis
+from .lattice import LatticeBasis, vectors_from_json
 from .sampling import SamplerError
 
 
@@ -133,12 +133,7 @@ def _cmd_tv_check(args) -> tuple[Table, str]:
         if not (args.lattice and args.sub and args.B1):
             raise ValueError("custom tv-check needs --lattice, --sub and --B1")
         lattice = _load_lattice(args.lattice)
-        try:
-            sub = [[Fraction(x) for x in vec] for vec in json.loads(args.sub)]
-        except TypeError:
-            raise ValueError(
-                f"--sub must be a JSON list of vectors, not {args.sub}"
-            ) from None
+        sub = vectors_from_json(json.loads(args.sub), "--sub")
         table = tv_table([run_tv_check(lattice, sub, Fraction(args.B1), name="custom")])
     else:
         table = run_tv_suite()

@@ -8,12 +8,18 @@ machine words, which is why exactness is non-negotiable).
 Three eliminations answer every question: fraction-free Gauss-Jordan
 elimination (``_bareiss_columns``: determinants, adjugates, maximal
 minors and the unimodularity decision), the column Hermite form
-(``_hnf_columns``: the integer normals of a span, for hyperplane counts)
+(``hnf``: the integer normals of a span, for hyperplane counts)
 and the Smith form (``snf_with_transforms``: quotient groups, whose
 divisors also decide full rank).
 
+A matrix is a plain sequence of its columns, each a sequence of Python
+integers (lists or tuples); no kernel modifies its input.  Results come back
+as lists of columns, except the Smith transforms, which come back as
+lists of rows because their callers apply U to vectors and read V by
+entry.
+
 Hermite normal form convention (column style): for an n x m matrix A we
-return H = A @ U with U in GL_m(Z) such that
+return H = A U with U in GL_m(Z) such that
 
 * the r pivot columns come first, the remaining columns are zero,
 * pivot rows strictly increase left to right and each pivot is positive,
@@ -27,82 +33,7 @@ identity.
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional, Sequence
-
-
-class ExactMatrix:
-    """Immutable integer matrix, entries stored row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries, got {len(entries)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ExactMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, [e for row in rows for e in row])
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]]) -> "ExactMatrix":
-        m = len(columns)
-        n = len(columns[0]) if m else 0
-        if any(len(col) != n for col in columns):
-            raise ValueError("ragged columns")
-        return cls(n, m, [columns[j][i] for i in range(n) for j in range(m)])
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def columns(self) -> list[list[int]]:
-        return [
-            [self.entries[i * self.cols + j] for i in range(self.rows)]
-            for j in range(self.cols)
-        ]
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        rows_a = self.to_rows()
-        cols_b = other.columns()
-        out = [
-            sum(a * b for a, b in zip(row, col)) for row in rows_a for col in cols_b
-        ]
-        return ExactMatrix(self.rows, other.cols, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix.from_rows({self.to_rows()!r})"
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +41,33 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _hnf_columns(cols: list[list[int]], n: int, ucols: Optional[list[list[int]]]):
-    """In-place column HNF on a list of columns; ucols mirrors the ops.
+def hnf(
+    columns: Sequence[Sequence[int]], n: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Column Hermite normal form of the n x m matrix A given by its m
+    columns (each of length n): returns (columns of H, columns of U) with
+    A U = H.
 
-    Returns the list of pivot rows (one per pivot column 0..r-1).
+    U is m x m with determinant +-1; zero columns of H sit at the right.
+    Any integer matrix has an HNF, so this never fails for m >= 1.  The
+    input is not modified.
     """
-    m = len(cols)
+    m = len(columns)
+    if m < 1:
+        raise ValueError("need at least one column")
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"columns must have length {n}")
+    cols = [list(col) for col in columns]
+    ucols = [[int(i == j) for i in range(m)] for j in range(m)]
+
+    def col_op(j, k, q):  # col_j -= q * col_k, in A and U
+        cj, ck, uj, uk = cols[j], cols[k], ucols[j], ucols[k]
+        for t in range(n):
+            cj[t] -= q * ck[t]
+        for t in range(m):
+            uj[t] -= q * uk[t]
+
     r = 0
-    pivot_rows = []
     for i in range(n):
         if r == m:
             break
@@ -129,58 +79,25 @@ def _hnf_columns(cols: list[list[int]], n: int, ucols: Optional[list[list[int]]]
             j0 = min(nz, key=lambda j: abs(cols[j][i]))
             a = cols[j0][i]
             for j in nz:
-                if j == j0:
-                    continue
                 q = cols[j][i] // a
-                if q:
-                    cj, c0 = cols[j], cols[j0]
-                    for t in range(i, n):
-                        cj[t] -= q * c0[t]
-                    if ucols is not None:
-                        uj, u0 = ucols[j], ucols[j0]
-                        for t in range(m):
-                            uj[t] -= q * u0[t]
-        nz = [j for j in range(r, m) if cols[j][i]]
+                if j != j0 and q:
+                    col_op(j, j0, q)
         if not nz:
             continue
         j0 = nz[0]
-        if j0 != r:
-            cols[r], cols[j0] = cols[j0], cols[r]
-            if ucols is not None:
-                ucols[r], ucols[j0] = ucols[j0], ucols[r]
+        cols[r], cols[j0] = cols[j0], cols[r]
+        ucols[r], ucols[j0] = ucols[j0], ucols[r]
         if cols[r][i] < 0:
             cols[r] = [-x for x in cols[r]]
-            if ucols is not None:
-                ucols[r] = [-x for x in ucols[r]]
+            ucols[r] = [-x for x in ucols[r]]
         pivot = cols[r][i]
         # reduce row i of the earlier pivot columns into [0, pivot)
         for k in range(r):
             q = cols[k][i] // pivot
             if q:
-                ck, cr = cols[k], cols[r]
-                for t in range(i, n):
-                    ck[t] -= q * cr[t]
-                if ucols is not None:
-                    uk, ur = ucols[k], ucols[r]
-                    for t in range(m):
-                        uk[t] -= q * ur[t]
-        pivot_rows.append(i)
+                col_op(k, r, q)
         r += 1
-    return pivot_rows
-
-
-def hnf(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Column Hermite normal form: returns (H, U) with A @ U = H.
-
-    U is m x m with determinant +-1; zero columns of H sit at the right.
-    Any integer matrix has an HNF, so this never fails for m >= 1.
-    """
-    if a.cols < 1:
-        raise ValueError("need at least one column")
-    cols = a.columns()
-    ucols = [[1 if i == j else 0 for i in range(a.cols)] for j in range(a.cols)]
-    _hnf_columns(cols, a.rows, ucols)
-    return ExactMatrix.from_columns(cols), ExactMatrix.from_columns(ucols)
+    return cols, ucols
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -321,22 +238,19 @@ def _generates_mod(cols: Sequence[Sequence[int]], n: int, modulus: int) -> bool:
     return True
 
 
-def is_unimodular(a: ExactMatrix) -> bool:
-    """True iff the columns of a generate Z^n (n = a.rows)."""
-    return unimodular_columns(a.columns(), a.rows)
-
-
 # ---------------------------------------------------------------------------
 # Determinant (Bareiss fraction-free elimination)
 # ---------------------------------------------------------------------------
 
 
-def det(a: ExactMatrix) -> int:
-    """Determinant: the sign of the pivot order times the last pivot of
-    one fraction-free elimination (``_bareiss_columns``); 1 for n = 0."""
-    if a.rows != a.cols:
+def det(columns: Sequence[Sequence[int]]) -> int:
+    """Determinant of the square matrix given by its columns: the sign of
+    the pivot order times the last pivot of one fraction-free elimination
+    (``_bareiss_columns``); 1 for n = 0."""
+    n = len(columns)
+    if any(len(col) != n for col in columns):
         raise ValueError("determinant requires a square matrix")
-    d, pivots, _ = _bareiss_columns(a.columns(), a.rows)
+    d, pivots, _ = _bareiss_columns(columns, n)
     return _permutation_sign(pivots) * d if d else 0
 
 
@@ -379,78 +293,54 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def snf(a: ExactMatrix) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... | d_r of a (zeros dropped).
-
-    The zero matrix yields an empty list.  prod(d_i over i <= k) equals
-    the gcd of all k x k minors.
-    """
-    d, _, _ = snf_with_transforms(a, want_transforms=False)
-    return d
-
-
 def snf_with_transforms(
-    a: ExactMatrix, want_transforms: bool = True
-) -> tuple[list[int], Optional[ExactMatrix], Optional[ExactMatrix]]:
-    """Diagonalize: U @ A @ V = diag(d_1..d_r, 0...).
+    columns: Sequence[Sequence[int]], n: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Diagonalize the n x m matrix A given by its m columns (each of
+    length n): U A V = diag(d_1..d_r, 0...).
 
-    Returns (divisors, U, V); U is rows x rows, V is cols x cols, both
-    unimodular.  Transforms are skipped when not requested.
+    Returns (divisors, rows of U, rows of V); U is n x n, V is m x m, both
+    unimodular.  The divisors are the invariant factors
+    d_1 | d_2 | ... | d_r (zeros dropped, so the zero matrix yields an
+    empty list), and d_1 ... d_k is the gcd of all k x k minors.
     """
-    n, m = a.rows, a.cols
-    mat = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_transforms else None
-    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_transforms else None
+    m = len(columns)
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"columns must have length {n}")
+    mat = [[col[i] for col in columns] for i in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
 
-    def row_op(i, k, q):  # row_i -= q * row_k
-        mi, mk = mat[i], mat[k]
+    def row_op(i, k, q):  # row_i -= q * row_k, in A and U
+        mi, mk, ui, uk = mat[i], mat[k], u[i], u[k]
         for t in range(m):
             mi[t] -= q * mk[t]
-        if u is not None:
-            ui, uk = u[i], u[k]
-            for t in range(n):
-                ui[t] -= q * uk[t]
+        for t in range(n):
+            ui[t] -= q * uk[t]
 
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for row in mat:
+    def col_op(j, k, q):  # col_j -= q * col_k, in A and V
+        for row in mat + v:
             row[j] -= q * row[k]
-        if v is not None:
-            for row in v:
-                row[j] -= q * row[k]
-
-    def swap_rows(i, k):
-        mat[i], mat[k] = mat[k], mat[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in mat:
-            row[j], row[k] = row[k], row[j]
-        if v is not None:
-            for row in v:
-                row[j], row[k] = row[k], row[j]
 
     def select_pivot(t) -> bool:
         """Swap a minimal-magnitude nonzero of the trailing block into
         (t, t) and make it positive; False when the block is zero."""
-        best = None
-        pos = None
+        best = pos = None
         for i in range(t, n):
             for j in range(t, m):
                 e = mat[i][j]
                 if e and (best is None or -best < e < best):
-                    best = abs(e)
-                    pos = (i, j)
+                    best, pos = abs(e), (i, j)
         if pos is None:
             return False
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
+        i, j = pos
+        mat[t], mat[i] = mat[i], mat[t]
+        u[t], u[i] = u[i], u[t]
+        for row in mat + v:
+            row[t], row[j] = row[j], row[t]
         if mat[t][t] < 0:
-            for j in range(m):
-                mat[t][j] = -mat[t][j]
-            if u is not None:
-                for j in range(n):
-                    u[t][j] = -u[t][j]
+            mat[t] = [-x for x in mat[t]]
+            u[t] = [-x for x in u[t]]
         return True
 
     t = 0
@@ -465,38 +355,24 @@ def snf_with_transforms(
             p = mat[t][t]
             half = p // 2
             for i in range(t + 1, n):
-                val = mat[i][t]
-                if val:
-                    q = (val + half) // p
-                    if q:
-                        row_op(i, t, q)
+                q = (mat[i][t] + half) // p
+                if q:
+                    row_op(i, t, q)
             for j in range(t + 1, m):
-                val = mat[t][j]
-                if val:
-                    q = (val + half) // p
-                    if q:
-                        col_op(j, t, q)
-            if any(mat[i][t] for i in range(t + 1, n)) or any(
-                mat[t][j] for j in range(t + 1, m)
-            ):
+                q = (mat[t][j] + half) // p
+                if q:
+                    col_op(j, t, q)
+            if any(mat[i][t] for i in range(t + 1, n)) or any(mat[t][t + 1 :]):
                 select_pivot(t)
                 continue
-            # enforce divisibility of the trailing block by the pivot
-            p = mat[t][t]
-            culprit = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if mat[i][j] % p:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            # enforce divisibility of the trailing block by the pivot p
+            culprit = next(
+                (i for i in range(t + 1, n) if any(x % p for x in mat[i][t + 1 :])), None
+            )
             if culprit is None:
                 break
             row_op(t, culprit, -1)  # add the offending row to row t
         t += 1
 
     divisors = [mat[i][i] for i in range(limit) if i < t and mat[i][i]]
-    u_m = ExactMatrix.from_rows(u) if u is not None else None
-    v_m = ExactMatrix.from_rows(v) if v is not None else None
-    return divisors, u_m, v_m
+    return divisors, u, v

@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 
 from . import bounds
 from .bounds import ZetaContext
-from .exactmat import ExactMatrix, det, unimodular_columns
+from .exactmat import det, unimodular_columns
 from .groupgen import quotient_group
 from .lattice import (
     LatticeBasis,
@@ -701,6 +701,12 @@ def run_fullrank_check(
     and asserts nothing); inside the hypothesis, the check is
     frequency >= 1/2 - 3 Wilson radii.  With zero trials the frequency
     is empty and nothing is asserted.
+
+    A ``nu_upper`` with (2 nu)^n < det is refused: cubes of side 2 nu
+    centred on the lattice points cover R^n once nu is at least the
+    covering radius, so such a value cannot be an upper bound.  This
+    exact test refuses only provably wrong values; it does not certify
+    that nu is an upper bound.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -708,6 +714,11 @@ def run_fullrank_check(
     window = Window(n, window_bound)  # refuses B <= 0 whatever the trial count
     b = window.bound
     nu = Fraction(nu_upper) if nu_upper is not None else lattice.nu_upper
+    if nu <= 0 or (2 * nu) ** n < lattice.det:
+        raise ValueError(
+            f"nu_upper {nu} is below the covering radius: cubes of side 2 nu "
+            f"around the lattice points cannot cover R^{n} (det {lattice.det})"
+        )
     if n >= 2:
         threshold = bounds.window_thresholds(n, nu)[0]
         hypothesis_held = b >= threshold
@@ -725,7 +736,7 @@ def run_fullrank_check(
         sampler = WindowSampler(lattice, window, rng)
         for _ in range(trials):
             # B is nonsingular, so the points span R^n iff their coordinates do
-            if det(ExactMatrix.from_columns(sampler.take(n))) != 0:
+            if det(sampler.take(n)) != 0:
                 successes += 1
     freq = Fraction(successes, trials) if trials else None
     radius = wilson_radius(successes, trials)

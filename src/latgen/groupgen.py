@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .exactmat import ExactMatrix, snf_with_transforms, unimodular_columns
+from .exactmat import snf_with_transforms, unimodular_columns
 
 GroupElement = tuple[int, ...]
 
@@ -85,15 +85,14 @@ def quotient_group(
     nontrivial factors.  The group order equals |det C|, the sublattice
     index.
     """
-    c = ExactMatrix.from_columns(coordinate_columns)
-    if c.rows != c.cols:
+    n = len(coordinate_columns)
+    if any(len(col) != n for col in coordinate_columns):
         raise ValueError("sublattice needs n generators of length n")
-    divisors, u, _ = snf_with_transforms(c)
-    if len(divisors) < c.rows:
+    divisors, u_rows, _ = snf_with_transforms(coordinate_columns, n)
+    if len(divisors) < n:
         raise ValueError("sublattice generators are not full rank")
     group = FiniteAbelianGroup(divisors)
     kept = [i for i, d in enumerate(divisors) if d > 1]
-    u_rows = u.to_rows()
 
     def projection(x: Sequence[int]) -> GroupElement:
         return tuple(

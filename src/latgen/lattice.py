@@ -41,11 +41,24 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .enclosure import sqrt_enclosure
-from .exactmat import ExactMatrix, _scaled_inverse, hnf
+from .exactmat import _scaled_inverse, hnf
 
 _ENUM_GUARD = 10**7
 _BOX_GUARD = 5 * 10**7
 _INT64_GUARD = 1 << 62
+
+
+def vectors_from_json(value, what: str) -> list[list[Fraction]]:
+    """Exact vectors from decoded JSON: a list of lists whose entries are
+    JSON integers or strings ("3", "-2/7", "0.1").  Anything else (floats,
+    booleans, null, other shapes) raises ValueError naming ``what``."""
+    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+        raise ValueError(f"{what} must be a JSON list of vectors")
+    for vec in value:
+        for e in vec:
+            if isinstance(e, bool) or not isinstance(e, (int, str)):
+                raise ValueError(f"{what} entry {json.dumps(e)} is not a JSON integer or string")
+    return [[Fraction(e) for e in vec] for vec in value]
 
 
 def _floor(x: Fraction) -> int:
@@ -103,15 +116,23 @@ class LatticeBasis:
     def from_json(cls, text: str) -> "LatticeBasis":
         """Load {"n": int, "basis": [[...], ...], "column_major": bool}.
 
-        Entries are strings ("p/q" or decimal) so exactness survives the
-        round trip; column_major defaults to true.
+        Entries are JSON integers or strings ("p/q" or decimal), so
+        exactness survives the round trip (``vectors_from_json``);
+        column_major defaults to true.  Any other shape raises ValueError.
         """
         obj = json.loads(text)
-        n = obj["n"]
-        vectors = [[Fraction(e) for e in vec] for vec in obj["basis"]]
+        if not isinstance(obj, dict) or "basis" not in obj:
+            raise ValueError('lattice JSON must be an object with "n" and "basis"')
+        n = obj.get("n")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f'lattice "n" must be a JSON integer, not {json.dumps(n)}')
+        column_major = obj.get("column_major", True)
+        if not isinstance(column_major, bool):
+            raise ValueError('lattice "column_major" must be true or false')
+        vectors = vectors_from_json(obj["basis"], "lattice basis")
         if len(vectors) != n or any(len(v) != n for v in vectors):
             raise ValueError("basis shape does not match n")
-        if not obj.get("column_major", True):
+        if not column_major:
             vectors = list(zip(*vectors))
         return cls(vectors)
 
@@ -411,12 +432,12 @@ def count_in_hyperplane(
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n spanning vectors")
     rows = [lattice._coordinate_numerators(v)[0] for v in spanning]
-    h, u = hnf(ExactMatrix.from_rows(rows))
-    # A @ U = H with the zero columns of H last: the matching columns of U
+    h, u = hnf(list(zip(*rows)), k)
+    # A U = H with the zero columns of H last: the matching columns of U
     # are an integer basis of {x : A x = 0}
-    if sum(1 for col in h.columns() if any(col)) != k:
+    if sum(1 for col in h if any(col)) != k:
         raise ValueError("spanning set is not independent")
-    normals = u.columns()[k:]
+    normals = u[k:]
     if points is None:
         points = enumerate_window(lattice, window)
     return sum(

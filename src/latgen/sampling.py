@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmat import ExactMatrix, _scaled_inverse, snf_with_transforms
+from .exactmat import _scaled_inverse, snf_with_transforms
 from .lattice import HalfOpenCell, LatticeBasis, Window, window_cell
 
 _M64 = (1 << 64) - 1
@@ -306,7 +306,7 @@ class CosetSampler:
     ):
         generators = parallelepiped.generators
         n = parallelepiped.dim
-        divisors, _, w = snf_with_transforms(ExactMatrix.from_columns(generators))
+        divisors, _, w = snf_with_transforms(generators, n)
         e = divisors[-1]
         kept = [i for i, d in enumerate(divisors) if d > 1]
         self.n = n
@@ -314,7 +314,7 @@ class CosetSampler:
         self._exponent = e
         # g_i = V w_i / d_i in the coordinates a = e V^-1 z, reduced mod e
         self._steps = [
-            [(e // divisors[i]) * (w.entry(r, i) % divisors[i]) for r in range(n)]
+            [(e // divisors[i]) * (w[r][i] % divisors[i]) for r in range(n)]
             for i in kept
         ]
         box = parallelepiped.cell.box

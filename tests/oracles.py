@@ -1,18 +1,18 @@
 """Reference implementations the tests compare the library against.
 
 Exact Gaussian elimination over ``Fraction`` (solve, inverse, rank)
-checks the library's integer elimination kernels, an exhaustive tuple
-count checks the closed-form group generation probabilities, and the
-totient summatory carries the coprime pair counts.  ``lattice_point``
-maps the integer basis coordinates the library returns to rational
-points, and ``box_rejection_sample`` samples a half-open cell by
-rejection from its bounding box.
+checks the library's integer elimination kernels, ``matmul`` checks
+their normal-form transforms, an exhaustive tuple count (with its own
+Hermite basis) checks the closed-form group generation probabilities,
+and the totient summatory carries the coprime pair counts.
+``lattice_point`` maps the integer basis coordinates the library returns
+to rational points, and ``box_rejection_sample`` samples a half-open
+cell by rejection from its bounding box.
 """
 
 from fractions import Fraction
 
 from latgen.bounds import totients
-from latgen.exactmat import _hnf_columns
 
 
 def fraction_solve(rows, rhs):
@@ -95,6 +95,17 @@ def rank_of_rows(rows):
     return rank
 
 
+def matmul(a, b):
+    """Rows of the product of two integer matrices given by their rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def transpose(matrix):
+    """Columns of a matrix given by its rows, or rows of one given by its
+    columns (at least one of each)."""
+    return [list(line) for line in zip(*matrix)]
+
+
 def lattice_point(columns, coords):
     """The point B c of the basis with the given rational columns."""
     point = [Fraction(0)] * len(columns)
@@ -129,9 +140,7 @@ def generation_prob_bruteforce(group, t: int) -> Fraction:
         diag_cols.append(col)
 
     def canonical(extra_cols):
-        cols = [list(c) for c in extra_cols] + [list(c) for c in diag_cols]
-        _hnf_columns(cols, k, None)
-        return tuple(tuple(col) for col in cols[:k])
+        return _hermite_basis([list(c) for c in extra_cols] + diag_cols, k)
 
     identity_key = canonical(
         [[1 if i == j else 0 for i in range(k)] for j in range(k)]
@@ -149,6 +158,35 @@ def generation_prob_bruteforce(group, t: int) -> Fraction:
                 nxt[new_key] = nxt.get(new_key, 0) + count
         levels = nxt
     return Fraction(levels.get(identity_key, 0), order**t)
+
+
+def _hermite_basis(cols, k):
+    """The pivot columns of the column Hermite form of integer columns of
+    length k (the ``latgen.exactmat.hnf`` convention, without the
+    transform), as a tuple key: a canonical basis of the lattice they
+    span.  Works on the given lists in place."""
+    m = len(cols)
+    r = 0
+    for i in range(k):
+        while True:  # gcd-eliminate row i across columns r..m-1
+            nz = [j for j in range(r, m) if cols[j][i]]
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: abs(cols[j][i]))
+            for j in nz:
+                q = cols[j][i] // cols[j0][i]
+                if j != j0 and q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
+        if not nz:
+            continue
+        cols[r], cols[nz[0]] = cols[nz[0]], cols[r]
+        if cols[r][i] < 0:
+            cols[r] = [-x for x in cols[r]]
+        for j in range(r):  # reduce row i of earlier pivots into [0, pivot)
+            q = cols[j][i] // cols[r][i]
+            cols[j] = [x - q * y for x, y in zip(cols[j], cols[r])]
+        r += 1
+    return tuple(tuple(col) for col in cols[:r])
 
 
 def totient_summatory(n: int) -> int:

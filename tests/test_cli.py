@@ -183,12 +183,29 @@ def test_operational_error_exit_one(tmp_path, capsys):
         config = tmp_path / f"bad{i}.json"
         config.write_text(text)
         malformed.append(["unimodular", "--config", str(config)])
-    for sub in ("null", "5", "[1, 2]", "[[null]]"):
+    for sub in ("null", "5", "[1, 2]", "[[null]]", "[[true, 0], [0, 2]]", "[[2.0, 0], [0, 2]]"):
         malformed.append(["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", "50"])
     for bound in ("-5", "0", "1/0"):
         malformed.append([
             "fullrank-check", "--B", bound, "--allow-out-of-hypothesis", "--trials", "0",
         ])
+    # lattice entries are JSON integers or strings; floats and booleans
+    # would silently change the lattice, other shapes used to escape as
+    # tracebacks
+    lattices = [
+        '{"n": 2, "basis": [[0.1, 0], [0, 1]]}', '{"n": 2, "basis": [[true, 0], [0, 1]]}',
+        '{"n": true, "basis": [["1"]]}', '{"n": 1, "basis": [["1"]], "column_major": "no"}',
+        "[1, 2]", '{"n": 2}', '{"n": 2, "basis": 5}', '{"n": 1, "basis": [[null]]}',
+    ]
+    for i, text in enumerate(lattices):
+        lattice = tmp_path / f"lattice{i}.json"
+        lattice.write_text(text)
+        malformed.append([
+            "fullrank-check", "--lattice", str(lattice), "--B", "8",
+            "--allow-out-of-hypothesis", "--trials", "10",
+        ])
+    # (2 nu)^2 < det Z^2: no covering-radius upper bound can be that small
+    malformed.append(["fullrank-check", "--nu-upper", "1/1000", "--trials", "10"])
     for argv in malformed:
         capsys.readouterr()
         assert main(argv) == 1, argv

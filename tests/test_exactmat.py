@@ -15,17 +15,14 @@ from math import gcd
 import pytest
 
 from latgen.exactmat import (
-    ExactMatrix,
     _bareiss_columns,
     det,
     hnf,
-    is_unimodular,
-    snf,
     snf_with_transforms,
     unimodular_columns,
 )
 from latgen.lattice import LatticeBasis
-from oracles import fraction_inverse, fraction_solve, rank_of_rows
+from oracles import fraction_inverse, fraction_solve, matmul, rank_of_rows, transpose
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -173,9 +170,12 @@ def _unimodular_by_rows(cols, n):
 
 
 def random_matrix(rng, n, m, lo, hi):
-    return ExactMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
-    )
+    """Rows of an n x m matrix with entries uniform on [lo, hi]."""
+    return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
+
+
+def identity(n):
+    return [[int(i == j) for i in range(n)] for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +184,28 @@ def random_matrix(rng, n, m, lo, hi):
 
 
 def test_hnf_identity():
-    a = ExactMatrix.identity(3)
-    h, u = hnf(a)
+    a = identity(3)
+    h, u = hnf(a, 3)
     assert h == a
-    assert u == ExactMatrix.identity(3)
+    assert u == identity(3)
 
 
 def test_hnf_already_normal():
-    a = ExactMatrix.from_rows([[2, 0], [0, 2]])
-    h, _ = hnf(a)
+    a = [[2, 0], [0, 2]]
+    h, _ = hnf(a, 2)
     assert h == a
 
 
 def test_hnf_pivot_block_identity():
-    a = ExactMatrix.from_rows([[1, 0, 2], [0, 1, 3]])
-    h, u = hnf(a)
-    assert h.to_rows() == [[1, 0, 0], [0, 1, 0]]
-    assert a @ u == h
+    a = [[1, 0, 2], [0, 1, 3]]
+    h, u = hnf(transpose(a), 2)
+    assert transpose(h) == [[1, 0, 0], [0, 1, 0]]
+    assert matmul(a, transpose(u)) == transpose(h)
     assert det(u) in (-1, 1)
 
 
-def _hnf_structure_ok(h):
-    """Check the documented column-HNF normal form of h."""
-    cols = h.columns()
-    n = h.rows
+def _hnf_structure_ok(cols, n):
+    """Check the documented column-HNF normal form of the columns of H."""
     pivots = []
     for j, col in enumerate(cols):
         nz = [i for i in range(n) if col[i]]
@@ -232,12 +230,12 @@ def test_hnf_random_invariants():
         n = rng.randint(1, 5)
         m = rng.randint(1, 6)
         a = random_matrix(rng, n, m, -30, 30)
-        h, u = hnf(a)
-        assert a @ u == h
+        h, u = hnf(transpose(a), n)
+        assert matmul(a, transpose(u)) == transpose(h)
         assert det(u) in (-1, 1)
-        _hnf_structure_ok(h)
+        _hnf_structure_ok(h, n)
         # idempotence
-        h2, _ = hnf(h)
+        h2, _ = hnf(h, n)
         assert h2 == h
 
 
@@ -245,23 +243,34 @@ def test_hnf_huge_entries():
     rng = random.Random(7)
     for _ in range(20):
         a = random_matrix(rng, 4, 4, -(10**18), 10**18)
-        h, u = hnf(a)
-        assert a @ u == h
+        h, u = hnf(transpose(a), 4)
+        assert matmul(a, transpose(u)) == transpose(h)
         assert det(u) in (-1, 1)
 
 
 def test_hnf_zero_columns_move_right():
-    a = ExactMatrix.from_rows([[0, 2, 0], [0, 0, 0]])
-    h, u = hnf(a)
-    assert h.columns()[0] == [2, 0]
-    assert h.columns()[1] == [0, 0]
-    assert h.columns()[2] == [0, 0]
-    assert a @ u == h
+    a = [[0, 2, 0], [0, 0, 0]]
+    h, u = hnf(transpose(a), 2)
+    assert h[0] == [2, 0]
+    assert h[1] == [0, 0]
+    assert h[2] == [0, 0]
+    assert matmul(a, transpose(u)) == transpose(h)
 
 
 def test_hnf_rejects_empty():
     with pytest.raises(ValueError):
-        hnf(ExactMatrix(2, 0, []))
+        hnf([], 2)
+
+
+def test_kernels_take_tuple_columns_and_leave_input_unmodified():
+    # both eliminations work in place, so the kernels must copy
+    columns = [[4, 6], [2, 1], [0, 3]]
+    snapshot = [list(col) for col in columns]
+    results = (hnf(columns, 2), det(columns[:2]), snf_with_transforms(columns, 2))
+    assert columns == snapshot
+    assert results[0][0] != snapshot  # the elimination did change its copy
+    tuples = tuple(tuple(col) for col in columns)
+    assert (hnf(tuples, 2), det(tuples[:2]), snf_with_transforms(tuples, 2)) == results
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +279,13 @@ def test_hnf_rejects_empty():
 
 
 def test_det_examples():
-    assert det(ExactMatrix.identity(4)) == 1
-    assert det(ExactMatrix.from_rows([[2, 0], [0, 3]])) == 6
-    assert det(ExactMatrix(0, 0, [])) == 1
-    assert det(ExactMatrix.from_rows([[-7]])) == -7
-    assert det(ExactMatrix.from_rows([[0]])) == 0
-    assert det(ExactMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det(ExactMatrix.from_rows([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
+    assert det(identity(4)) == 1
+    assert det(transpose([[2, 0], [0, 3]])) == 6
+    assert det([]) == 1
+    assert det([[-7]]) == -7
+    assert det([[0]]) == 0
+    assert det(transpose([[0, 1], [1, 0]])) == -1
+    assert det(transpose([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
 
 
 def test_det_matches_cofactor_oracle():
@@ -284,7 +293,7 @@ def test_det_matches_cofactor_oracle():
     for _ in range(60):
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n, -10, 10)
-        assert det(a) == det_cofactor(a.to_rows())
+        assert det(transpose(a)) == det_cofactor(a)
 
 
 def test_det_pivot_order_and_singular_match_cofactor_oracle():
@@ -299,10 +308,9 @@ def test_det_pivot_order_and_singular_match_cofactor_oracle():
         if n > 1 and rng.random() < 0.3:  # repeat a combination of rows
             i, j = rng.sample(range(n), 2)
             rows[i] = [rng.randint(-2, 2) * x for x in rows[j]]
-        a = ExactMatrix.from_rows(rows)
         expected = det_cofactor(rows)
-        assert det(a) == expected, rows
-        d, pivots, _ = _bareiss_columns(a.columns(), n)
+        assert det(transpose(rows)) == expected, rows
+        d, pivots, _ = _bareiss_columns(transpose(rows), n)
         if expected:
             signs.add((pivots == sorted(pivots), expected * d > 0))
         else:
@@ -313,7 +321,7 @@ def test_det_pivot_order_and_singular_match_cofactor_oracle():
 
 def test_det_requires_square():
     with pytest.raises(ValueError):
-        det(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        det(transpose([[1, 2, 3], [4, 5, 6]]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +330,10 @@ def test_det_requires_square():
 
 
 def test_snf_examples():
-    assert snf(ExactMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
-    assert snf(ExactMatrix.identity(4)) == [1, 1, 1, 1]
-    assert snf(ExactMatrix.from_rows([[2, 0], [0, 2]])) == [2, 2]
-    assert snf(ExactMatrix(2, 2, [0, 0, 0, 0])) == []
+    assert snf_with_transforms(transpose([[2, 0], [0, 3]]), 2)[0] == [1, 6]
+    assert snf_with_transforms(identity(4), 4)[0] == [1, 1, 1, 1]
+    assert snf_with_transforms(transpose([[2, 0], [0, 2]]), 2)[0] == [2, 2]
+    assert snf_with_transforms([[0, 0], [0, 0]], 2)[0] == []
 
 
 def test_snf_random_invariants():
@@ -334,25 +342,25 @@ def test_snf_random_invariants():
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
         a = random_matrix(rng, n, m, -12, 12)
-        divisors, u, v = snf_with_transforms(a)
+        divisors, u, v = snf_with_transforms(transpose(a), n)
         assert all(d > 0 for d in divisors)
         for d1, d2 in zip(divisors, divisors[1:]):
             assert d2 % d1 == 0
         # U A V is the diagonal the divisors describe
-        s = (u @ a) @ v
+        s = matmul(matmul(u, a), v)
         for i in range(n):
             for j in range(m):
                 expected = divisors[i] if i == j and i < len(divisors) else 0
-                assert s.entry(i, j) == expected
+                assert s[i][j] == expected
         assert det(u) in (-1, 1)
         assert det(v) in (-1, 1)
         # gcd-of-minors characterization: prod(d_1..d_k) = gcd of k-minors
         prod = 1
         for k, d in enumerate(divisors, start=1):
             prod *= d
-            assert prod == minors_gcd(a.to_rows(), k)
+            assert prod == minors_gcd(a, k)
         if len(divisors) < min(n, m):
-            assert minors_gcd(a.to_rows(), len(divisors) + 1) == 0
+            assert minors_gcd(a, len(divisors) + 1) == 0
 
 
 def test_snf_det_product():
@@ -360,11 +368,11 @@ def test_snf_det_product():
     for _ in range(80):
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n, -9, 9)
-        d = det(a)
+        d = det(transpose(a))
         if d == 0:
             continue
         prod = 1
-        for x in snf(a):
+        for x in snf_with_transforms(transpose(a), n)[0]:
             prod *= x
         assert prod == abs(d)
 
@@ -375,11 +383,11 @@ def test_snf_det_product():
 
 
 def test_is_unimodular_examples():
-    assert is_unimodular(ExactMatrix.identity(3))
-    assert not is_unimodular(ExactMatrix.from_rows([[2, 0], [0, 2]]))
-    assert is_unimodular(ExactMatrix.from_rows([[1, 0, 2], [0, 1, 3]]))
+    assert unimodular_columns(identity(3), 3)
+    assert not unimodular_columns(transpose([[2, 0], [0, 2]]), 2)
+    assert unimodular_columns(transpose([[1, 0, 2], [0, 1, 3]]), 2)
     # fewer columns than rows can never generate
-    assert not is_unimodular(ExactMatrix.from_rows([[1], [0]]))
+    assert not unimodular_columns(transpose([[1], [0]]), 2)
 
 
 def test_is_unimodular_agrees_with_minor_gcd():
@@ -388,8 +396,8 @@ def test_is_unimodular_agrees_with_minor_gcd():
         n = rng.randint(1, 3)
         m = rng.randint(n, n + 2)
         a = random_matrix(rng, n, m, -6, 6)
-        expected = minors_gcd(a.to_rows(), n) == 1
-        assert is_unimodular(a) == expected
+        expected = minors_gcd(a, n) == 1
+        assert unimodular_columns(transpose(a), n) == expected
 
 
 def test_is_unimodular_agrees_with_closure_oracle():
@@ -397,20 +405,9 @@ def test_is_unimodular_agrees_with_closure_oracle():
     for _ in range(150):
         n = rng.randint(1, 3)
         m = rng.randint(1, 4)
-        a = random_matrix(rng, n, m, -5, 5)
-        expected = generates_zn_closure(a.columns(), n, 5)
-        assert is_unimodular(a) == expected
-
-
-def test_unimodular_columns_matches_matrix_form():
-    rng = random.Random(99)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 5)
-        cols = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)]
-        assert unimodular_columns(cols, n) == is_unimodular(
-            ExactMatrix.from_columns(cols)
-        )
+        cols = transpose(random_matrix(rng, n, m, -5, 5))
+        expected = generates_zn_closure(cols, n, 5)
+        assert unimodular_columns(cols, n) == expected
 
 
 def test_unimodular_columns_matches_row_elimination_oracle():
@@ -482,7 +479,7 @@ def test_bareiss_columns_yields_maximal_minors():
         d, pivots, others = _bareiss_columns(cols, n)
         assert cols == snapshot
         if d == 0:
-            assert minors_gcd(ExactMatrix.from_columns(cols).to_rows(), n) == 0
+            assert minors_gcd(transpose(cols), n) == 0
             continue
 
         def minor(columns):
@@ -522,11 +519,11 @@ def test_solve_integral_random_roundtrip():
     for _ in range(100):
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n, -9, 9)
-        if det(a) == 0:
+        if det(transpose(a)) == 0:
             continue
         x = [rng.randint(-20, 20) for _ in range(n)]
-        v = [sum(a.entry(i, j) * x[j] for j in range(n)) for i in range(n)]
-        assert LatticeBasis(a.columns()).coordinates(v) == x
+        v = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
+        assert LatticeBasis(transpose(a)).coordinates(v) == x
 
 
 def test_rational_inverse_and_solve():
