@@ -2,8 +2,9 @@
 
 Library layout:
 
-* ``exactmat``   -- exact integer kernels on plain column lists: HNF,
-                    SNF, determinants, adjugates, unimodularity
+* ``exactmat``   -- exact integer kernels on plain column lists: SNF
+                    with transforms, determinants, adjugates,
+                    unimodularity
 * ``lattice``    -- full-rank lattices, covering-radius bounds, the
                     half-open cell (one box, membership test and
                     enumerator for windows and parallelepipeds) and

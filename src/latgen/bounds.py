@@ -232,12 +232,11 @@ def fullrank_lower_bound(n: int, ctx: Optional[ZetaContext] = None) -> Enclosure
         raise ValueError("n must be >= 1")
     ctx = ctx or default_context()
     g = ctx.grid_digits
-    x = 4 * _n_pow_half(n, n, g)  # 4 n^(n/2)
-    denom = (x - 1) ** n
+    # factor k is 1 - pk_bound at window ratio j = 8 n^(n/2)
+    j = 8 * _n_pow_half(n, n, g)
     acc = Enclosure.exact(1)
     for k in range(n):
-        term = 1 - (_n_pow_half(n, k, g) * (x + 1) ** k / denom)
-        acc = (acc * term).round_outward(g)
+        acc = (acc * (1 - pk_bound(n, j, k, ctx))).round_outward(g)
     return acc
 
 

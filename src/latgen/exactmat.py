@@ -5,29 +5,17 @@ floating point or rational arithmetic enters any computation.  Entry
 magnitudes around 10**18 are routine (products of minors far exceed
 machine words, which is why exactness is non-negotiable).
 
-Three eliminations answer every question: fraction-free Gauss-Jordan
+Two eliminations answer every question: fraction-free Gauss-Jordan
 elimination (``_bareiss_columns``: determinants, adjugates, maximal
-minors and the unimodularity decision), the column Hermite form
-(``hnf``: the integer normals of a span, for hyperplane counts)
-and the Smith form (``snf_with_transforms``: quotient groups, whose
-divisors also decide full rank).
+minors and the unimodularity decision) and the Smith form
+(``snf_with_transforms``: quotient groups, whose divisors also decide
+full rank, and whose column transform holds the integer normals of a
+span, for hyperplane counts).
 
 A matrix is a plain sequence of its columns, each a sequence of Python
-integers (lists or tuples); no kernel modifies its input.  Results come back
-as lists of columns, except the Smith transforms, which come back as
-lists of rows because their callers apply U to vectors and read V by
-entry.
-
-Hermite normal form convention (column style): for an n x m matrix A we
-return H = A U with U in GL_m(Z) such that
-
-* the r pivot columns come first, the remaining columns are zero,
-* pivot rows strictly increase left to right and each pivot is positive,
-* in a pivot's row, entries in earlier columns are reduced into
-  [0, pivot).
-
-Columns of A generate Z^n exactly when the pivot block of H is the n x n
-identity.
+integers (lists or tuples); no kernel modifies its input.  The Smith
+transforms and the scaled inverse come back as lists of rows, because
+their callers apply them to vectors and read them by entry.
 """
 
 from __future__ import annotations
@@ -37,67 +25,8 @@ from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form
+# Maximal minors and the unimodularity decision
 # ---------------------------------------------------------------------------
-
-
-def hnf(
-    columns: Sequence[Sequence[int]], n: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Column Hermite normal form of the n x m matrix A given by its m
-    columns (each of length n): returns (columns of H, columns of U) with
-    A U = H.
-
-    U is m x m with determinant +-1; zero columns of H sit at the right.
-    Any integer matrix has an HNF, so this never fails for m >= 1.  The
-    input is not modified.
-    """
-    m = len(columns)
-    if m < 1:
-        raise ValueError("need at least one column")
-    if any(len(col) != n for col in columns):
-        raise ValueError(f"columns must have length {n}")
-    cols = [list(col) for col in columns]
-    ucols = [[int(i == j) for i in range(m)] for j in range(m)]
-
-    def col_op(j, k, q):  # col_j -= q * col_k, in A and U
-        cj, ck, uj, uk = cols[j], cols[k], ucols[j], ucols[k]
-        for t in range(n):
-            cj[t] -= q * ck[t]
-        for t in range(m):
-            uj[t] -= q * uk[t]
-
-    r = 0
-    for i in range(n):
-        if r == m:
-            break
-        # gcd-eliminate row i across columns r..m-1
-        while True:
-            nz = [j for j in range(r, m) if cols[j][i]]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: abs(cols[j][i]))
-            a = cols[j0][i]
-            for j in nz:
-                q = cols[j][i] // a
-                if j != j0 and q:
-                    col_op(j, j0, q)
-        if not nz:
-            continue
-        j0 = nz[0]
-        cols[r], cols[j0] = cols[j0], cols[r]
-        ucols[r], ucols[j0] = ucols[j0], ucols[r]
-        if cols[r][i] < 0:
-            cols[r] = [-x for x in cols[r]]
-            ucols[r] = [-x for x in ucols[r]]
-        pivot = cols[r][i]
-        # reduce row i of the earlier pivot columns into [0, pivot)
-        for k in range(r):
-            q = cols[k][i] // pivot
-            if q:
-                col_op(k, r, q)
-        r += 1
-    return cols, ucols
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

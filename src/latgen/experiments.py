@@ -685,6 +685,16 @@ FullrankRow = namedtuple(
 )
 
 
+def _ball_volume_upper(n: int) -> Fraction:
+    """Exact upper bound on the volume of the unit n-ball,
+    pi^(n/2) / Gamma(n/2 + 1), from pi < 355/113; at most 2^n."""
+    pi_hi = Fraction(355, 113)
+    if n % 2 == 0:
+        return pi_hi ** (n // 2) / math.factorial(n // 2)
+    h = (n - 1) // 2
+    return 2**n * pi_hi**h * math.factorial(h) / math.factorial(n)
+
+
 def run_fullrank_check(
     lattice: LatticeBasis,
     window_bound: Union[int, Fraction],
@@ -702,11 +712,12 @@ def run_fullrank_check(
     frequency >= 1/2 - 3 Wilson radii.  With zero trials the frequency
     is empty and nothing is asserted.
 
-    A ``nu_upper`` with (2 nu)^n < det is refused: cubes of side 2 nu
-    centred on the lattice points cover R^n once nu is at least the
-    covering radius, so such a value cannot be an upper bound.  This
-    exact test refuses only provably wrong values; it does not certify
-    that nu is an upper bound.
+    A ``nu_upper`` with V_n nu^n < det is refused (V_n the volume of the
+    unit n-ball, bounded above exactly by ``_ball_volume_upper``): balls
+    of radius nu centred on the lattice points cover R^n once nu is at
+    least the covering radius, so such a value cannot be an upper bound.
+    This exact test refuses only provably wrong values; it does not
+    certify that nu is an upper bound.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -714,9 +725,9 @@ def run_fullrank_check(
     window = Window(n, window_bound)  # refuses B <= 0 whatever the trial count
     b = window.bound
     nu = Fraction(nu_upper) if nu_upper is not None else lattice.nu_upper
-    if nu <= 0 or (2 * nu) ** n < lattice.det:
+    if nu <= 0 or _ball_volume_upper(n) * nu**n < lattice.det:
         raise ValueError(
-            f"nu_upper {nu} is below the covering radius: cubes of side 2 nu "
+            f"nu_upper {nu} is below the covering radius: balls of radius nu "
             f"around the lattice points cannot cover R^{n} (det {lattice.det})"
         )
     if n >= 2:

@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .enclosure import sqrt_enclosure
-from .exactmat import _scaled_inverse, hnf
+from .exactmat import _scaled_inverse, snf_with_transforms
 
 _ENUM_GUARD = 10**7
 _BOX_GUARD = 5 * 10**7
@@ -420,9 +420,11 @@ def count_in_hyperplane(
     rational vectors (k = len(spanning), 1 <= k < n).
 
     B c lies in the span exactly when c lies in the span of the vectors'
-    basis coordinates, which is cut out by integer normals: the kernel
-    columns of the Hermite form of the rows u, where u / d are the
-    coordinates of one vector (scaling a row leaves the span unchanged).
+    basis coordinates, which is cut out by integer normals: the last
+    n - k columns of the Smith transform V of the k x n matrix A of rows
+    u, where u / d are the coordinates of one vector (scaling a row
+    leaves the span unchanged).  U A V = D has its k nonzero divisors
+    first, so those columns are an integer basis of {x : A x = 0}.
     ``points`` takes the window's coordinate points as ``enumerate_window``
     returns them, so a caller counting many spans enumerates the window
     once; they are enumerated when omitted.
@@ -432,12 +434,10 @@ def count_in_hyperplane(
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n spanning vectors")
     rows = [lattice._coordinate_numerators(v)[0] for v in spanning]
-    h, u = hnf(list(zip(*rows)), k)
-    # A U = H with the zero columns of H last: the matching columns of U
-    # are an integer basis of {x : A x = 0}
-    if sum(1 for col in h if any(col)) != k:
+    divisors, _, v = snf_with_transforms(list(zip(*rows)), k)
+    if len(divisors) != k:
         raise ValueError("spanning set is not independent")
-    normals = u[k:]
+    normals = [[row[j] for row in v] for j in range(k, n)]
     if points is None:
         points = enumerate_window(lattice, window)
     return sum(

@@ -264,8 +264,8 @@ class Parallelepiped:
         self.resamples = resamples
         self.cell = HalfOpenCell(rows, abs(self.det), list(zip(*self.generators)))
 
-    def sampler(self, rng: RngStream, force_exact: bool = False) -> "CosetSampler":
-        return CosetSampler(self, rng, force_exact)
+    def sampler(self, rng: RngStream) -> "CosetSampler":
+        return CosetSampler(self, rng)
 
 
 def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
@@ -301,9 +301,7 @@ class CosetSampler:
     depends only on the parallelepiped, never on sampled values.
     """
 
-    def __init__(
-        self, parallelepiped: Parallelepiped, rng: RngStream, force_exact: bool = False
-    ):
+    def __init__(self, parallelepiped: Parallelepiped, rng: RngStream):
         generators = parallelepiped.generators
         n = parallelepiped.dim
         divisors, _, w = snf_with_transforms(generators, n)
@@ -318,7 +316,7 @@ class CosetSampler:
             for i in kept
         ]
         box = parallelepiped.cell.box
-        self._fast = not force_exact and e < _INT64_GUARD and all(
+        self._fast = e < _INT64_GUARD and all(
             max(-lo, hi) < _INT64_GUARD for lo, hi in box
         )
         self._core = _BoundedDraws(rng, [divisors[i] for i in kept], self._fast)

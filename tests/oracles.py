@@ -162,9 +162,10 @@ def generation_prob_bruteforce(group, t: int) -> Fraction:
 
 def _hermite_basis(cols, k):
     """The pivot columns of the column Hermite form of integer columns of
-    length k (the ``latgen.exactmat.hnf`` convention, without the
-    transform), as a tuple key: a canonical basis of the lattice they
-    span.  Works on the given lists in place."""
+    length k, as a tuple key: a canonical basis of the lattice they span.
+    Pivots are positive with strictly increasing pivot rows, and entries
+    left of a pivot are reduced into [0, pivot).  Works on the given
+    lists in place."""
     m = len(cols)
     r = 0
     for i in range(k):

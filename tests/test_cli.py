@@ -206,6 +206,9 @@ def test_operational_error_exit_one(tmp_path, capsys):
         ])
     # (2 nu)^2 < det Z^2: no covering-radius upper bound can be that small
     malformed.append(["fullrank-check", "--nu-upper", "1/1000", "--trials", "10"])
+    # pi nu^2 < det Z^2 although (2 nu)^2 = det: discs of radius 1/2 leave
+    # gaps, so 1/2 is below the covering radius sqrt(2)/2
+    malformed.append(["fullrank-check", "--nu-upper", "1/2", "--trials", "10"])
     for argv in malformed:
         capsys.readouterr()
         assert main(argv) == 1, argv

@@ -17,7 +17,6 @@ import pytest
 from latgen.exactmat import (
     _bareiss_columns,
     det,
-    hnf,
     snf_with_transforms,
     unimodular_columns,
 )
@@ -178,99 +177,14 @@ def identity(n):
     return [[int(i == j) for i in range(n)] for j in range(n)]
 
 
-# ---------------------------------------------------------------------------
-# HNF
-# ---------------------------------------------------------------------------
-
-
-def test_hnf_identity():
-    a = identity(3)
-    h, u = hnf(a, 3)
-    assert h == a
-    assert u == identity(3)
-
-
-def test_hnf_already_normal():
-    a = [[2, 0], [0, 2]]
-    h, _ = hnf(a, 2)
-    assert h == a
-
-
-def test_hnf_pivot_block_identity():
-    a = [[1, 0, 2], [0, 1, 3]]
-    h, u = hnf(transpose(a), 2)
-    assert transpose(h) == [[1, 0, 0], [0, 1, 0]]
-    assert matmul(a, transpose(u)) == transpose(h)
-    assert det(u) in (-1, 1)
-
-
-def _hnf_structure_ok(cols, n):
-    """Check the documented column-HNF normal form of the columns of H."""
-    pivots = []
-    for j, col in enumerate(cols):
-        nz = [i for i in range(n) if col[i]]
-        if not nz:
-            # all later columns must be zero too
-            assert all(not any(c) for c in cols[j:])
-            break
-        p = nz[0]
-        assert col[p] > 0
-        if pivots:
-            assert p > pivots[-1][1]
-        pivots.append((j, p))
-    for j, p in pivots:
-        for k in range(j):
-            assert 0 <= cols[k][p] < cols[j][p]
-    return pivots
-
-
-def test_hnf_random_invariants():
-    rng = random.Random(20240601)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        m = rng.randint(1, 6)
-        a = random_matrix(rng, n, m, -30, 30)
-        h, u = hnf(transpose(a), n)
-        assert matmul(a, transpose(u)) == transpose(h)
-        assert det(u) in (-1, 1)
-        _hnf_structure_ok(h, n)
-        # idempotence
-        h2, _ = hnf(h, n)
-        assert h2 == h
-
-
-def test_hnf_huge_entries():
-    rng = random.Random(7)
-    for _ in range(20):
-        a = random_matrix(rng, 4, 4, -(10**18), 10**18)
-        h, u = hnf(transpose(a), 4)
-        assert matmul(a, transpose(u)) == transpose(h)
-        assert det(u) in (-1, 1)
-
-
-def test_hnf_zero_columns_move_right():
-    a = [[0, 2, 0], [0, 0, 0]]
-    h, u = hnf(transpose(a), 2)
-    assert h[0] == [2, 0]
-    assert h[1] == [0, 0]
-    assert h[2] == [0, 0]
-    assert matmul(a, transpose(u)) == transpose(h)
-
-
-def test_hnf_rejects_empty():
-    with pytest.raises(ValueError):
-        hnf([], 2)
-
-
 def test_kernels_take_tuple_columns_and_leave_input_unmodified():
-    # both eliminations work in place, so the kernels must copy
+    # the Smith form works in place, so the kernels must copy
     columns = [[4, 6], [2, 1], [0, 3]]
     snapshot = [list(col) for col in columns]
-    results = (hnf(columns, 2), det(columns[:2]), snf_with_transforms(columns, 2))
+    results = (det(columns[:2]), snf_with_transforms(columns, 2))
     assert columns == snapshot
-    assert results[0][0] != snapshot  # the elimination did change its copy
     tuples = tuple(tuple(col) for col in columns)
-    assert (hnf(tuples, 2), det(tuples[:2]), snf_with_transforms(tuples, 2)) == results
+    assert (det(tuples[:2]), snf_with_transforms(tuples, 2)) == results
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Experiment harness: reproducibility, statistics, report round trips."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -28,7 +30,7 @@ from latgen.experiments import (
 from latgen.exactmat import unimodular_columns
 from latgen.lattice import LatticeBasis, count_in_hyperplane
 from latgen.sampling import ALGORITHM_ID, COSET_ALGORITHM_ID, RngStream, random_parallelepiped
-from oracles import box_rejection_sample
+from oracles import box_rejection_sample, fraction_det
 
 Z1 = LatticeBasis([[1]])
 Z2 = LatticeBasis([[1, 0], [0, 1]])
@@ -135,6 +137,31 @@ def test_unimodular_shard_successes_pinned():
     for n, rows in expected.items():
         got = [_unimodular_shard((0, n, n + 1, 10000, 500, shard)) for shard in (0, 1)]
         assert got == rows, n
+
+
+def test_unimodular_shard_matches_exact_cell_probability():
+    # a small cell's exact p(V): the share of the |det V|^3 ordered triples
+    # of its points that generate Z^2, decided by the gcd of the three 2 x 2
+    # minors; each shard's count must sit within 4 binomial standard
+    # deviations of samples * p(V) (so equal it when p is 0 or 1)
+    seed, n, m, c, samples = 0, 2, 3, 3, 2000
+    for shard in range(12):
+        rng = RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 0))
+        points = random_parallelepiped(n, c, rng).cell.points()
+        minor = {
+            (x, y): abs(int(fraction_det([[x[0], y[0]], [x[1], y[1]]])))
+            for x in points
+            for y in points
+        }
+        generating = sum(
+            1
+            for x, y, z in itertools.product(points, repeat=3)
+            if gcd(minor[x, y], minor[x, z], minor[y, z]) == 1
+        )
+        p = Fraction(generating, len(points) ** m)
+        _, successes, _ = _unimodular_shard((seed, n, m, c, samples, shard))
+        mean = samples * p
+        assert (successes - mean) ** 2 <= 16 * mean * (1 - p), (shard, successes, p)
 
 
 def test_box_rejection_oracle_reproduces_rejection_pins():

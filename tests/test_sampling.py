@@ -146,7 +146,8 @@ def test_engines_bit_identical_past_the_block():
     fast_rng = _SaturatedBlocks(seed=77, stream=9)
     exact_rng = _SaturatedBlocks(seed=77, stream=9)
     fast = p.sampler(fast_rng)
-    exact = p.sampler(exact_rng, force_exact=True)
+    exact = p.sampler(exact_rng)
+    exact._fast = False  # the big-integer engine
     assert fast._fast and not exact._fast
     samples = fast.take(200)
     assert samples == exact.take(200)
@@ -168,8 +169,9 @@ def test_broken_generator_still_reported():
     with pytest.raises(SamplerError, match="generator fault"):
         _BrokenGenerator(seed=1).draw_below(5)
     p = Parallelepiped([[4, 1], [1, 4]])
-    for force_exact in (False, True):
-        sampler = p.sampler(_BrokenGenerator(seed=1), force_exact=force_exact)
+    for fast in (True, False):
+        sampler = p.sampler(_BrokenGenerator(seed=1))
+        sampler._fast = fast
         with pytest.raises(SamplerError, match="generator fault"):
             sampler.take(1)
 
@@ -303,7 +305,8 @@ def test_engines_bit_identical():
     fast_rng = RngStream(seed=77, stream=9)
     exact_rng = RngStream(seed=77, stream=9)
     fast = p.sampler(fast_rng)
-    exact = p.sampler(exact_rng, force_exact=True)
+    exact = p.sampler(exact_rng)
+    exact._fast = False  # the big-integer engine
     assert fast._fast and not exact._fast
     assert fast.take(500) == exact.take(500)
     assert fast_rng.draw_cursor == exact_rng.draw_cursor
@@ -381,7 +384,8 @@ def test_coset_engines_bit_identical_at_the_guard(p, fast_engine):
     fast_rng = RngStream(seed=8, stream=3)
     exact_rng = RngStream(seed=8, stream=3)
     fast = p.sampler(fast_rng)
-    exact = p.sampler(exact_rng, force_exact=True)
+    exact = p.sampler(exact_rng)
+    exact._fast = False  # the big-integer engine
     assert fast._fast == fast_engine and not exact._fast
     samples = fast.take(300)
     assert samples == exact.take(300)
