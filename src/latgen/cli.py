@@ -19,7 +19,6 @@ from typing import Optional
 
 from .bounds import ZetaContext, window_thresholds
 from .experiments import (
-    PAPER_SCALE_DEFAULTS,
     ExperimentConfig,
     Table,
     reports_table,
@@ -56,6 +55,9 @@ def _load_lattice(path: Optional[str], default: Optional[str] = None) -> Lattice
 
 _Z2_JSON = '{"n": 2, "basis": [["1", "0"], ["0", "1"]], "column_major": true}'
 
+# the --paper-scale settings, for those neither a flag nor --config sets
+PAPER_SCALE_DEFAULTS = {"reps": 1000, "C": 10**18, "n_values": tuple(range(1, 16))}
+
 
 def _experiment_config(args) -> ExperimentConfig:
     settings: dict = {}
@@ -73,14 +75,11 @@ def _experiment_config(args) -> ExperimentConfig:
         "samples": args.samples,
         "seed": args.seed,
         "workers": args.workers,
-        "out": args.out,
     }
     for key, value in explicit.items():
         if value is not None:
             settings[key] = value
     if args.paper_scale:
-        settings["paper_scale"] = True
-    if settings.get("paper_scale"):
         for key, value in PAPER_SCALE_DEFAULTS.items():
             settings.setdefault(key, value)
     return ExperimentConfig.from_json_dict(settings)
@@ -95,9 +94,7 @@ def _tag(ok: bool) -> str:
 
 
 def _cmd_unimodular(args) -> tuple[Table, str]:
-    cfg = _experiment_config(args)
-    args.out = cfg.out  # a config file may name the output file
-    reports = run_unimodular_experiment(cfg)
+    reports = run_unimodular_experiment(_experiment_config(args))
     lines = []
     for report in reports:
         verdict = report.within_tolerance()

@@ -15,7 +15,7 @@ lower-precision counterparts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -145,17 +145,9 @@ class Enclosure:
     def round_outward(self, digits: int) -> "Enclosure":
         """Pad outward to the decimal grid of spacing 10**-digits."""
         scale = 10**digits
-        lo = Fraction(_floor_frac(self.lo * scale), scale)
-        hi = Fraction(_ceil_frac(self.hi * scale), scale)
+        lo = Fraction(floor(self.lo * scale), scale)
+        hi = Fraction(ceil(self.hi * scale), scale)
         return Enclosure(lo, hi)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def sqrt_enclosure(x: Rational, digits: int) -> Enclosure:
@@ -171,7 +163,7 @@ def sqrt_enclosure(x: Rational, digits: int) -> Enclosure:
         return Enclosure.exact(0)
     scale = 10**digits
     scaled = x * scale * scale
-    r = isqrt(scaled.numerator // scaled.denominator)
+    r = isqrt(floor(scaled))
     lo = Fraction(r, scale)
     # (r+1)^2 > floor(scaled) implies r+1 > sqrt(scaled) unless scaled was
     # a perfect square hiding in the fractional part; +1 is always safe.

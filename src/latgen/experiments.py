@@ -7,22 +7,29 @@ of kind K at dimension n owns the two streams
                                                     b = 1: column samples
 
 so results are bit-identical regardless of worker count or scheduling
-(results are collected in task order).  Reports carry the full configuration
-and RNG provenance needed to reproduce them.
+(results are collected in task order).
 
 Every result is one `Table`: a JSON header, the CSV columns and the
 rows.  `Table.to_csv` writes the header as one '# {json}' line (sorted
-keys: "format" names the kind, e.g. "latgen-coprime-v1", beside the
-kind's own fields), then the column line, then one line per row, each
-cell encoded by `_cell`: None as "", bools as 0/1, Fractions as "p/q",
-floats by repr, anything else by str (the window bounds B and B1 are
-stored as str(b), so they read "10", not "10/1").  `Table.from_csv`
-reads any latgen output back with string cells, and writing that back
-gives the same bytes.  Each kind's rows are a namedtuple whose fields
-are its columns.  The unimodular report keeps its per-dimension
-summaries (exact values as "p/q" strings) in the header and parses back
-to `ExperimentReport` objects (`parse_reports_csv`).  Frequencies are
-exact rationals end to end; only the confidence radii are floats.
+keys: "format" names the kind, e.g. "latgen-coprime-v1", and "ok" the
+verdict, beside the kind's own fields), then the column line, then one
+line per row, each cell encoded by `_cell`: None as "", bools as 0/1,
+Fractions as "p/q", floats by repr, anything else by str (the window
+bounds B and B1 are stored as str(b), so they read "10", not "10/1").
+`Table.from_csv` reads any latgen output back with string cells, and
+writing that back gives the same bytes.  Each kind's rows are a
+namedtuple whose fields are its columns.
+
+The unimodular report ("latgen-reports-v2") records its configuration
+(without the worker count, which does not change the result) and its
+RNG provenance once in the header, one row per shard with that shard's
+counts, and per-dimension summaries (exact values as "p/q" strings).
+`_report` derives every summary from the shard counts, both when the
+experiment runs and when `parse_reports_csv` reads a report back from
+its header config and shard rows, so writing the parsed reports gives
+the same text only when the header's summaries agree with the rows.
+Frequencies are exact rationals end to end; only the confidence radii
+are floats.
 
 The reported uncertainty is the Wilson 95% radius on the pooled success
 count together with a between-parallelepiped (cluster) radius; tolerance
@@ -74,11 +81,12 @@ def stream_id(kind: int, n: int, shard: int, sub: int) -> int:
     return (kind << 48) | (n << 24) | (shard << 1) | sub
 
 
-def wilson_radius(successes: int, trials: int, z: float = _WILSON_Z) -> float:
+def wilson_radius(successes: int, trials: int) -> float:
     """Half-width of the Wilson 95% interval for a binomial proportion."""
     if trials < 1:
         return 0.0
     p = successes / trials
+    z = _WILSON_Z
     z2 = z * z
     return (
         z
@@ -87,14 +95,14 @@ def wilson_radius(successes: int, trials: int, z: float = _WILSON_Z) -> float:
     )
 
 
-def cluster_radius(frequencies: Sequence[Fraction], z: float = _WILSON_Z) -> float:
+def cluster_radius(frequencies: Sequence[Fraction]) -> float:
     """Normal 95% radius for the mean of per-parallelepiped frequencies."""
     r = len(frequencies)
     if r < 2:
         return 0.0
     mean = sum(frequencies) / r
     var = sum((f - mean) ** 2 for f in frequencies)
-    return z * math.sqrt(float(var) / (r * (r - 1)))
+    return _WILSON_Z * math.sqrt(float(var) / (r * (r - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +119,12 @@ class ExperimentConfig:
     samples: int = 10**4
     seed: int = 0
     workers: int = 1
-    paper_scale: bool = False
-    out: Optional[str] = None
 
     def __post_init__(self):
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n values must be >= 1")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ValueError(f"n values must be distinct: {list(self.n_values)}")
         if self.C < 1 or self.reps < 1 or self.samples < 1 or self.workers < 1:
             raise ValueError("all counts must be >= 1")
         for n in self.n_values:  # refuse a bad policy before any work
@@ -143,8 +151,6 @@ class ExperimentConfig:
             "samples": self.samples,
             "seed": self.seed,
             "workers": self.workers,
-            "paper_scale": self.paper_scale,
-            "out": self.out,
         }
 
     @classmethod
@@ -156,8 +162,8 @@ class ExperimentConfig:
         for key, value in obj.items():
             if key == "n_values":
                 ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
-            elif key in _CONFIG_TYPES:
-                ok = isinstance(value, _CONFIG_TYPES[key])
+            elif key == "m_policy":
+                ok = isinstance(value, str)
             else:
                 ok = _is_int(value)
             if not ok:
@@ -168,15 +174,8 @@ class ExperimentConfig:
         return cls(**data)
 
 
-# the config fields that are not integers or lists of integers
-_CONFIG_TYPES = {"m_policy": str, "paper_scale": bool, "out": (str, type(None))}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-PAPER_SCALE_DEFAULTS = {"reps": 1000, "C": 10**18, "n_values": tuple(range(1, 16))}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,9 @@ PAPER_SCALE_DEFAULTS = {"reps": 1000, "C": 10**18, "n_values": tuple(range(1, 16
 
 @dataclass
 class ExperimentReport:
-    kind: str
+    """The unimodular experiment at one dimension, as `_report` derives
+    it from the shard counts."""
+
     n: int
     m: int
     config: dict
@@ -202,24 +203,61 @@ class ExperimentReport:
     ideal_hi: Optional[Fraction]
     rng: dict
 
-    def __post_init__(self):
-        if not self.minimum <= self.average <= self.maximum:
-            raise ValueError("summary statistics out of order")
-        for f in (self.minimum, self.average, self.maximum):
-            if not 0 <= f <= 1:
-                raise ValueError("frequencies must lie in [0, 1]")
-
     @property
     def radius(self) -> float:
         return max(self.wilson_radius, self.cluster_radius)
 
-    def within_tolerance(self, multiple: float = 3.0) -> Optional[bool]:
-        """Average within `multiple` radii of the ideal value (None when no
-        ideal column applies)."""
+    def within_tolerance(self) -> Optional[bool]:
+        """Average within 3 radii of the ideal value (None when no ideal
+        column applies)."""
         if self.ideal_lo is None:
             return None
         mid = (self.ideal_lo + self.ideal_hi) / 2
-        return abs(float(self.average - mid)) <= multiple * self.radius
+        return abs(float(self.average - mid)) <= 3 * self.radius
+
+
+def _report(
+    config: ExperimentConfig,
+    n: int,
+    m: int,
+    successes: tuple[int, ...],
+    resamples: tuple[int, ...],
+) -> ExperimentReport:
+    """The report of dimension n from its per-shard success and resample
+    counts in shard order: frequencies, statistics, ideal enclosure and
+    RNG provenance."""
+    if not all(0 <= s <= config.samples for s in successes):
+        raise ValueError(f"n={n}: shard successes must lie in [0, {config.samples}]")
+    recorded = config.to_json_dict()
+    del recorded["workers"]  # the result does not depend on it
+    freqs = tuple(Fraction(s, config.samples) for s in successes)
+    total = sum(successes)
+    trials = len(successes) * config.samples
+    ideal_lo = ideal_hi = None
+    if m >= n:
+        ideal = bounds.ideal_probability(n, m, bounds.default_context())
+        ideal_lo, ideal_hi = ideal.lo, ideal.hi
+    return ExperimentReport(
+        n=n,
+        m=m,
+        config=recorded,
+        frequencies=freqs,
+        successes=successes,
+        resamples=resamples,
+        average=Fraction(total, trials),
+        minimum=min(freqs),
+        maximum=max(freqs),
+        wilson_radius=wilson_radius(total, trials),
+        cluster_radius=cluster_radius(freqs),
+        ideal_lo=ideal_lo,
+        ideal_hi=ideal_hi,
+        rng={
+            "algorithm": COSET_ALGORITHM_ID,
+            "seed": config.seed,
+            "stream_layout": STREAM_LAYOUT,
+            "kind_id": KIND_UNIMODULAR,
+        },
+    )
 
 
 def _unimodular_shard(task) -> tuple[int, int, int]:
@@ -250,9 +288,7 @@ def _run_shards(tasks, workers: int) -> list:
     return [_unimodular_shard(t) for t in tasks]
 
 
-def run_unimodular_experiment(
-    cfg: ExperimentConfig, ctx: Optional[ZetaContext] = None
-) -> list[ExperimentReport]:
+def run_unimodular_experiment(cfg: ExperimentConfig) -> list[ExperimentReport]:
     """The random-parallelepiped unimodularity experiment.
 
     For each dimension n: draw `reps` parallelepipeds from [-C, C]^n, for
@@ -261,53 +297,18 @@ def run_unimodular_experiment(
     shards of all n share one worker pool, largest n (the slowest
     shards) first.
     """
-    ctx = ctx or bounds.default_context()
     tasks = [
         (cfg.seed, n, cfg.m_for(n), cfg.C, cfg.samples, shard)
-        for n in sorted(set(cfg.n_values), reverse=True)
+        for n in sorted(cfg.n_values, reverse=True)
         for shard in range(cfg.reps)
     ]
-    per_n: dict[int, list] = {}
+    per_n: dict[int, list] = {n: [] for n in cfg.n_values}
     for task, result in zip(tasks, _run_shards(tasks, cfg.workers)):
-        per_n.setdefault(task[1], []).append(result)
+        per_n[task[1]].append(result)
     reports = []
-    for n in cfg.n_values:
-        m = cfg.m_for(n)
-        results = per_n[n]
-        successes = tuple(s for _, s, _ in results)
-        resamples = tuple(r for _, _, r in results)
-        freqs = tuple(Fraction(s, cfg.samples) for s in successes)
-        total = sum(successes)
-        trials = cfg.reps * cfg.samples
-        if m >= n:
-            ideal = bounds.ideal_probability(n, m, ctx)
-            ideal_lo, ideal_hi = ideal.lo, ideal.hi
-        else:
-            ideal_lo = ideal_hi = None
-        reports.append(
-            ExperimentReport(
-                kind="unimodular",
-                n=n,
-                m=m,
-                config=cfg.to_json_dict(),
-                frequencies=freqs,
-                successes=successes,
-                resamples=resamples,
-                average=Fraction(total, trials),
-                minimum=min(freqs),
-                maximum=max(freqs),
-                wilson_radius=wilson_radius(total, trials),
-                cluster_radius=cluster_radius(freqs),
-                ideal_lo=ideal_lo,
-                ideal_hi=ideal_hi,
-                rng={
-                    "algorithm": COSET_ALGORITHM_ID,
-                    "seed": cfg.seed,
-                    "stream_layout": STREAM_LAYOUT,
-                    "kind_id": KIND_UNIMODULAR,
-                },
-            )
-        )
+    for n, results in per_n.items():
+        _, successes, resamples = zip(*results)
+        reports.append(_report(cfg, n, cfg.m_for(n), successes, resamples))
     return reports
 
 
@@ -318,10 +319,6 @@ def run_unimodular_experiment(
 
 def _frac_str(x: Optional[Fraction]) -> Optional[str]:
     return None if x is None else f"{x.numerator}/{x.denominator}"
-
-
-def _frac(text: Optional[str]) -> Optional[Fraction]:
-    return None if text is None else Fraction(text)
 
 
 def _cell(value) -> str:
@@ -371,20 +368,25 @@ class Table:
         return cls(header, row_type._fields, rows, header.get("ok"))
 
 
-ShardRow = namedtuple("ShardRow", "kind n m shard samples successes frequency resamples")
+REPORTS_FORMAT = "latgen-reports-v2"
+
+ShardRow = namedtuple("ShardRow", "n m shard successes frequency resamples")
 
 
 def reports_table(reports: Sequence[ExperimentReport]) -> Table:
-    """The unimodular report: per-dimension summaries in the header, one
-    row per shard; ok unless some report is out of tolerance."""
+    """The unimodular report: the config, RNG provenance and verdict once
+    in the header beside per-dimension summaries, one row per shard; ok
+    unless some report is out of tolerance."""
+    ok = all(r.within_tolerance() is not False for r in reports)
     header = {
-        "format": "latgen-reports-v1",
+        "format": REPORTS_FORMAT,
+        "config": reports[0].config,
+        "rng": reports[0].rng,
+        "ok": ok,
         "summaries": [
             {
-                "kind": r.kind,
                 "n": r.n,
                 "m": r.m,
-                "config": r.config,
                 "average": _frac_str(r.average),
                 "minimum": _frac_str(r.minimum),
                 "maximum": _frac_str(r.maximum),
@@ -392,17 +394,15 @@ def reports_table(reports: Sequence[ExperimentReport]) -> Table:
                 "cluster_radius": repr(r.cluster_radius),
                 "ideal_lo": _frac_str(r.ideal_lo),
                 "ideal_hi": _frac_str(r.ideal_hi),
-                "rng": r.rng,
             }
             for r in reports
         ],
     }
     rows = [
-        ShardRow(r.kind, r.n, r.m, shard, r.config["samples"], *shard_data)
+        ShardRow(r.n, r.m, shard, *shard_data)
         for r in reports
         for shard, shard_data in enumerate(zip(r.successes, r.frequencies, r.resamples))
     ]
-    ok = all(r.within_tolerance() is not False for r in reports)
     return Table(header, ShardRow._fields, rows, ok)
 
 
@@ -411,40 +411,27 @@ def reports_to_csv(reports: Sequence[ExperimentReport]) -> str:
 
 
 def parse_reports_csv(text: str) -> list[ExperimentReport]:
+    """The reports of a unimodular output, derived again by `_report` from
+    the header's config and the shard rows; the header's summaries are not
+    read, so writing the reports back gives the same text only when they
+    agree with the rows."""
     table = Table.from_csv(text)
-    if table.header.get("format") != "latgen-reports-v1":
+    if table.header.get("format") != REPORTS_FORMAT:
         raise ValueError("unknown report format")
-    per_key: dict[tuple, list[tuple[int, int, int]]] = {}
+    cfg = ExperimentConfig.from_json_dict(table.header["config"])
+    per_n: dict[int, list[tuple[int, int, int]]] = {n: [] for n in cfg.n_values}
     for row in table.rows:
-        per_key.setdefault((row.kind, int(row.n), int(row.m)), []).append(
-            (int(row.shard), int(row.successes), int(row.resamples))
-        )
+        shards = per_n.get(int(row.n))
+        if shards is None:
+            raise ValueError(f"shard row for n={row.n}, which the config does not list")
+        shards.append((int(row.shard), int(row.successes), int(row.resamples)))
     reports = []
-    for summary in table.header["summaries"]:
-        rows = sorted(per_key[(summary["kind"], summary["n"], summary["m"])])
-        samples = summary["config"]["samples"]
-        successes = tuple(s for _, s, _ in rows)
-        config = dict(summary["config"])
-        config["n_values"] = list(config["n_values"])
-        reports.append(
-            ExperimentReport(
-                kind=summary["kind"],
-                n=summary["n"],
-                m=summary["m"],
-                config=config,
-                frequencies=tuple(Fraction(s, samples) for s in successes),
-                successes=successes,
-                resamples=tuple(r for _, _, r in rows),
-                average=Fraction(summary["average"]),
-                minimum=Fraction(summary["minimum"]),
-                maximum=Fraction(summary["maximum"]),
-                wilson_radius=float(summary["wilson_radius"]),
-                cluster_radius=float(summary["cluster_radius"]),
-                ideal_lo=_frac(summary["ideal_lo"]),
-                ideal_hi=_frac(summary["ideal_hi"]),
-                rng=summary["rng"],
-            )
-        )
+    for n, shards in per_n.items():
+        shards.sort()
+        if [shard for shard, _, _ in shards] != list(range(cfg.reps)):
+            raise ValueError(f"n={n}: the shard rows are not shards 0..{cfg.reps - 1}")
+        _, successes, resamples = zip(*shards)
+        reports.append(_report(cfg, n, cfg.m_for(n), successes, resamples))
     return reports
 
 
@@ -586,7 +573,7 @@ def run_lemma_verification(
         hyperplane_ok = True
         for k in range(1, n):
             for subset in itertools.combinations(lattice.columns, k):
-                h_count = count_in_hyperplane(lattice, window, list(subset), points)
+                h_count = count_in_hyperplane(lattice, list(subset), points)
                 h_bound = lemma2_count_bound(lattice, window, k)
                 hyperplane_ok = hyperplane_ok and h_count <= h_bound
         ok = lower <= count <= upper and hyperplane_ok

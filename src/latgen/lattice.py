@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -59,14 +59,6 @@ def vectors_from_json(value, what: str) -> list[list[Fraction]]:
             if isinstance(e, bool) or not isinstance(e, (int, str)):
                 raise ValueError(f"{what} entry {json.dumps(e)} is not a JSON integer or string")
     return [[Fraction(e) for e in vec] for vec in value]
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 class Window:
@@ -215,7 +207,7 @@ class LatticeBasis:
         B^-1 = scale * T / |det S|)."""
         factor = Fraction(self._scale**2, self._scaled_det**2) * norm_sq_bound
         return [
-            isqrt(_ceil(sum(t * t for t in row) * factor)) + 1
+            isqrt(ceil(sum(t * t for t in row) * factor)) + 1
             for row in self._adjugate
         ]
 
@@ -349,7 +341,7 @@ class HalfOpenCell:
             # positive ones; an end is attained only where it is 0
             lo = sum(min(g, 0) for g in row)
             hi = sum(max(g, 0) for g in row)
-            lo_int, hi_int = _ceil(lo), _floor(hi)
+            lo_int, hi_int = ceil(lo), floor(hi)
             self.box.append((lo_int + (lo_int == lo < 0), hi_int - (hi_int == hi > 0)))
 
     def contains(self, z: Sequence[int]) -> bool:
@@ -412,11 +404,11 @@ def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[int, .
 
 def count_in_hyperplane(
     lattice: LatticeBasis,
-    window: Window,
     spanning: Sequence[Sequence],
-    points: Optional[Sequence[Sequence[int]]] = None,
+    points: Sequence[Sequence[int]],
 ) -> int:
-    """Count lattice points of the window lying in the span of the given
+    """Count the lattice points B c, given by their coordinates c as
+    ``enumerate_window`` returns them, that lie in the span of the given
     rational vectors (k = len(spanning), 1 <= k < n).
 
     B c lies in the span exactly when c lies in the span of the vectors'
@@ -425,9 +417,6 @@ def count_in_hyperplane(
     u, where u / d are the coordinates of one vector (scaling a row
     leaves the span unchanged).  U A V = D has its k nonzero divisors
     first, so those columns are an integer basis of {x : A x = 0}.
-    ``points`` takes the window's coordinate points as ``enumerate_window``
-    returns them, so a caller counting many spans enumerates the window
-    once; they are enumerated when omitted.
     """
     k = len(spanning)
     n = lattice.dim
@@ -438,8 +427,6 @@ def count_in_hyperplane(
     if len(divisors) != k:
         raise ValueError("spanning set is not independent")
     normals = [[row[j] for row in v] for j in range(k, n)]
-    if points is None:
-        points = enumerate_window(lattice, window)
     return sum(
         1
         for c in points

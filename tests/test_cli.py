@@ -89,25 +89,39 @@ def test_unimodular_config_file(tmp_path, capsys):
     assert code == 0
     header = json.loads(out_path.read_text().splitlines()[0][2:])
     # explicit flag overrides the file value
-    assert header["summaries"][0]["config"]["samples"] == 80
-    assert header["summaries"][0]["config"]["C"] == 300
+    assert header["config"]["samples"] == 80
+    assert header["config"]["C"] == 300
 
 
-def test_paper_scale_from_config_file(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"paper_scale": True}))
+def test_paper_scale_flag(tmp_path, capsys):
     out_path = tmp_path / "r.csv"
     code = main([
-        "unimodular", "--config", str(path), "--n", "2", "--reps", "1",
+        "unimodular", "--paper-scale", "--n", "2", "--reps", "1",
         "--samples", "5", "--out", str(out_path),
     ])
     assert code == 0
-    header = json.loads(out_path.read_text().splitlines()[0][2:])
-    config = header["summaries"][0]["config"]
-    # the preset applies as with --paper-scale; the explicit flags win
-    assert config["paper_scale"] is True
+    config = json.loads(out_path.read_text().splitlines()[0][2:])["config"]
+    # the preset fills what no flag sets; the explicit flags win
     assert config["C"] == 10**18
     assert (config["n_values"], config["reps"], config["samples"]) == ([2], 1, 5)
+    # the preset and the output file are CLI flags, not config keys
+    for key, value in (("paper_scale", True), ("out", str(out_path))):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert main(["unimodular", "--config", str(path), "--n", "2"]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_unimodular_output_independent_of_workers_and_out(tmp_path, capsys):
+    argv = ["unimodular", "--n", "1..2", "--reps", "3", "--samples", "100"]
+    assert main([*argv, "--workers", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main([*argv, "--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    target = tmp_path / "r.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_text() == serial
 
 
 def test_lemma_and_tv_subcommands(capsys):
@@ -183,6 +197,7 @@ def test_operational_error_exit_one(tmp_path, capsys):
         config = tmp_path / f"bad{i}.json"
         config.write_text(text)
         malformed.append(["unimodular", "--config", str(config)])
+    malformed.append(["unimodular", "--n", "1,1"])  # a repeated dimension
     for sub in ("null", "5", "[1, 2]", "[[null]]", "[[true, 0], [0, 2]]", "[[2.0, 0], [0, 2]]"):
         malformed.append(["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", "50"])
     for bound in ("-5", "0", "1/0"):
@@ -223,7 +238,8 @@ def _round_trip(text: str, kind: str) -> Table:
     header names the expected format."""
     table = Table.from_csv(text)
     assert table.to_csv() == text
-    assert table.header["format"] == f"latgen-{kind}-v1"
+    version = 2 if kind == "reports" else 1
+    assert table.header["format"] == f"latgen-{kind}-v{version}"
     return table
 
 

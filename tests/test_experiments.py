@@ -1,6 +1,7 @@
 """Experiment harness: reproducibility, statistics, report round trips."""
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -51,6 +52,9 @@ def test_config_validation():
     # every n is checked, not only the largest
     with pytest.raises(ValueError):
         ExperimentConfig(n_values=(4, 1), m_policy="n+-1")
+    # a repeated dimension would write two identical summaries
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(n_values=(1, 1))
 
 
 def test_m_policy():
@@ -118,9 +122,8 @@ def test_unimodular_deterministic_and_worker_invariant():
     multi = run_unimodular_experiment(
         ExperimentConfig(**{**SMALL.to_json_dict(), "workers": 3})
     )
-    for a, b in zip(one, multi):
-        assert a.frequencies == b.frequencies
-        assert a.successes == b.successes
+    assert multi == one
+    assert reports_to_csv(multi) == reports_to_csv(one)
 
 
 def test_unimodular_shard_successes_pinned():
@@ -214,6 +217,19 @@ def test_reports_csv_round_trip():
     assert text.startswith("# {")
     parsed = parse_reports_csv(text)
     assert parsed == reports
+    # the summaries are derived again from the shard rows, so an edited
+    # summary does not survive a round trip
+    first, rest = text.split("\n", 1)
+    header = json.loads(first[2:])
+    header["summaries"][0]["average"] = "0/1"
+    edited = "# " + json.dumps(header, sort_keys=True) + "\n" + rest
+    assert reports_to_csv(parse_reports_csv(edited)) == text
+    # the rows must be shards 0..reps-1 of the configured dimensions
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(ValueError, match="shard rows"):
+        parse_reports_csv("".join(lines[:-1]))
+    with pytest.raises(ValueError, match="does not list"):
+        parse_reports_csv(text + "7,8,0,1,1/200,0\n")
 
 
 def test_paper_scale_magnitudes_smoke():

@@ -11,7 +11,7 @@ tests map them to the rational points B c with ``oracles.lattice_point``.
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import pytest
 
@@ -21,8 +21,6 @@ from latgen.experiments import default_lemma_instances
 from latgen.lattice import (
     LatticeBasis,
     Window,
-    _ceil,
-    _floor,
     _int_gram,
     _quadform,
     count_in_hyperplane,
@@ -131,12 +129,12 @@ def covering_radius_estimate_scalar(lattice: LatticeBasis, res: int) -> Fraction
     qq_res = (lattice._scale * res) ** 2
     max_dist_sq = Fraction(0)
     for g in itertools.product(range(res), repeat=n):
-        c0 = [_floor(Fraction(gi, res) + Fraction(1, 2)) for gi in g]
+        c0 = [floor(Fraction(gi, res) + Fraction(1, 2)) for gi in g]
         w0 = [gi - res * c0i for gi, c0i in zip(g, c0)]
         best = _quadform(gram, w0)
         if best:
             radii = [
-                isqrt(_ceil(rn * Fraction(best, qq_res))) + 1 for rn in row_norm_sq
+                isqrt(ceil(rn * Fraction(best, qq_res))) + 1 for rn in row_norm_sq
             ]
             for offs in itertools.product(*(range(-r, r + 1) for r in radii)):
                 w = [w0i - res * o for w0i, o in zip(w0, offs)]
@@ -272,16 +270,16 @@ def test_half_open_membership():
 
 
 def test_count_in_hyperplane_examples():
-    w = Window(2, 3)
-    assert count_in_hyperplane(Z2, w, [(1, 0)]) == 3
-    assert count_in_hyperplane(Z2, w, [(1, 1)]) == 3
+    points = enumerate_window(Z2, Window(2, 3))
+    assert count_in_hyperplane(Z2, [(1, 0)], points) == 3
+    assert count_in_hyperplane(Z2, [(1, 1)], points) == 3
 
 
 def test_count_in_hyperplane_errors():
     with pytest.raises(ValueError):
-        count_in_hyperplane(Z2, Window(2, 3), [(1, 2), (2, 4)])
+        count_in_hyperplane(Z2, [(1, 2), (2, 4)], [])
     with pytest.raises(ValueError):
-        count_in_hyperplane(Z2, Window(2, 3), [(1, 0), (0, 1)])
+        count_in_hyperplane(Z2, [(1, 0), (0, 1)], [])
 
 
 def count_in_hyperplane_by_rank(basis: LatticeBasis, window: Window, spanning) -> int:
@@ -302,6 +300,7 @@ def test_count_in_hyperplane_matches_rank_oracle():
     for basis, bound in cases:
         n = basis.dim
         window = Window(n, bound)
+        points = enumerate_window(basis, window)
         columns = basis.columns
         spans = [
             [columns[j] for j in subset]
@@ -319,7 +318,7 @@ def test_count_in_hyperplane_matches_rank_oracle():
         for spanning in spans:
             if rank_of_rows(spanning) != len(spanning):
                 continue
-            count = count_in_hyperplane(basis, window, spanning)
+            count = count_in_hyperplane(basis, spanning, points)
             assert count == count_in_hyperplane_by_rank(basis, window, spanning), (
                 basis,
                 spanning,
@@ -328,7 +327,7 @@ def test_count_in_hyperplane_matches_rank_oracle():
 
 def test_hyperplane_count_within_bound():
     w = Window(2, 10)
-    count = count_in_hyperplane(Z2, w, [(1, 0)])
+    count = count_in_hyperplane(Z2, [(1, 0)], enumerate_window(Z2, w))
     assert count == 10
     assert count <= lemma2_count_bound(Z2, w, 1)
 
@@ -398,12 +397,11 @@ def test_hyperplane_independence_matches_fraction_rank():
         rng.shuffle(vectors)
         expected = rank_of_rows(vectors)
         basis = random_rational_basis(rng, dim)
-        window = Window(dim, 1)
         if expected == len(vectors):
-            assert count_in_hyperplane(basis, window, vectors, points=[]) == 0
+            assert count_in_hyperplane(basis, vectors, []) == 0
         else:
             with pytest.raises(ValueError, match="not independent"):
-                count_in_hyperplane(basis, window, vectors, points=[])
+                count_in_hyperplane(basis, vectors, [])
         ranks.add((len(vectors), expected))
     assert any(size > rank > 0 for size, rank in ranks)
     assert any(size == rank for size, rank in ranks)
