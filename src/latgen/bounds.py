@@ -21,7 +21,7 @@ import threading
 from fractions import Fraction
 from typing import Optional, Union
 
-from .enclosure import Enclosure, ln_enclosure, sqrt_enclosure
+from .enclosure import Enclosure, half_power, ln_enclosure
 
 _EULER_MACLAURIN_N = 48
 _MAX_PRECISION = 50
@@ -162,15 +162,6 @@ def default_context() -> ZetaContext:
         return _default_context
 
 
-def zeta(s: int, ctx: Optional[ZetaContext] = None) -> Enclosure:
-    """Certified enclosure of the zeta function at an integer s >= 2."""
-    return (ctx or default_context()).zeta(s)
-
-
-def zeta_hat(ctx: Optional[ZetaContext] = None) -> Enclosure:
-    return (ctx or default_context()).zeta_hat()
-
-
 # ---------------------------------------------------------------------------
 # probability bounds
 # ---------------------------------------------------------------------------
@@ -195,13 +186,6 @@ def ideal_probability(n: int, m: int, ctx: Optional[ZetaContext] = None) -> Encl
     return acc
 
 
-def _n_pow_half(n: int, k: int, grid_digits: int) -> Enclosure:
-    """Enclosure of n**(k/2): exact for even k, sqrt enclosure otherwise."""
-    if k % 2 == 0:
-        return Enclosure.exact(n ** (k // 2))
-    return Enclosure.exact(n ** ((k - 1) // 2)) * sqrt_enclosure(n, grid_digits)
-
-
 def pk_bound(
     n: int,
     j: Union[int, Fraction, Enclosure],
@@ -217,7 +201,7 @@ def pk_bound(
     if j_enc.lo <= 2:
         raise ValueError("window ratio j must exceed 2")
     value = (
-        _n_pow_half(n, k, ctx.grid_digits)
+        half_power(n, k, ctx.grid_digits)
         * (j_enc + 2) ** k
         * (2 ** (n - k))
         / (j_enc - 2) ** n
@@ -233,7 +217,7 @@ def fullrank_lower_bound(n: int, ctx: Optional[ZetaContext] = None) -> Enclosure
     ctx = ctx or default_context()
     g = ctx.grid_digits
     # factor k is 1 - pk_bound at window ratio j = 8 n^(n/2)
-    j = 8 * _n_pow_half(n, n, g)
+    j = 8 * half_power(n, n, g)
     acc = Enclosure.exact(1)
     for k in range(n):
         acc = (acc * (1 - pk_bound(n, j, k, ctx))).round_outward(g)
@@ -295,7 +279,7 @@ def window_thresholds(
     if n < 2:
         raise ValueError("window thresholds are defined for n >= 2")
     ctx = ctx or default_context()
-    b_min = 8 * _n_pow_half(n, n, ctx.grid_digits).hi * nu
+    b_min = 8 * half_power(n, n, ctx.grid_digits).hi * nu
     return b_min, 8 * n * n * (n + 1) * b_min
 
 

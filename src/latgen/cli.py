@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import ZetaContext, window_thresholds
+from .bounds import ZetaContext
 from .experiments import (
     ExperimentConfig,
     Table,
@@ -26,10 +26,8 @@ from .experiments import (
     run_coprime_table,
     run_fullrank_check,
     run_lemma_verification,
-    run_tv_check,
     run_tv_suite,
     run_unimodular_experiment,
-    tv_table,
 )
 from .lattice import LatticeBasis, vectors_from_json
 from .sampling import SamplerError
@@ -39,8 +37,10 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
     text = text.strip()
     for sep in ("..", "-"):
         if sep in text and not text.startswith("-"):
-            lo, hi = text.split(sep, 1)
-            return tuple(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split(sep, 1))
+            if lo > hi:
+                raise ValueError(f"n range {text!r} is reversed: {lo} > {hi}")
+            return tuple(range(lo, hi + 1))
     return tuple(int(part) for part in text.split(","))
 
 
@@ -131,7 +131,7 @@ def _cmd_tv_check(args) -> tuple[Table, str]:
             raise ValueError("custom tv-check needs --lattice, --sub and --B1")
         lattice = _load_lattice(args.lattice)
         sub = vectors_from_json(json.loads(args.sub), "--sub")
-        table = tv_table([run_tv_check(lattice, sub, Fraction(args.B1), name="custom")])
+        table = run_tv_suite([("custom", lattice, sub, Fraction(args.B1))])
     else:
         table = run_tv_suite()
     return table, f"tv-check {len(table.rows)} instances {_tag(table.ok)}"
@@ -140,15 +140,9 @@ def _cmd_tv_check(args) -> tuple[Table, str]:
 def _cmd_fullrank_check(args) -> tuple[Table, str]:
     lattice = _load_lattice(args.lattice, default=_Z2_JSON)
     nu = Fraction(args.nu_upper) if args.nu_upper else None
-    if args.B:
-        window_bound = Fraction(args.B)
-    else:
-        window_bound = window_thresholds(
-            lattice.dim, nu if nu is not None else lattice.nu_upper
-        )[0]
     table = run_fullrank_check(
         lattice,
-        window_bound,
+        Fraction(args.B) if args.B else None,
         trials=args.trials,
         seed=args.seed,
         nu_upper=nu,

@@ -173,6 +173,13 @@ def sqrt_enclosure(x: Rational, digits: int) -> Enclosure:
     return Enclosure(lo, hi)
 
 
+def half_power(x: Rational, k: int, digits: int) -> Enclosure:
+    """Enclosure of x^(k/2) for rational x >= 0 and integer k >= 0:
+    x^(k//2) exactly, times ``sqrt_enclosure(x, digits)`` for odd k."""
+    whole = Enclosure.exact(Fraction(x) ** (k // 2))
+    return whole * sqrt_enclosure(x, digits) if k % 2 else whole
+
+
 _LN2_CACHE: dict[int, Enclosure] = {}
 
 

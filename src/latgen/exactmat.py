@@ -9,8 +9,8 @@ Two eliminations answer every question: fraction-free Gauss-Jordan
 elimination (``_bareiss_columns``: determinants, adjugates, maximal
 minors and the unimodularity decision) and the Smith form
 (``snf_with_transforms``: quotient groups, whose divisors also decide
-full rank, and whose column transform holds the integer normals of a
-span, for hyperplane counts).
+full rank, from the row transform, and the coset sampler's cyclic
+factors, from the column transform).
 
 A matrix is a plain sequence of its columns, each a sequence of Python
 integers (lists or tuples); no kernel modifies its input.  The Smith

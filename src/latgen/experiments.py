@@ -44,7 +44,7 @@ import json
 import math
 import multiprocessing
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -123,6 +123,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n values must be >= 1")
+        # 2 * shard + b and n each fill 24 bits of a stream id
+        if self.reps > 1 << 23 or max(self.n_values) >= 1 << 24:
+            raise ValueError(
+                "need reps <= 2^23 and n < 2^24, or shards share random streams "
+                f"({STREAM_LAYOUT})"
+            )
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError(f"n values must be distinct: {list(self.n_values)}")
         if self.C < 1 or self.reps < 1 or self.samples < 1 or self.workers < 1:
@@ -143,15 +149,7 @@ class ExperimentConfig:
         return m
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "m_policy": self.m_policy,
-            "C": self.C,
-            "reps": self.reps,
-            "samples": self.samples,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
+        return dict(asdict(self), n_values=list(self.n_values))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -335,14 +333,17 @@ def _cell(value) -> str:
 
 @dataclass
 class Table:
-    """One latgen result: a JSON-ready header, the CSV column names, the
-    rows (tuples in column order) and whether every check passed (a table
-    read back takes `ok` from its header, None when the header has none)."""
+    """One latgen result: a JSON-ready header, the CSV column names and
+    the rows (tuples in column order)."""
 
     header: dict
     columns: tuple[str, ...]
     rows: list
-    ok: Optional[bool]
+
+    @property
+    def ok(self) -> Optional[bool]:
+        """The header's verdict: whether every check passed (None if absent)."""
+        return self.header.get("ok")
 
     def to_csv(self) -> str:
         lines = ["# " + json.dumps(self.header, sort_keys=True), ",".join(self.columns)]
@@ -365,7 +366,7 @@ class Table:
             if len(cells) != len(row_type._fields):
                 raise ValueError(f"row {line!r} does not match columns {lines[1]!r}")
             rows.append(row_type(*cells))
-        return cls(header, row_type._fields, rows, header.get("ok"))
+        return cls(header, row_type._fields, rows)
 
 
 REPORTS_FORMAT = "latgen-reports-v2"
@@ -377,12 +378,11 @@ def reports_table(reports: Sequence[ExperimentReport]) -> Table:
     """The unimodular report: the config, RNG provenance and verdict once
     in the header beside per-dimension summaries, one row per shard; ok
     unless some report is out of tolerance."""
-    ok = all(r.within_tolerance() is not False for r in reports)
     header = {
         "format": REPORTS_FORMAT,
         "config": reports[0].config,
         "rng": reports[0].rng,
-        "ok": ok,
+        "ok": all(r.within_tolerance() is not False for r in reports),
         "summaries": [
             {
                 "n": r.n,
@@ -403,7 +403,7 @@ def reports_table(reports: Sequence[ExperimentReport]) -> Table:
         for r in reports
         for shard, shard_data in enumerate(zip(r.successes, r.frequencies, r.resamples))
     ]
-    return Table(header, ShardRow._fields, rows, ok)
+    return Table(header, ShardRow._fields, rows)
 
 
 def reports_to_csv(reports: Sequence[ExperimentReport]) -> str:
@@ -470,7 +470,7 @@ def run_coprime_table(n_max: int) -> Table:
         "ok": ok,
     }
     rows = [CoprimeRow(n, r, float(r), n in argmin) for n, r in enumerate(ratios, start=1)]
-    return Table(header, CoprimeRow._fields, rows, ok)
+    return Table(header, CoprimeRow._fields, rows)
 
 
 BoundsRow = namedtuple(
@@ -502,7 +502,7 @@ def run_bounds_table(n_max: int, ctx: Optional[ZetaContext] = None) -> Table:
             )
         )
     header = {"format": "latgen-bounds-v1", "precision": ctx.precision, "ok": ok}
-    return Table(header, BoundsRow._fields, rows, ok)
+    return Table(header, BoundsRow._fields, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +572,9 @@ def run_lemma_verification(
         lower, upper = lemma1_bounds(lattice, window, nu_est)
         hyperplane_ok = True
         for k in range(1, n):
-            for subset in itertools.combinations(lattice.columns, k):
-                h_count = count_in_hyperplane(lattice, list(subset), points)
-                h_bound = lemma2_count_bound(lattice, window, k)
+            h_bound = lemma2_count_bound(lattice, window, k)
+            for support in itertools.combinations(range(n), k):
+                h_count = count_in_hyperplane(lattice, support, points)
                 hyperplane_ok = hyperplane_ok and h_count <= h_bound
         ok = lower <= count <= upper and hyperplane_ok
         rows.append(
@@ -583,8 +583,8 @@ def run_lemma_verification(
                 hyperplane_ok, ok,
             )
         )
-    ok = all(row.ok for row in rows)
-    return Table({"format": "latgen-lemma-v1", "ok": ok}, LemmaRow._fields, rows, ok)
+    header = {"format": "latgen-lemma-v1", "ok": all(row.ok for row in rows)}
+    return Table(header, LemmaRow._fields, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +630,6 @@ def run_tv_check(
     return TvRow(name, n, str(b1), order, tv, bound, tv <= bound)
 
 
-def tv_table(rows: Sequence[TvRow]) -> Table:
-    ok = all(row.ok for row in rows)
-    return Table({"format": "latgen-tv-v1", "ok": ok}, TvRow._fields, list(rows), ok)
-
-
 def default_tv_instances() -> list[tuple[str, LatticeBasis, list, Fraction]]:
     def lb(*cols):
         return LatticeBasis(list(cols))
@@ -656,11 +651,15 @@ def default_tv_instances() -> list[tuple[str, LatticeBasis, list, Fraction]]:
     ]
 
 
-def run_tv_suite() -> Table:
-    return tv_table([
+def run_tv_suite(instances: Optional[Sequence[tuple]] = None) -> Table:
+    """`run_tv_check` on each (name, lattice, sub, B1) instance, by
+    default `default_tv_instances`."""
+    rows = [
         run_tv_check(lattice, sub, b1, name=name)
-        for name, lattice, sub, b1 in default_tv_instances()
-    ])
+        for name, lattice, sub, b1 in instances or default_tv_instances()
+    ]
+    header = {"format": "latgen-tv-v1", "ok": all(row.ok for row in rows)}
+    return Table(header, TvRow._fields, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +683,7 @@ def _ball_volume_upper(n: int) -> Fraction:
 
 def run_fullrank_check(
     lattice: LatticeBasis,
-    window_bound: Union[int, Fraction],
+    window_bound: Optional[Union[int, Fraction]],
     trials: int,
     seed: int = 0,
     nu_upper: Optional[Fraction] = None,
@@ -693,7 +692,9 @@ def run_fullrank_check(
 ) -> Table:
     """Frequency with which n uniform window points span full rank.
 
-    Requires the window to meet the threshold 8 n^(n/2) nu unless
+    ``window_bound`` None takes the window at the threshold 8 n^(n/2) nu
+    (nu the given ``nu_upper`` or else the lattice's cached bound), which
+    exists only for n >= 2.  The window must meet that threshold unless
     explicitly overridden (the row then records hypothesis_held=False
     and asserts nothing); inside the hypothesis, the check is
     frequency >= 1/2 - 3 Wilson radii.  With zero trials the frequency
@@ -706,23 +707,24 @@ def run_fullrank_check(
     This exact test refuses only provably wrong values; it does not
     certify that nu is an upper bound.
     """
+    n = lattice.dim
+    nu = Fraction(nu_upper) if nu_upper is not None else lattice.nu_upper
+    threshold = None
+    # window_thresholds refuses n = 1 and nu <= 0, the error only when the
+    # window is the threshold (the ball test refuses nu <= 0 otherwise)
+    if window_bound is None or n >= 2 and nu > 0:
+        threshold = bounds.window_thresholds(n, nu)[0]
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    n = lattice.dim
-    window = Window(n, window_bound)  # refuses B <= 0 whatever the trial count
+    # refuses B <= 0 whatever the trial count
+    window = Window(n, threshold if window_bound is None else window_bound)
     b = window.bound
-    nu = Fraction(nu_upper) if nu_upper is not None else lattice.nu_upper
     if nu <= 0 or _ball_volume_upper(n) * nu**n < lattice.det:
         raise ValueError(
             f"nu_upper {nu} is below the covering radius: balls of radius nu "
             f"around the lattice points cannot cover R^{n} (det {lattice.det})"
         )
-    if n >= 2:
-        threshold = bounds.window_thresholds(n, nu)[0]
-        hypothesis_held = b >= threshold
-    else:
-        threshold = None
-        hypothesis_held = False
+    hypothesis_held = threshold is not None and b >= threshold
     if not hypothesis_held and not allow_out_of_hypothesis:
         raise ValueError(
             f"window bound {b} below threshold {threshold}; "
@@ -746,4 +748,4 @@ def run_fullrank_check(
         "rng": rng.provenance(),
         "threshold": _frac_str(threshold),
     }
-    return Table(header, FullrankRow._fields, [row], ok)
+    return Table(header, FullrankRow._fields, [row])

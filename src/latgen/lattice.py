@@ -5,7 +5,9 @@ modules, a lattice point is its integer coordinate vector c (the point
 is B c): window enumeration and window sampling return coordinate
 tuples, hyperplane counts and quotient projections take them, and the
 generation question is decided on them, since lattice vectors generate
-the lattice exactly when their coordinates generate Z^n.  Rational
+the lattice exactly when their coordinates generate Z^n.  The span of
+some basis columns is, in these coordinates, a coordinate subspace, so a
+hyperplane count only tests which coordinates are 0.  Rational
 vectors are converted to coordinates only at the edges, by
 ``LatticeBasis.coordinates``.
 
@@ -16,9 +18,9 @@ since the exact covering radius is never needed.
 
 A basis B is held as the integer matrix S = q B (q the least common
 denominator of its entries) together with |det S| and the integer matrix
-T = |det S| S^-1, both from one fraction-free elimination; coordinates,
-membership and the inverse rows used to size search boxes are integer
-arithmetic on these.
+T = |det S| S^-1, both from one fraction-free elimination; coordinates
+(which refuse vectors outside the lattice) and the inverse rows used to
+size search boxes are integer arithmetic on these.
 
 Every region is one half-open cell (``HalfOpenCell``): the integer points
 z with 0 <= (R z)_i < L for an integer matrix R and L > 0, which are the
@@ -40,8 +42,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .enclosure import sqrt_enclosure
-from .exactmat import _scaled_inverse, snf_with_transforms
+from .enclosure import half_power, sqrt_enclosure
+from .exactmat import _scaled_inverse
 
 _ENUM_GUARD = 10**7
 _BOX_GUARD = 5 * 10**7
@@ -109,7 +111,7 @@ class LatticeBasis:
         """Load {"n": int, "basis": [[...], ...], "column_major": bool}.
 
         Entries are JSON integers or strings ("p/q" or decimal), so
-        exactness survives the round trip (``vectors_from_json``);
+        rationals load exactly (``vectors_from_json``);
         column_major defaults to true.  Any other shape raises ValueError.
         """
         obj = json.loads(text)
@@ -127,15 +129,6 @@ class LatticeBasis:
         if not column_major:
             vectors = list(zip(*vectors))
         return cls(vectors)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.dim,
-                "basis": [[str(e) for e in col] for col in self.columns],
-                "column_major": True,
-            }
-        )
 
     @property
     def dim(self) -> int:
@@ -158,10 +151,6 @@ class LatticeBasis:
         if any(x % d for x in u):
             raise ValueError(f"vector {tuple(vector)} is not a lattice point")
         return [x // d for x in u]
-
-    def contains(self, vector: Sequence) -> bool:
-        u, d = self._coordinate_numerators(vector)
-        return not any(x % d for x in u)
 
     # -- cached invariants ---------------------------------------------------
 
@@ -247,17 +236,8 @@ def covering_radius_upper(lattice: LatticeBasis) -> Fraction:
     the result is always a valid upper bound.
     """
     n = lattice.dim
-    digits = 30
-    # n^(n/2 + 1) = n^((n+2)/2)
-    if n % 2 == 0:
-        n_power = Fraction(n ** ((n + 2) // 2))
-    else:
-        n_power = n ** ((n + 1) // 2) * sqrt_enclosure(n, digits).hi
-    lam_sq = lattice.lambda1_sq
-    if (n - 1) % 2 == 0:
-        lam_power = lam_sq ** ((n - 1) // 2)
-    else:
-        lam_power = lam_sq ** ((n - 2) // 2) * sqrt_enclosure(lam_sq, digits).lo
+    n_power = half_power(n, n + 2, 30).hi
+    lam_power = half_power(lattice.lambda1_sq, n - 1, 30).lo
     if lam_power <= 0:
         raise ArithmeticError("shortest vector bound underflowed")
     return Fraction(1, 2) * n_power * lattice.det / lam_power
@@ -404,34 +384,23 @@ def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[int, .
 
 def count_in_hyperplane(
     lattice: LatticeBasis,
-    spanning: Sequence[Sequence],
+    support: Sequence[int],
     points: Sequence[Sequence[int]],
 ) -> int:
     """Count the lattice points B c, given by their coordinates c as
-    ``enumerate_window`` returns them, that lie in the span of the given
-    rational vectors (k = len(spanning), 1 <= k < n).
+    ``enumerate_window`` returns them, that lie in the span of the basis
+    columns with indices in ``support`` (1 <= k < n distinct indices).
 
-    B c lies in the span exactly when c lies in the span of the vectors'
-    basis coordinates, which is cut out by integer normals: the last
-    n - k columns of the Smith transform V of the k x n matrix A of rows
-    u, where u / d are the coordinates of one vector (scaling a row
-    leaves the span unchanged).  U A V = D has its k nonzero divisors
-    first, so those columns are an integer basis of {x : A x = 0}.
+    In basis coordinates that span is the coordinate subspace on
+    ``support``, so B c lies in it exactly when every c_j with j outside
+    ``support`` is 0.
     """
-    k = len(spanning)
     n = lattice.dim
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n spanning vectors")
-    rows = [lattice._coordinate_numerators(v)[0] for v in spanning]
-    divisors, _, v = snf_with_transforms(list(zip(*rows)), k)
-    if len(divisors) != k:
-        raise ValueError("spanning set is not independent")
-    normals = [[row[j] for row in v] for j in range(k, n)]
-    return sum(
-        1
-        for c in points
-        if not any(sum(a * x for a, x in zip(normal, c)) for normal in normals)
-    )
+    chosen = set(support)
+    if not chosen or not chosen < set(range(n)) or len(chosen) != len(support):
+        raise ValueError(f"support must be 1 <= k < {n} distinct indices in 0..{n - 1}")
+    outside = [j for j in range(n) if j not in chosen]
+    return sum(1 for c in points if not any(c[j] for j in outside))
 
 
 def lemma1_bounds(
@@ -457,5 +426,4 @@ def lemma2_count_bound(lattice: LatticeBasis, window: Window, k: int) -> Fractio
         raise ValueError("need 1 <= k < n")
     nu = lattice.nu_upper
     b = window.bound
-    n_half = sqrt_enclosure(n**k, 30).hi
-    return n_half * (b + 2 * nu) ** k * (2 * nu) ** (n - k) / lattice.det
+    return half_power(n, k, 30).hi * (b + 2 * nu) ** k * (2 * nu) ** (n - k) / lattice.det

@@ -143,14 +143,6 @@ class RngStream:
         key = _mix64(_mix64(self._overflow_s0 + index) + attempt)
         return _mix64(key + (w + 1) * _GAMMA)
 
-    def overflow_words_np(self, indices: np.ndarray, attempt: int) -> np.ndarray:
-        """``overflow_word(index, attempt, 0)`` for an array of indices."""
-        with np.errstate(over="ignore"):
-            key = _mix64_np(
-                _mix64_np(np.uint64(self._overflow_s0) + indices) + np.uint64(attempt)
-            )
-            return _mix64_np(key + np.uint64(_GAMMA))
-
     def draw_below(self, bound: int, index: Optional[int] = None) -> int:
         """Uniform integer in [0, bound) from the word block of one draw
         index (allocated from the cursor when not given)."""
@@ -193,7 +185,10 @@ class _BoundedDraws:
     """Rows of bounded draws from one stream: row j of the rows starting
     at draw index ``base`` holds draw base + j k + i below bounds[i], for
     the k bounds.  ``rows`` computes ``row`` for a batch of rows at once
-    (bounds below 2^64 only) and gives the same values."""
+    (bounds below 2^64 only) and gives the same values: it vectorizes the
+    attempts inside each draw's block and hands a draw still rejected at
+    the end of its block to ``draw_below``, which replays the block and
+    goes on into the overflow sub-stream."""
 
     def __init__(self, rng: RngStream, bounds: Sequence[int], vectorized: bool):
         self.rng = rng
@@ -212,30 +207,21 @@ class _BoundedDraws:
         with np.errstate(over="ignore"):
             words = self.rng.words_np(idx * np.uint64(_WORDS_PER_DRAW))
         x = words.reshape(batch, k) & self._mask
-        reject = x >= self._bound
-        attempt = 1
-        while reject.any():
-            if attempt >= _MAX_ATTEMPTS:
-                raise SamplerError(
-                    f"{_MAX_ATTEMPTS} draws rejected: generator fault", 0.0
-                )
-            pos = np.flatnonzero(reject.ravel())
-            if attempt < _WORDS_PER_DRAW:
-                with np.errstate(over="ignore"):
-                    repl = self.rng.words_np(
-                        idx[pos] * np.uint64(_WORDS_PER_DRAW) + np.uint64(attempt)
-                    )
-            else:
-                repl = self.rng.overflow_words_np(idx[pos], attempt)
+        pos = np.flatnonzero(x >= self._bound)
+        flat = x.ravel()  # a view: writes to it land in x
+        for attempt in range(1, _WORDS_PER_DRAW):
+            if not len(pos):
+                break
             cols = pos % k
+            with np.errstate(over="ignore"):
+                repl = self.rng.words_np(
+                    idx[pos] * np.uint64(_WORDS_PER_DRAW) + np.uint64(attempt)
+                )
             repl &= self._mask[cols]
-            flat = x.ravel()
             flat[pos] = repl
-            x = flat.reshape(batch, k)
-            reject_flat = np.zeros(batch * k, dtype=bool)
-            reject_flat[pos] = repl >= self._bound[cols]
-            reject = reject_flat.reshape(batch, k)
-            attempt += 1
+            pos = pos[repl >= self._bound[cols]]
+        for p in pos.tolist():
+            flat[p] = self.rng.draw_below(self.bounds[p % k], base + p)
         return x
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from latgen.bounds import (
     ZetaContext,
-    _n_pow_half,
     alpha,
     default_context,
     fullrank_lower_bound,
@@ -22,10 +21,8 @@ from latgen.bounds import (
     totients,
     tv_bound,
     window_thresholds,
-    zeta,
-    zeta_hat,
 )
-from latgen.enclosure import Enclosure, ln_enclosure, sqrt_enclosure
+from latgen.enclosure import Enclosure, half_power, ln_enclosure, sqrt_enclosure
 from latgen.experiments import run_coprime_table
 from oracles import totient_summatory
 
@@ -67,6 +64,15 @@ def test_sqrt_enclosure_brackets():
     assert sqrt_enclosure(Fraction(9, 4), 10) == Enclosure.exact(Fraction(3, 2))
 
 
+def test_half_power():
+    assert half_power(3, 4, 10) == Enclosure.exact(9)
+    assert half_power(Fraction(1, 2), 0, 10) == Enclosure.exact(1)
+    odd = half_power(3, 5, 20)  # 9 sqrt(3)
+    assert odd == 9 * sqrt_enclosure(3, 20)
+    assert odd.lo**2 <= 3**5 <= odd.hi**2
+    assert half_power(Fraction(9, 4), 3, 10) == Enclosure.exact(Fraction(27, 8))
+
+
 def test_ln_enclosure():
     # ln 2 = 0.69314718055994530941723212145818...
     enc2 = ln_enclosure(2, 25)
@@ -90,7 +96,7 @@ def test_round_outward_nests_on_finer_grids():
 
 
 def test_zeta_two_contains_pi_squared_over_six():
-    enc = zeta(2)
+    enc = default_context().zeta(2)
     # pi^2 / 6 = 1.6449340668482264364724151666460251892189...
     ref = Fraction(16449340668482264364724151666460251892189, 10**40)
     assert enc.contains(ref)
@@ -98,7 +104,7 @@ def test_zeta_two_contains_pi_squared_over_six():
 
 
 def test_zeta_ten_bracket():
-    enc = zeta(10)
+    enc = default_context().zeta(10)
     assert Fraction(10009, 10000) < enc.lo and enc.hi < Fraction(1001, 1000)
 
 
@@ -110,11 +116,11 @@ def test_zeta_width_contract():
 
 def test_zeta_rejects_small_s():
     with pytest.raises(ValueError):
-        zeta(1)
+        default_context().zeta(1)
 
 
 def test_zeta_hat_digits():
-    enc = zeta_hat()
+    enc = default_context().zeta_hat()
     assert enc.lo >= Fraction(434, 1000)
     assert enc.hi <= Fraction(6080, 10000)
     # certified decimal expansion starts 0.43575707677...
@@ -172,7 +178,7 @@ def test_ideal_probability_decreasing_to_zeta_hat():
             assert enc.hi < prev.lo
         prev = enc
     limit = ideal_probability(40, 41)
-    hat = zeta_hat()
+    hat = default_context().zeta_hat()
     assert limit.hi >= hat.lo and limit.lo <= hat.hi + Fraction(1, 10**10)
     assert limit.lo > hat.lo  # still strictly above the infinite product
 
@@ -203,7 +209,7 @@ def test_pk_bound_rejects_small_ratio():
 def test_pk_sum_below_half_at_reference_ratio():
     ctx = default_context()
     for n in range(1, 9):
-        j = 8 * _n_pow_half(n, n, ctx.grid_digits)  # the ratio 8 n^(n/2)
+        j = 8 * half_power(n, n, ctx.grid_digits)  # the ratio 8 n^(n/2)
         total = Enclosure.exact(0)
         for k in range(n):
             total = total + pk_bound(n, j, k, ctx)
@@ -253,7 +259,7 @@ def test_alpha_values():
 
 
 def test_alpha_floor_and_limit():
-    hat = zeta_hat()
+    hat = default_context().zeta_hat()
     for n in range(2, 51):
         enc = alpha(n)
         assert enc.lo >= Fraction(92, 1000)

@@ -18,6 +18,9 @@ def test_parse_n_values():
     assert _parse_n_values("1..4") == (1, 2, 3, 4)
     assert _parse_n_values("2-5") == (2, 3, 4, 5)
     assert _parse_n_values("1,3,7") == (1, 3, 7)
+    for reversed_range in ("3..1", "3-1"):
+        with pytest.raises(ValueError, match="reversed"):
+            _parse_n_values(reversed_range)
 
 
 def test_coprime_exit_zero(capsys):
@@ -198,6 +201,8 @@ def test_operational_error_exit_one(tmp_path, capsys):
         config.write_text(text)
         malformed.append(["unimodular", "--config", str(config)])
     malformed.append(["unimodular", "--n", "1,1"])  # a repeated dimension
+    # more shards than the stream layout holds, refused before any shard runs
+    malformed.append(["unimodular", "--reps", "8388609"])
     for sub in ("null", "5", "[1, 2]", "[[null]]", "[[true, 0], [0, 2]]", "[[2.0, 0], [0, 2]]"):
         malformed.append(["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", "50"])
     for bound in ("-5", "0", "1/0"):

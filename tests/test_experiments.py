@@ -55,6 +55,14 @@ def test_config_validation():
     # a repeated dimension would write two identical summaries
     with pytest.raises(ValueError, match="distinct"):
         ExperimentConfig(n_values=(1, 1))
+    # 2 * shard + 1 and n each have 24 bits of a stream id: shard 2^23 of
+    # n = 2 would replay shard 0 of n = 3
+    assert stream_id(1, 2, 2**23, 0) == stream_id(1, 3, 0, 0)
+    ExperimentConfig(n_values=(2**24 - 1,), reps=2**23)
+    with pytest.raises(ValueError, match="stream"):
+        ExperimentConfig(reps=2**23 + 1)
+    with pytest.raises(ValueError, match="stream"):
+        ExperimentConfig(n_values=(1, 2**24))
 
 
 def test_m_policy():

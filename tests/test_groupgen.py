@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from latgen.bounds import default_context, ideal_probability, zeta_hat
+from latgen.bounds import default_context, ideal_probability
 from latgen.groupgen import (
     FiniteAbelianGroup,
     abelian_groups_of_order,
@@ -312,7 +312,7 @@ def proposition1_check(n_max):
     constant)."""
     ctx = default_context()
     rows = []
-    hat_lower = zeta_hat(ctx).lo
+    hat_lower = ctx.zeta_hat().lo
     for n in range(1, n_max + 1):
         bound_lower = ideal_probability(n, n + 1, ctx).lo
         assert bound_lower >= hat_lower

@@ -271,15 +271,14 @@ def test_half_open_membership():
 
 def test_count_in_hyperplane_examples():
     points = enumerate_window(Z2, Window(2, 3))
-    assert count_in_hyperplane(Z2, [(1, 0)], points) == 3
-    assert count_in_hyperplane(Z2, [(1, 1)], points) == 3
+    assert count_in_hyperplane(Z2, [0], points) == 3
 
 
 def test_count_in_hyperplane_errors():
-    with pytest.raises(ValueError):
-        count_in_hyperplane(Z2, [(1, 2), (2, 4)], [])
-    with pytest.raises(ValueError):
-        count_in_hyperplane(Z2, [(1, 0), (0, 1)], [])
+    z3 = lat([1, 0, 0], [0, 1, 0], [0, 0, 1])
+    for support in ([], [0, 1, 2], [1, 1], [3]):  # k = 0, k = n, repeated, out of range
+        with pytest.raises(ValueError, match="distinct indices"):
+            count_in_hyperplane(z3, support, [])
 
 
 def count_in_hyperplane_by_rank(basis: LatticeBasis, window: Window, spanning) -> int:
@@ -301,33 +300,19 @@ def test_count_in_hyperplane_matches_rank_oracle():
         n = basis.dim
         window = Window(n, bound)
         points = enumerate_window(basis, window)
-        columns = basis.columns
-        spans = [
-            [columns[j] for j in subset]
-            for k in range(1, n)
-            for subset in itertools.combinations(range(n), k)
-        ]
-        # spans that are not spanned by basis vectors: rational, mixed signs
-        spans += [
-            [
-                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
-                for _ in range(k)
-            ]
-            for k in range(1, n)
-        ]
-        for spanning in spans:
-            if rank_of_rows(spanning) != len(spanning):
-                continue
-            count = count_in_hyperplane(basis, spanning, points)
-            assert count == count_in_hyperplane_by_rank(basis, window, spanning), (
-                basis,
-                spanning,
-            )
+        for k in range(1, n):
+            for support in itertools.combinations(range(n), k):
+                spanning = [basis.columns[j] for j in support]
+                count = count_in_hyperplane(basis, support, points)
+                assert count == count_in_hyperplane_by_rank(basis, window, spanning), (
+                    basis,
+                    support,
+                )
 
 
 def test_hyperplane_count_within_bound():
     w = Window(2, 10)
-    count = count_in_hyperplane(Z2, [(1, 0)], enumerate_window(Z2, w))
+    count = count_in_hyperplane(Z2, [0], enumerate_window(Z2, w))
     assert count == 10
     assert count <= lemma2_count_bound(Z2, w, 1)
 
@@ -378,38 +363,10 @@ def test_generates_lattice_rejects_foreign_vector():
         generates_lattice(TWOZ2, [(1, 0)])
 
 
-def test_hyperplane_independence_matches_fraction_rank():
-    """count_in_hyperplane refuses a spanning set exactly when it is
-    dependent: mixed-rank rational sets (random vectors, then combinations
-    of them) in random rational bases, against the Fraction rank."""
-    rng = random.Random(2024)
-    ranks = set()
-    for _ in range(600):
-        dim = rng.randint(2, 5)
-        base = [
-            [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(dim)]
-            for _ in range(rng.randint(1, dim - 1))
-        ]
-        vectors = base + [
-            [sum(rng.randint(-2, 2) * v[i] for v in base) for i in range(dim)]
-            for _ in range(rng.randint(0, dim - 1 - len(base)))
-        ]
-        rng.shuffle(vectors)
-        expected = rank_of_rows(vectors)
-        basis = random_rational_basis(rng, dim)
-        if expected == len(vectors):
-            assert count_in_hyperplane(basis, vectors, []) == 0
-        else:
-            with pytest.raises(ValueError, match="not independent"):
-                count_in_hyperplane(basis, vectors, [])
-        ranks.add((len(vectors), expected))
-    assert any(size > rank > 0 for size, rank in ranks)
-    assert any(size == rank for size, rank in ranks)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_basis_kernel_matches_fraction_inverse(n):
-    """det, coordinates and contains on seeded random rational bases."""
+    """det and coordinates (members and non-members) on seeded random
+    rational bases."""
     rng = random.Random(90 + n)
     for _ in range(25):
         basis = random_rational_basis(rng, n)
@@ -420,14 +377,12 @@ def test_basis_kernel_matches_fraction_inverse(n):
         point = lattice_point(basis.columns, coords)
         assert [sum(e * x for e, x in zip(row, point)) for row in inverse] == coords
         assert basis.coordinates(point) == coords
-        assert basis.contains(point)
         # a rational vector whose oracle coordinates are not all integers
         while True:
             vector = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
             exact = [sum(e * x for e, x in zip(row, vector)) for row in inverse]
             if any(c.denominator != 1 for c in exact):
                 break
-        assert not basis.contains(vector)
         with pytest.raises(ValueError, match="not a lattice point"):
             basis.coordinates(vector)
 
@@ -439,7 +394,7 @@ def test_basis_kernel_matches_fraction_inverse(n):
 
 def test_lattice_json_roundtrip():
     basis = lat([Fraction(1, 3), 0], [1, 2])
-    loaded = LatticeBasis.from_json(basis.to_json())
+    loaded = LatticeBasis.from_json('{"n": 2, "basis": [["1/3", "0"], ["1", "2"]]}')
     assert loaded.columns == basis.columns
 
 

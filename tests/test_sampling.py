@@ -122,14 +122,6 @@ def test_draw_below_beyond_block(bound):
     assert values == [again.draw_below(bound) for _ in range(40)]
 
 
-def test_overflow_words_np_matches_scalar():
-    rng = RngStream(seed=42, stream=5)
-    idx = np.arange(0, 50, dtype=np.uint64)
-    for attempt in (64, 65, 700):
-        vec = rng.overflow_words_np(idx, attempt)
-        assert vec.tolist() == [rng.overflow_word(i, attempt, 0) for i in range(50)]
-
-
 class _SaturatedBlocks(RngStream):
     """A stream whose in-block words are all ones, so a draw below a bound
     that is not a power of two only ever succeeds past its block."""
@@ -160,9 +152,6 @@ class _BrokenGenerator(_SaturatedBlocks):
 
     def overflow_word(self, index, attempt, w):
         return (1 << 64) - 1
-
-    def overflow_words_np(self, indices, attempt):
-        return np.full(indices.shape, (1 << 64) - 1, dtype=np.uint64)
 
 
 def test_broken_generator_still_reported():
