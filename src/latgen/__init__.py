@@ -18,6 +18,11 @@ Library layout:
                     from the box of a half-open cell
 * ``experiments``-- the Monte Carlo harness and CSV reports behind the
                     ``latgen`` CLI
+
+numpy is imported only by the functions that run on it: the covering-
+radius grid search (``latgen lemma-verify``) and the coset sampler's
+int64 engine (``latgen unimodular``).  A worker pool's parent imports it,
+and ``multiprocessing``, just before forking, so the workers share it.
 """
 
 __version__ = "0.1.0"

@@ -112,12 +112,12 @@ def _cmd_unimodular(args) -> tuple[Table, str]:
 def _cmd_coprime(args) -> tuple[Table, str]:
     table = run_coprime_table(args.n_max)
     minimum, argmin = Fraction(table.header["minimum"]), table.header["argmin"]
-    return table, f"coprime n<=:{args.n_max} min={minimum} at n={argmin} {_tag(table.ok)}"
+    return table, f"coprime n<={args.n_max} min={minimum} at n={argmin} {_tag(table.ok)}"
 
 
 def _cmd_bounds_table(args) -> tuple[Table, str]:
     table = run_bounds_table(args.n_max, ZetaContext(precision=args.precision))
-    return table, f"bounds-table n<=:{args.n_max} {_tag(table.ok)}"
+    return table, f"bounds-table n<={args.n_max} {_tag(table.ok)}"
 
 
 def _cmd_lemma_verify(args) -> tuple[Table, str]:

@@ -53,9 +53,6 @@ class Enclosure:
         v = Fraction(value)
         return self.lo <= v <= self.hi
 
-    def contains_enclosure(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __float__(self) -> float:
         return float(self.mid)
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import multiprocessing
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -272,15 +271,21 @@ def _unimodular_shard(task) -> tuple[int, int, int]:
         ) from exc
     successes = 0
     for k in range(samples):
-        columns = [list(points[k * m + j]) for j in range(m)]
-        if unimodular_columns(columns, n):
+        if unimodular_columns(points[k * m:(k + 1) * m], n):
             successes += 1
     return shard, successes, parallelepiped.resamples
 
 
 def _run_shards(tasks, workers: int) -> list:
-    """Shard results in task order; workers take the tasks in that order."""
+    """Shard results in task order; workers take the tasks in that order.
+
+    The parent imports numpy before the pool forks, so the workers share
+    its pages instead of each importing it again."""
     if workers > 1 and len(tasks) > 1:
+        import multiprocessing
+
+        import numpy  # noqa: F401
+
         with multiprocessing.Pool(processes=workers) as pool:
             return list(pool.imap(_unimodular_shard, tasks, chunksize=1))
     return [_unimodular_shard(t) for t in tasks]

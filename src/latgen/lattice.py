@@ -29,6 +29,10 @@ window [0, W)^n in basis coordinates is one (``window_cell``), and so is
 a random parallelepiped (``sampling.Parallelepiped``); enumeration and
 both sampling engines decide membership on the same R and L in integer
 arithmetic.
+
+Only ``covering_radius_estimate`` uses numpy, and it imports numpy when
+called, so importing this module (as every latgen subcommand does) does
+not load it.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .enclosure import half_power, sqrt_enclosure
 from .exactmat import _scaled_inverse
@@ -260,6 +262,7 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
     integers, kept in int64 only when a bound on their size rules out
     overflow and in Python integers (object arrays) otherwise.
     """
+    import numpy as np
     n = lattice.dim
     if n > 3:
         raise ValueError("grid estimate supported only for n <= 3")

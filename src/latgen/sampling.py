@@ -40,7 +40,10 @@ brings the pair back to P with one comparison and no division.  The
 engine runs when e < 2^62 and P's box fits in 62 bits: a never leaves
 int64, and the z updates are ring operations mod 2^64 whose exact
 result, a point of P, fits, so any wrap-around cancels.  Both engines map
-the same y to the same point, so their streams are bit-identical.
+the same y to the same point, so their streams are bit-identical.  Only
+the int64 engine uses numpy, and it imports numpy in the functions that
+need it: the RNG, the big-integer engine and the window sampler run
+without it, so `latgen fullrank-check` never loads it.
 
 The lattice window [0, B)^n is, in basis coordinates, a half-open cell
 (``lattice.HalfOpenCell``) with no such quotient structure at hand.
@@ -54,12 +57,13 @@ floating point participates in any accept/reject decision.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactmat import _scaled_inverse, snf_with_transforms
 from .lattice import HalfOpenCell, LatticeBasis, Window, window_cell
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -98,6 +102,7 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
+    import numpy as np
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(0xBF58476D1CE4E5B9)
     z = z ^ (z >> np.uint64(27))
@@ -131,6 +136,7 @@ class RngStream:
         return _mix64((self._s0 + ((index + 1) * _GAMMA)) & _M64)
 
     def words_np(self, indices: np.ndarray) -> np.ndarray:
+        import numpy as np
         with np.errstate(over="ignore"):
             return _mix64_np(
                 np.uint64(self._s0)
@@ -194,6 +200,7 @@ class _BoundedDraws:
         self.rng = rng
         self.bounds = list(bounds)
         if vectorized:
+            import numpy as np
             bits = [(b - 1).bit_length() for b in self.bounds]
             self._mask = np.array([(1 << b) - 1 for b in bits], dtype=np.uint64)
             self._bound = np.array(self.bounds, dtype=np.uint64)
@@ -202,6 +209,7 @@ class _BoundedDraws:
         return [self.rng.draw_below(b, base + i) for i, b in enumerate(self.bounds)]
 
     def rows(self, base: int, batch: int) -> np.ndarray:
+        import numpy as np
         k = len(self.bounds)
         idx = np.arange(base, base + batch * k, dtype=np.uint64)
         with np.errstate(over="ignore"):
@@ -307,6 +315,7 @@ class CosetSampler:
         )
         self._core = _BoundedDraws(rng, [divisors[i] for i in kept], self._fast)
         if self._fast:
+            import numpy as np
             self._tables = [
                 self._nibble_table(step, divisors[i]) for step, i in zip(self._steps, kept)
             ]
@@ -323,6 +332,7 @@ class CosetSampler:
 
     def _nibble_table(self, step: Sequence[int], bound: int) -> np.ndarray:
         """table[j, v] = (a, z), the point z of P with a = v 16^j step mod e."""
+        import numpy as np
         e = self._exponent
         table = []
         for j in range(-(-(bound - 1).bit_length() // 4)):
@@ -344,6 +354,7 @@ class CosetSampler:
     def _points_int64(self, y: np.ndarray) -> np.ndarray:
         """The points of P in the cosets of the rows of y, by the int64
         nibble tables (only when the engine guard holds)."""
+        import numpy as np
         n, e = self.n, self._exponent
         state = np.zeros((len(y), 2 * n), dtype=np.int64)
         with np.errstate(over="ignore"):

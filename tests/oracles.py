@@ -5,6 +5,7 @@ checks the library's integer elimination kernels, ``matmul`` checks
 their normal-form transforms, an exhaustive tuple count (with its own
 Hermite basis) checks the closed-form group generation probabilities,
 and the totient summatory carries the coprime pair counts.
+``contains_enclosure`` checks that a coarser enclosure nests a finer one.
 ``lattice_point`` maps the integer basis coordinates the library returns
 to rational points, and ``box_rejection_sample`` samples a half-open
 cell by rejection from its bounding box.
@@ -188,6 +189,11 @@ def _hermite_basis(cols, k):
             cols[j] = [x - q * y for x, y in zip(cols[j], cols[r])]
         r += 1
     return tuple(tuple(col) for col in cols[:r])
+
+
+def contains_enclosure(outer, inner) -> bool:
+    """True when the enclosure ``outer`` contains all of ``inner``."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def totient_summatory(n: int) -> int:

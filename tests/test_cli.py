@@ -25,9 +25,10 @@ def test_parse_n_values():
 
 def test_coprime_exit_zero(capsys):
     assert main(["coprime", "--n-max", "100"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert out.startswith("# {")
     assert "10,13/22" in out
+    assert err.startswith("coprime n<=100 min=13/22 ")
 
 
 def test_bounds_table_writes_file(tmp_path, capsys):
@@ -35,7 +36,9 @@ def test_bounds_table_writes_file(tmp_path, capsys):
     assert main(["bounds-table", "--n-max", "3", "--out", str(target)]) == 0
     text = target.read_text()
     assert text.splitlines()[1].startswith("n,fullrank_lower")
-    assert capsys.readouterr().out == ""  # csv went to the file, not stdout
+    out, err = capsys.readouterr()
+    assert out == ""  # csv went to the file, not stdout
+    assert err == "bounds-table n<=3 [ok]\n"
 
 
 def test_unimodular_small_run(capsys):
@@ -334,3 +337,63 @@ def test_benchmark_tracer_sees_every_layer(argv, shards, decisions, tmp_path):
     assert (metrics["sampling.window_take_s"] > 0) == (argv[0] == "fullrank-check")
     assert metrics["exactmat.decisions"] == decisions
     assert set(summary["absent"]) <= STALE_TRACED
+
+
+# Runs one stage in a fresh interpreter and prints which heavy modules it
+# loaded; "pool" reports whether numpy was loaded when the pool started.
+_IMPORT_PROBE = """
+import json, sys
+stage, argv = sys.argv[1], sys.argv[2:]
+seen = {}
+if stage == "pool":
+    import multiprocessing
+    start_pool = multiprocessing.Pool
+    def pool(*args, **kwargs):
+        seen["numpy_at_pool"] = "numpy" in sys.modules
+        return start_pool(*args, **kwargs)
+    multiprocessing.Pool = pool
+if stage == "import":
+    import latgen
+elif stage == "parser":
+    from latgen.cli import build_parser
+    build_parser()
+else:
+    from latgen.cli import main
+    assert main(argv) == 0
+seen.update({name: name in sys.modules for name in ("numpy", "multiprocessing")})
+print(json.dumps(seen))
+"""
+
+
+def _probe_imports(stage, argv, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    if argv:
+        argv = [*argv, "--out", str(tmp_path / "out.csv")]
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, stage, *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("stage,argv,numpy_loaded", [
+    ("import", [], False),
+    ("parser", [], False),
+    ("main", ["coprime", "--n-max", "10"], False),
+    ("main", ["bounds-table", "--n-max", "3"], False),
+    ("main", ["tv-check"], False),
+    ("main", ["fullrank-check", "--trials", "10"], False),
+    ("main", ["lemma-verify"], True),
+    ("main", ["unimodular", "--n", "2", "--reps", "2", "--samples", "5", "--workers", "1"], True),
+])
+def test_only_the_subcommands_that_need_numpy_load_it(stage, argv, numpy_loaded, tmp_path):
+    seen = _probe_imports(stage, argv, tmp_path)
+    assert seen == {"numpy": numpy_loaded, "multiprocessing": False}
+
+
+def test_pool_parent_loads_numpy_before_forking(tmp_path):
+    argv = ["unimodular", "--n", "2", "--reps", "2", "--samples", "5", "--workers", "2"]
+    seen = _probe_imports("pool", argv, tmp_path)
+    assert seen["numpy_at_pool"] is True
