@@ -21,7 +21,7 @@ import threading
 from fractions import Fraction
 from typing import Optional, Union
 
-from .enclosure import Enclosure, half_power, ln_enclosure
+from .enclosure import Enclosure, half_power
 
 _EULER_MACLAURIN_N = 48
 _MAX_PRECISION = 50
@@ -310,14 +310,3 @@ def totients(limit: int) -> list[int]:
                 break
             phi[ip] = phi[i] * (p - 1)
     return phi
-
-
-def lehmer_delta_bound(n: int) -> Enclosure:
-    """Enclosure of (3/2) n + n log n, bounding the totient summatory
-    residual |sum phi(k) - n^2 / (2 zeta(2))|."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ctx = default_context()
-    return (
-        Enclosure.exact(Fraction(3 * n, 2)) + n * ln_enclosure(n, ctx.grid_digits)
-    ).round_outward(ctx.grid_digits)

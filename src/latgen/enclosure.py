@@ -175,58 +175,3 @@ def half_power(x: Rational, k: int, digits: int) -> Enclosure:
     x^(k//2) exactly, times ``sqrt_enclosure(x, digits)`` for odd k."""
     whole = Enclosure.exact(Fraction(x) ** (k // 2))
     return whole * sqrt_enclosure(x, digits) if k % 2 else whole
-
-
-_LN2_CACHE: dict[int, Enclosure] = {}
-
-
-def _atanh_enclosure(t: Fraction, digits: int) -> Enclosure:
-    """Enclosure of atanh(t) = sum t^(2i+1)/(2i+1) for 0 <= t < 1."""
-    if not 0 <= t < 1:
-        raise ValueError("atanh series needs 0 <= t < 1")
-    if t == 0:
-        return Enclosure.exact(0)
-    tol = Fraction(1, 10 ** (digits + 2))
-    total = Fraction(0)
-    power = t
-    t2 = t * t
-    i = 0
-    while True:
-        term = power / (2 * i + 1)
-        total += term
-        # geometric tail bound: remaining terms < term * t^2 / (1 - t^2)
-        tail = term * t2 / (1 - t2)
-        if tail < tol:
-            return Enclosure(total, total + tail).round_outward(digits)
-        power *= t2
-        i += 1
-
-
-def ln2_enclosure(digits: int) -> Enclosure:
-    if digits not in _LN2_CACHE:
-        # ln 2 = 2 atanh(1/3)
-        _LN2_CACHE[digits] = (2 * _atanh_enclosure(Fraction(1, 3), digits + 2)).round_outward(digits)
-    return _LN2_CACHE[digits]
-
-
-def ln_enclosure(x: Rational, digits: int) -> Enclosure:
-    """Enclosure of the natural log of a rational x > 0.
-
-    Reduces x = 2^k * m with m in [1, 2), then ln m = 2 atanh((m-1)/(m+1))
-    with t <= 1/3, so the series converges geometrically.
-    """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log of nonpositive value")
-    k = 0
-    while x >= 2:
-        x /= 2
-        k += 1
-    while x < 1:
-        x *= 2
-        k -= 1
-    t = (x - 1) / (x + 1)
-    result = 2 * _atanh_enclosure(t, digits + 2)
-    if k:
-        result = result + k * ln2_enclosure(digits + 2)
-    return result.round_outward(digits)

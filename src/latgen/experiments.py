@@ -266,8 +266,7 @@ def _unimodular_shard(task) -> tuple[int, int, int]:
         points = sampler.take(samples * m)
     except SamplerError as exc:
         raise SamplerError(
-            f"shard {shard} (n={n}, generators {parallelepiped.generators}): {exc}",
-            exc.acceptance_estimate,
+            f"shard {shard} (n={n}, generators {parallelepiped.generators}): {exc}"
         ) from exc
     successes = 0
     for k in range(samples):
@@ -733,7 +732,7 @@ def run_fullrank_check(
     if not hypothesis_held and not allow_out_of_hypothesis:
         raise ValueError(
             f"window bound {b} below threshold {threshold}; "
-            "pass allow_out_of_hypothesis=True to report anyway"
+            "pass --allow-out-of-hypothesis to report anyway"
         )
     rng = RngStream(seed, stream_id(KIND_FULLRANK, n, 0, 1))
     successes = 0

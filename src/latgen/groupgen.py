@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .exactmat import snf_with_transforms, unimodular_columns
+from .exactmat import snf_with_transforms
 
 GroupElement = tuple[int, ...]
 
@@ -47,11 +47,6 @@ class FiniteAbelianGroup:
     @property
     def ngens(self) -> int:
         return len(self.invariant_factors)
-
-    def element(self, coords: Sequence[int]) -> GroupElement:
-        if len(coords) != self.ngens:
-            raise ValueError("coordinate count mismatch")
-        return tuple(int(c) % d for c, d in zip(coords, self.invariant_factors))
 
     def elements(self) -> Iterator[GroupElement]:
         return itertools.product(*(range(d) for d in self.invariant_factors))
@@ -163,23 +158,6 @@ def generation_prob_exact(group: FiniteAbelianGroup, t: int) -> Fraction:
         d_p = sum(1 for d in group.invariant_factors if d % p == 0)
         result *= lambda_t_pgroup(p, d_p, t)
     return result
-
-
-def generates(group: FiniteAbelianGroup, elems: Iterable[Sequence[int]]) -> bool:
-    """True iff the elements generate the group.
-
-    Stacks the element coordinate columns next to diag(d_1..d_k); the
-    subgroup is everything exactly when those columns generate Z^k.
-    """
-    k = group.ngens
-    if k == 0:
-        return True
-    cols = [list(group.element(e)) for e in elems]
-    for i, d in enumerate(group.invariant_factors):
-        col = [0] * k
-        col[i] = d
-        cols.append(col)
-    return unimodular_columns(cols, k)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,6 @@ class LatticeBasis:
         self._adjugate = adjugate
         self._scaled_det = abs(d)
         self.det = Fraction(abs(d), scale**n)
-        self._lambda1_sq: Optional[Fraction] = None
         self._nu_upper: Optional[Fraction] = None
 
     @classmethod
@@ -154,14 +153,7 @@ class LatticeBasis:
             raise ValueError(f"vector {tuple(vector)} is not a lattice point")
         return [x // d for x in u]
 
-    # -- cached invariants ---------------------------------------------------
-
-    @property
-    def lambda1_sq(self) -> Fraction:
-        """Exact squared length of a shortest nonzero vector."""
-        if self._lambda1_sq is None:
-            self._lambda1_sq = self._shortest_vector_sq()
-        return self._lambda1_sq
+    # -- invariants ----------------------------------------------------------
 
     @property
     def nu_upper(self) -> Fraction:
@@ -169,7 +161,10 @@ class LatticeBasis:
             self._nu_upper = covering_radius_upper(self)
         return self._nu_upper
 
-    def _shortest_vector_sq(self) -> Fraction:
+    @property
+    def lambda1_sq(self) -> Fraction:
+        """Exact squared length of a shortest nonzero vector, searched
+        afresh on each read (``nu_upper``, its one reader, is cached)."""
         n = self.dim
         gram = _int_gram(self._scaled_rows)
         qq = self._scale * self._scale

@@ -84,11 +84,7 @@ COSET_ALGORITHM_ID = ALGORITHM_ID + "+coset-v1"
 
 
 class SamplerError(RuntimeError):
-    """Sampling gave up; carries the observed acceptance rate."""
-
-    def __init__(self, message: str, acceptance_estimate: float):
-        super().__init__(message)
-        self.acceptance_estimate = acceptance_estimate
+    """Sampling gave up; the message says why."""
 
 
 def _mix64(z: int) -> int:
@@ -175,10 +171,7 @@ class RngStream:
             x &= mask
             if x < bound:
                 return x
-        raise SamplerError(
-            f"{_MAX_ATTEMPTS} draws rejected for bound {bound}: generator fault",
-            acceptance_estimate=0.0,
-        )
+        raise SamplerError(f"{_MAX_ATTEMPTS} draws rejected for bound {bound}: generator fault")
 
     def draw_int(self, lo: int, hi: int, index: Optional[int] = None) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
@@ -196,14 +189,9 @@ class _BoundedDraws:
     the end of its block to ``draw_below``, which replays the block and
     goes on into the overflow sub-stream."""
 
-    def __init__(self, rng: RngStream, bounds: Sequence[int], vectorized: bool):
+    def __init__(self, rng: RngStream, bounds: Sequence[int]):
         self.rng = rng
         self.bounds = list(bounds)
-        if vectorized:
-            import numpy as np
-            bits = [(b - 1).bit_length() for b in self.bounds]
-            self._mask = np.array([(1 << b) - 1 for b in bits], dtype=np.uint64)
-            self._bound = np.array(self.bounds, dtype=np.uint64)
 
     def row(self, base: int) -> list[int]:
         return [self.rng.draw_below(b, base + i) for i, b in enumerate(self.bounds)]
@@ -211,11 +199,13 @@ class _BoundedDraws:
     def rows(self, base: int, batch: int) -> np.ndarray:
         import numpy as np
         k = len(self.bounds)
+        mask = np.array([(1 << (b - 1).bit_length()) - 1 for b in self.bounds], dtype=np.uint64)
+        bound = np.array(self.bounds, dtype=np.uint64)
         idx = np.arange(base, base + batch * k, dtype=np.uint64)
         with np.errstate(over="ignore"):
             words = self.rng.words_np(idx * np.uint64(_WORDS_PER_DRAW))
-        x = words.reshape(batch, k) & self._mask
-        pos = np.flatnonzero(x >= self._bound)
+        x = words.reshape(batch, k) & mask
+        pos = np.flatnonzero(x >= bound)
         flat = x.ravel()  # a view: writes to it land in x
         for attempt in range(1, _WORDS_PER_DRAW):
             if not len(pos):
@@ -225,9 +215,9 @@ class _BoundedDraws:
                 repl = self.rng.words_np(
                     idx[pos] * np.uint64(_WORDS_PER_DRAW) + np.uint64(attempt)
                 )
-            repl &= self._mask[cols]
+            repl &= mask[cols]
             flat[pos] = repl
-            pos = pos[repl >= self._bound[cols]]
+            pos = pos[repl >= bound[cols]]
         for p in pos.tolist():
             flat[p] = self.rng.draw_below(self.bounds[p % k], base + p)
         return x
@@ -280,10 +270,7 @@ def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
         except ValueError:
             resamples += 1
             if resamples >= 64:
-                raise SamplerError(
-                    "64 consecutive degenerate parallelepipeds: generator fault",
-                    acceptance_estimate=0.0,
-                )
+                raise SamplerError("64 consecutive degenerate parallelepipeds: generator fault")
 
 
 class CosetSampler:
@@ -313,7 +300,7 @@ class CosetSampler:
         self._fast = e < _INT64_GUARD and all(
             max(-lo, hi) < _INT64_GUARD for lo, hi in box
         )
-        self._core = _BoundedDraws(rng, [divisors[i] for i in kept], self._fast)
+        self._core = _BoundedDraws(rng, [divisors[i] for i in kept])
         if self._fast:
             import numpy as np
             self._tables = [
@@ -408,7 +395,7 @@ class WindowSampler:
         self.candidates = 0
         self.accepted = 0
         self._since_accept = 0
-        self._core = _BoundedDraws(rng, [hi - lo + 1 for lo, hi in self.cell.box], False)
+        self._core = _BoundedDraws(rng, [hi - lo + 1 for lo, hi in self.cell.box])
 
     @property
     def acceptance_estimate(self) -> float:
@@ -436,7 +423,6 @@ class WindowSampler:
             if self._since_accept > _MAX_REJECTS:
                 raise SamplerError(
                     f"exceeded {_MAX_REJECTS} rejects for one sample "
-                    f"(acceptance so far {self.acceptance_estimate:.3g})",
-                    acceptance_estimate=self.acceptance_estimate,
+                    f"(acceptance so far {self.acceptance_estimate:.3g})"
                 )
         return out

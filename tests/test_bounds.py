@@ -16,13 +16,12 @@ from latgen.bounds import (
     default_context,
     fullrank_lower_bound,
     ideal_probability,
-    lehmer_delta_bound,
     pk_bound,
     totients,
     tv_bound,
     window_thresholds,
 )
-from latgen.enclosure import Enclosure, half_power, ln_enclosure, sqrt_enclosure
+from latgen.enclosure import Enclosure, half_power, sqrt_enclosure
 from latgen.experiments import run_coprime_table
 from oracles import contains_enclosure, totient_summatory
 
@@ -71,16 +70,6 @@ def test_half_power():
     assert odd == 9 * sqrt_enclosure(3, 20)
     assert odd.lo**2 <= 3**5 <= odd.hi**2
     assert half_power(Fraction(9, 4), 3, 10) == Enclosure.exact(Fraction(27, 8))
-
-
-def test_ln_enclosure():
-    # ln 2 = 0.69314718055994530941723212145818...
-    enc2 = ln_enclosure(2, 25)
-    assert enc2.contains(Fraction(69314718055994530941723212145818, 10**32))
-    # ln 1000 = 6.90775527898213705205397436405309...
-    enc1000 = ln_enclosure(1000, 20)
-    assert enc1000.contains(Fraction(690775527898213705205397436405309, 10**32))
-    assert ln_enclosure(1, 10) == Enclosure.exact(0)
 
 
 def test_round_outward_nests_on_finer_grids():
@@ -378,18 +367,3 @@ def test_coprime_minimum_at_ten():
     assert [n for n, v in values.items() if v == floor] == [10]
     assert table.ok and Fraction(table.header["minimum"]) == floor
     assert table.header["argmin"] == [10]
-
-
-def test_lehmer_delta_bound():
-    b1 = lehmer_delta_bound(1)
-    assert b1.contains(Fraction(3, 2))
-    b1000 = lehmer_delta_bound(1000)
-    assert b1000.lo > 8400 and b1000.hi < 8410
-    assert lehmer_delta_bound(500).hi < b1000.lo  # increasing
-    # companion residual check |sum phi - n^2/(2 zeta(2))| <= bound
-    ctx = ZetaContext()
-    for n in (1, 10, 100, 1000):
-        expected = Fraction(n * n, 2) * ctx.zeta_inv(2)
-        residual = Enclosure.exact(totient_summatory(n)) - expected
-        bound = lehmer_delta_bound(n)
-        assert max(abs(residual.lo), abs(residual.hi)) <= bound.lo

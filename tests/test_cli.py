@@ -236,6 +236,11 @@ def test_operational_error_exit_one(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # a window below the threshold names the flag that reports it anyway
+    assert main(["fullrank-check", "--B", "5", "--trials", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window bound 5 below threshold ")
+    assert err.rstrip().endswith("pass --allow-out-of-hypothesis to report anyway")
     # usage errors are operational too; --help stays a success
     assert main(["no-such-command"]) == 1
     assert main(["--help"]) == 0

@@ -447,7 +447,9 @@ def test_max_rejects_error_carries_estimate(monkeypatch):
     rng = RngStream(seed=123)
     with pytest.raises(SamplerError) as info:
         WindowSampler(thin, Window(2, 2), rng).take(50)
-    assert 0 <= info.value.acceptance_estimate < 0.2
+    message = str(info.value)
+    assert message.startswith("exceeded 40 rejects for one sample")
+    assert 0 <= float(message.rsplit("acceptance so far ", 1)[1].rstrip(")")) < 0.2
 
 
 # window streams taken when the window sampler still had an int64 engine
