@@ -13,12 +13,19 @@ term, and we keep a 3x safety margin on top.  A plain integral tail
 bound cannot reach 30-digit widths for small s in any feasible number of
 terms, which is why the corrections are needed at all; for large s the
 integral bracket alone is already below the grid and is used directly.
+
+Each enclosure is a function of a working precision (``PRECISION`` = 30
+by default, at most 50): it rounds outward on the 10**-(precision+8)
+grid.  Grids at higher precision refine those at lower precision, so
+recomputing at a higher precision nests.  ``zeta`` and ``zeta_inv`` are
+cached per (s, precision); the functions here pass the precision
+positionally, so each value fills one cache entry.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .enclosure import Enclosure, half_power
@@ -26,32 +33,37 @@ from .enclosure import Enclosure, half_power
 _EULER_MACLAURIN_N = 48
 _MAX_PRECISION = 50
 
+PRECISION = 30
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers (exact, cached)
 # ---------------------------------------------------------------------------
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
 
-
+@lru_cache(maxsize=None)
 def _bernoulli(n: int) -> Fraction:
     """B_n with B_1 = -1/2, computed by the defining recurrence."""
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            # sum_{j=0}^{m} C(m+1, j) B_j = 0
-            acc = Fraction(0)
-            binom = 1  # C(m+1, 0)
-            for j in range(m):
-                acc += binom * _bernoulli_cache[j]
-                binom = binom * (m + 1 - j) // (j + 1)
-            _bernoulli_cache.append(-acc / (m + 1))
-        return _bernoulli_cache[n]
+    if n == 0:
+        return Fraction(1)
+    # sum_{j=0}^{n} C(n+1, j) B_j = 0
+    acc = Fraction(0)
+    binom = 1  # C(n+1, 0)
+    for j in range(n):
+        acc += binom * _bernoulli(j)
+        binom = binom * (n + 1 - j) // (j + 1)
+    return -acc / (n + 1)
 
 
 # ---------------------------------------------------------------------------
 # zeta enclosures
 # ---------------------------------------------------------------------------
+
+
+def _grid_digits(precision: int) -> int:
+    """Digits of the decimal grid enclosures at this precision round to."""
+    if not 1 <= precision <= _MAX_PRECISION:
+        raise ValueError(f"precision must be in [1, {_MAX_PRECISION}]")
+    return precision + 8
 
 
 def _zeta_raw(s: int, grid_digits: int) -> Enclosure:
@@ -87,79 +99,20 @@ def _zeta_raw(s: int, grid_digits: int) -> Enclosure:
         j += 1
 
 
-class ZetaContext:
-    """Shared cache of zeta enclosures at a fixed working precision.
-
-    The cache fill is synchronized, so a context can be shared by
-    concurrent readers.  All derived enclosures round outward on the
-    10**-(precision+8) grid; grids at higher precision refine ones at
-    lower precision, so recomputation at higher precision nests.
-    """
-
-    def __init__(self, precision: int = 30):
-        if not 1 <= precision <= _MAX_PRECISION:
-            raise ValueError(f"precision must be in [1, {_MAX_PRECISION}]")
-        self.precision = precision
-        self.grid_digits = precision + 8
-        self._lock = threading.Lock()
-        self._zeta: dict[int, Enclosure] = {}
-        self._zeta_inv: dict[int, Enclosure] = {}
-        self._zeta_hat: Optional[Enclosure] = None
-
-    def zeta(self, s: int) -> Enclosure:
-        if s < 2:
-            raise ValueError("zeta enclosure defined for integer s >= 2")
-        with self._lock:
-            if s not in self._zeta:
-                self._zeta[s] = _zeta_raw(s, self.grid_digits).round_outward(
-                    self.grid_digits
-                )
-            return self._zeta[s]
-
-    def zeta_inv(self, s: int) -> Enclosure:
-        """Enclosure of 1/zeta(s), clamped into the true range (1-2^(1-s), 1)."""
-        with self._lock:
-            cached = self._zeta_inv.get(s)
-        if cached is not None:
-            return cached
-        value = self.zeta(s).reciprocal().intersect(
-            Enclosure(1 - Fraction(1, 2 ** (s - 1)), 1)
-        )
-        with self._lock:
-            self._zeta_inv[s] = value
-        return value
-
-    def zeta_hat(self) -> Enclosure:
-        """Enclosure of prod_{i>=2} zeta(i)^-1.
-
-        Factors beyond the cutoff M multiply to something in
-        [1 - 2^(1-M), 1], since each lies in [1 - 2^(1-i), 1].
-        """
-        with self._lock:
-            if self._zeta_hat is not None:
-                return self._zeta_hat
-        cutoff = 2
-        while Fraction(1, 2 ** (cutoff - 1)) >= Fraction(1, 10 ** (self.grid_digits + 1)):
-            cutoff += 1
-        acc = Enclosure.exact(1)
-        for i in range(2, cutoff + 1):
-            acc = (acc * self.zeta_inv(i)).round_outward(self.grid_digits)
-        acc = acc * Enclosure(1 - Fraction(1, 2 ** (cutoff - 1)), 1)
-        with self._lock:
-            self._zeta_hat = acc
-        return acc
+@lru_cache(maxsize=None)
+def zeta(s: int, precision: int = PRECISION) -> Enclosure:
+    if s < 2:
+        raise ValueError("zeta enclosure defined for integer s >= 2")
+    g = _grid_digits(precision)
+    return _zeta_raw(s, g).round_outward(g)
 
 
-_default_context: Optional[ZetaContext] = None
-_default_lock = threading.Lock()
-
-
-def default_context() -> ZetaContext:
-    global _default_context
-    with _default_lock:
-        if _default_context is None:
-            _default_context = ZetaContext()
-        return _default_context
+@lru_cache(maxsize=None)
+def zeta_inv(s: int, precision: int = PRECISION) -> Enclosure:
+    """Enclosure of 1/zeta(s), clamped into the true range (1-2^(1-s), 1)."""
+    return zeta(s, precision).reciprocal().intersect(
+        Enclosure(1 - Fraction(1, 2 ** (s - 1)), 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +120,7 @@ def default_context() -> ZetaContext:
 # ---------------------------------------------------------------------------
 
 
-def ideal_probability(n: int, m: int, ctx: Optional[ZetaContext] = None) -> Enclosure:
+def ideal_probability(n: int, m: int, precision: int = PRECISION) -> Enclosure:
     """Enclosure of prod_{j=m-n+1}^{m} zeta(j)^-1, the large-window limit of
     the probability that an n x m random integer matrix is unimodular.
 
@@ -179,10 +132,10 @@ def ideal_probability(n: int, m: int, ctx: Optional[ZetaContext] = None) -> Encl
         raise ValueError("m < n cannot generate")
     if m == n:
         return Enclosure.exact(0)
-    ctx = ctx or default_context()
+    g = _grid_digits(precision)
     acc = Enclosure.exact(1)
     for j in range(m - n + 1, m + 1):
-        acc = (acc * ctx.zeta_inv(j)).round_outward(ctx.grid_digits)
+        acc = (acc * zeta_inv(j, precision)).round_outward(g)
     return acc
 
 
@@ -190,41 +143,40 @@ def pk_bound(
     n: int,
     j: Union[int, Fraction, Enclosure],
     k: int,
-    ctx: Optional[ZetaContext] = None,
+    precision: int = PRECISION,
 ) -> Enclosure:
     """Hyperplane-hit bound n^(k/2) (j+2)^k 2^(n-k) / (j-2)^n for a window
     of j covering radii, 0 <= k < n."""
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    ctx = ctx or default_context()
+    g = _grid_digits(precision)
     j_enc = j if isinstance(j, Enclosure) else Enclosure.exact(j)
     if j_enc.lo <= 2:
         raise ValueError("window ratio j must exceed 2")
     value = (
-        half_power(n, k, ctx.grid_digits)
+        half_power(n, k, g)
         * (j_enc + 2) ** k
         * (2 ** (n - k))
         / (j_enc - 2) ** n
     )
-    return value.round_outward(ctx.grid_digits)
+    return value.round_outward(g)
 
 
-def fullrank_lower_bound(n: int, ctx: Optional[ZetaContext] = None) -> Enclosure:
+def fullrank_lower_bound(n: int, precision: int = PRECISION) -> Enclosure:
     """Enclosure of prod_{k=0}^{n-1} (1 - n^(k/2) (4n^(n/2)+1)^k / (4n^(n/2)-1)^n),
     the lower bound on n samples spanning full rank at window ratio 8 n^(n/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = ctx or default_context()
-    g = ctx.grid_digits
+    g = _grid_digits(precision)
     # factor k is 1 - pk_bound at window ratio j = 8 n^(n/2)
     j = 8 * half_power(n, n, g)
     acc = Enclosure.exact(1)
     for k in range(n):
-        acc = (acc * (1 - pk_bound(n, j, k, ctx))).round_outward(g)
+        acc = (acc * (1 - pk_bound(n, j, k, precision))).round_outward(g)
     return acc
 
 
-def alpha(n: int, ctx: Optional[ZetaContext] = None) -> Enclosure:
+def alpha(n: int, precision: int = PRECISION) -> Enclosure:
     """Certified enclosure of the constant generation-probability bound
 
         (prod_{i=2}^{n+1} zeta(i)^-1 - 1/4) * fullrank_lower_bound(n).
@@ -234,11 +186,10 @@ def alpha(n: int, ctx: Optional[ZetaContext] = None) -> Enclosure:
     """
     if n < 2:
         raise ValueError("alpha is defined for n >= 2")
-    ctx = ctx or default_context()
-    value = (ideal_probability(n, n + 1, ctx) - Fraction(1, 4)) * fullrank_lower_bound(
-        n, ctx
+    value = (ideal_probability(n, n + 1, precision) - Fraction(1, 4)) * fullrank_lower_bound(
+        n, precision
     )
-    return value.round_outward(ctx.grid_digits)
+    return value.round_outward(_grid_digits(precision))
 
 
 def tv_bound(
@@ -265,7 +216,7 @@ def tv_bound(
 
 
 def window_thresholds(
-    n: int, nu_upper: Union[int, Fraction], ctx: Optional[ZetaContext] = None
+    n: int, nu_upper: Union[int, Fraction], precision: int = PRECISION
 ) -> tuple[Fraction, Fraction]:
     """Window sizes (B_min, B1_min) = (8 n^(n/2) nu, 8 n^2 (n+1) B_min).
 
@@ -278,8 +229,7 @@ def window_thresholds(
         raise ValueError("nu_upper must be positive")
     if n < 2:
         raise ValueError("window thresholds are defined for n >= 2")
-    ctx = ctx or default_context()
-    b_min = 8 * half_power(n, n, ctx.grid_digits).hi * nu
+    b_min = 8 * half_power(n, n, _grid_digits(precision)).hi * nu
     return b_min, 8 * n * n * (n + 1) * b_min
 
 

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import ZetaContext
+from .bounds import PRECISION
 from .experiments import (
     ExperimentConfig,
     Table,
@@ -116,7 +116,7 @@ def _cmd_coprime(args) -> tuple[Table, str]:
 
 
 def _cmd_bounds_table(args) -> tuple[Table, str]:
-    table = run_bounds_table(args.n_max, ZetaContext(precision=args.precision))
+    table = run_bounds_table(args.n_max, args.precision)
     return table, f"bounds-table n<={args.n_max} {_tag(table.ok)}"
 
 
@@ -178,7 +178,7 @@ SUBCOMMANDS = {
     ]),
     "bounds-table": ("closed-form bound table", [
         ("--n-max", dict(type=int, default=15)),
-        ("--precision", dict(type=int, default=30)),
+        ("--precision", dict(type=int, default=PRECISION)),
     ]),
     "lemma-verify": ("window counting bound checks", []),
     "tv-check": ("total-variation distance checks", [
@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     except SamplerError as exc:
         print(f"sampler error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(status, file=sys.stderr)

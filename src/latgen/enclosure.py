@@ -42,10 +42,6 @@ class Enclosure:
     # -- basic queries ----------------------------------------------------
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

@@ -48,7 +48,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import bounds
-from .bounds import ZetaContext
 from .exactmat import det, unimodular_columns
 from .groupgen import quotient_group
 from .lattice import (
@@ -232,7 +231,7 @@ def _report(
     trials = len(successes) * config.samples
     ideal_lo = ideal_hi = None
     if m >= n:
-        ideal = bounds.ideal_probability(n, m, bounds.default_context())
+        ideal = bounds.ideal_probability(n, m)
         ideal_lo, ideal_hi = ideal.lo, ideal.hi
     return ExperimentReport(
         n=n,
@@ -482,30 +481,29 @@ BoundsRow = namedtuple(
 )
 
 
-def run_bounds_table(n_max: int, ctx: Optional[ZetaContext] = None) -> Table:
+def run_bounds_table(n_max: int, precision: int = bounds.PRECISION) -> Table:
     """Closed-form table: full-rank lower bound, alpha enclosure, ideal
     probability and window thresholds (unit covering radius) per n; ok
     when every certified alpha is at least 0.092."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ctx = ctx or bounds.default_context()
     rows = []
     ok = True
     for n in range(1, n_max + 1):
         alpha_lo = alpha_hi = b_min = b1_min = None
         if n >= 2:
-            alpha = bounds.alpha(n, ctx)
+            alpha = bounds.alpha(n, precision)
             ok = ok and alpha.lo >= Fraction(92, 1000)
             alpha_lo, alpha_hi = float(alpha.lo), float(alpha.hi)
-            b_min, b1_min = bounds.window_thresholds(n, 1, ctx)
-        ideal = bounds.ideal_probability(n, n + 1, ctx)
+            b_min, b1_min = bounds.window_thresholds(n, 1, precision)
+        ideal = bounds.ideal_probability(n, n + 1, precision)
         rows.append(
             BoundsRow(
-                n, float(bounds.fullrank_lower_bound(n, ctx).lo), alpha_lo, alpha_hi,
+                n, float(bounds.fullrank_lower_bound(n, precision).lo), alpha_lo, alpha_hi,
                 float(ideal.lo), float(ideal.hi), b_min, b1_min,
             )
         )
-    header = {"format": "latgen-bounds-v1", "precision": ctx.precision, "ok": ok}
+    header = {"format": "latgen-bounds-v1", "precision": precision, "ok": ok}
     return Table(header, BoundsRow._fields, rows)
 
 

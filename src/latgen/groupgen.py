@@ -51,11 +51,6 @@ class FiniteAbelianGroup:
     def elements(self) -> Iterator[GroupElement]:
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return tuple(
-            (x + y) % d for x, y, d in zip(a, b, self.invariant_factors)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteAbelianGroup)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -105,7 +106,6 @@ class LatticeBasis:
         self._adjugate = adjugate
         self._scaled_det = abs(d)
         self.det = Fraction(abs(d), scale**n)
-        self._nu_upper: Optional[Fraction] = None
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeBasis":
@@ -155,11 +155,9 @@ class LatticeBasis:
 
     # -- invariants ----------------------------------------------------------
 
-    @property
+    @cached_property
     def nu_upper(self) -> Fraction:
-        if self._nu_upper is None:
-            self._nu_upper = covering_radius_upper(self)
-        return self._nu_upper
+        return covering_radius_upper(self)
 
     @property
     def lambda1_sq(self) -> Fraction:

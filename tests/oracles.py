@@ -5,7 +5,9 @@ checks the library's integer elimination kernels, ``matmul`` checks
 their normal-form transforms, an exhaustive tuple count (with its own
 Hermite basis) checks the closed-form group generation probabilities,
 and the totient summatory carries the coprime pair counts.
-``contains_enclosure`` checks that a coarser enclosure nests a finer one.
+``contains_enclosure`` checks that a coarser enclosure nests a finer one,
+and ``zeta_hat`` encloses the infinite product the ideal probabilities
+decrease to.
 ``lattice_point`` maps the integer basis coordinates the library returns
 to rational points, and ``box_rejection_sample`` samples a half-open
 cell by rejection from its bounding box.
@@ -13,7 +15,8 @@ cell by rejection from its bounding box.
 
 from fractions import Fraction
 
-from latgen.bounds import totients
+from latgen.bounds import totients, zeta_inv
+from latgen.enclosure import Enclosure
 
 
 def fraction_solve(rows, rhs):
@@ -194,6 +197,23 @@ def _hermite_basis(cols, k):
 def contains_enclosure(outer, inner) -> bool:
     """True when the enclosure ``outer`` contains all of ``inner``."""
     return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def zeta_hat(precision: int):
+    """Enclosure of prod_{i>=2} zeta(i)^-1, rounded outward on the
+    10**-(precision+8) grid.
+
+    Factors beyond the cutoff M multiply to something in
+    [1 - 2^(1-M), 1], since each lies in [1 - 2^(1-i), 1].
+    """
+    grid_digits = precision + 8
+    cutoff = 2
+    while Fraction(1, 2 ** (cutoff - 1)) >= Fraction(1, 10 ** (grid_digits + 1)):
+        cutoff += 1
+    acc = Enclosure.exact(1)
+    for i in range(2, cutoff + 1):
+        acc = (acc * zeta_inv(i, precision)).round_outward(grid_digits)
+    return acc * Enclosure(1 - Fraction(1, 2 ** (cutoff - 1)), 1)
 
 
 def totient_summatory(n: int) -> int:

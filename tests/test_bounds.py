@@ -11,19 +11,20 @@ from math import gcd
 import pytest
 
 from latgen.bounds import (
-    ZetaContext,
+    PRECISION,
+    _grid_digits,
     alpha,
-    default_context,
     fullrank_lower_bound,
     ideal_probability,
     pk_bound,
     totients,
     tv_bound,
     window_thresholds,
+    zeta,
 )
 from latgen.enclosure import Enclosure, half_power, sqrt_enclosure
 from latgen.experiments import run_coprime_table
-from oracles import contains_enclosure, totient_summatory
+from oracles import contains_enclosure, totient_summatory, zeta_hat
 
 
 def coprime_pairs_bruteforce(n):
@@ -59,7 +60,7 @@ def test_sqrt_enclosure_brackets():
     for value in (2, 3, Fraction(1, 2), 10**12 + 7):
         enc = sqrt_enclosure(value, 25)
         assert enc.lo * enc.lo <= value <= enc.hi * enc.hi
-        assert enc.width <= Fraction(1, 10**25)
+        assert enc.hi - enc.lo <= Fraction(1, 10**25)
     assert sqrt_enclosure(Fraction(9, 4), 10) == Enclosure.exact(Fraction(3, 2))
 
 
@@ -85,53 +86,50 @@ def test_round_outward_nests_on_finer_grids():
 
 
 def test_zeta_two_contains_pi_squared_over_six():
-    enc = default_context().zeta(2)
+    enc = zeta(2)
     # pi^2 / 6 = 1.6449340668482264364724151666460251892189...
     ref = Fraction(16449340668482264364724151666460251892189, 10**40)
     assert enc.contains(ref)
-    assert enc.width < Fraction(1, 10**30)
+    assert enc.hi - enc.lo < Fraction(1, 10**30)
 
 
 def test_zeta_ten_bracket():
-    enc = default_context().zeta(10)
+    enc = zeta(10)
     assert Fraction(10009, 10000) < enc.lo and enc.hi < Fraction(1001, 1000)
 
 
 def test_zeta_width_contract():
-    ctx = ZetaContext(precision=20)
     for s in (2, 3, 7, 19, 40, 120):
-        assert ctx.zeta(s).width < Fraction(1, 10**20)
+        enc = zeta(s, 20)
+        assert enc.hi - enc.lo < Fraction(1, 10**20)
 
 
 def test_zeta_rejects_small_s():
     with pytest.raises(ValueError):
-        default_context().zeta(1)
+        zeta(1)
 
 
 def test_zeta_hat_digits():
-    enc = default_context().zeta_hat()
+    enc = zeta_hat(PRECISION)
     assert enc.lo >= Fraction(434, 1000)
     assert enc.hi <= Fraction(6080, 10000)
     # certified decimal expansion starts 0.43575707677...
     assert Fraction(43575707677, 10**11) < enc.lo
     assert enc.hi < Fraction(43575707678, 10**11)
-    assert enc.width < Fraction(1, 10**25)
+    assert enc.hi - enc.lo < Fraction(1, 10**25)
 
 
 def test_enclosures_nest_across_precisions():
-    lo_ctx = ZetaContext(precision=12)
-    hi_ctx = ZetaContext(precision=28)
+    lo, hi = 12, 28
     for s in (2, 3, 11):
-        assert contains_enclosure(lo_ctx.zeta(s), hi_ctx.zeta(s))
-    assert contains_enclosure(lo_ctx.zeta_hat(), hi_ctx.zeta_hat())
+        assert contains_enclosure(zeta(s, lo), zeta(s, hi))
+    assert contains_enclosure(zeta_hat(lo), zeta_hat(hi))
     for n in (1, 3, 6):
         assert contains_enclosure(
-            ideal_probability(n, n + 1, lo_ctx), ideal_probability(n, n + 1, hi_ctx)
+            ideal_probability(n, n + 1, lo), ideal_probability(n, n + 1, hi)
         )
-    assert contains_enclosure(alpha(4, lo_ctx), alpha(4, hi_ctx))
-    assert contains_enclosure(
-        fullrank_lower_bound(5, lo_ctx), fullrank_lower_bound(5, hi_ctx)
-    )
+    assert contains_enclosure(alpha(4, lo), alpha(4, hi))
+    assert contains_enclosure(fullrank_lower_bound(5, lo), fullrank_lower_bound(5, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,7 @@ def test_ideal_probability_decreasing_to_zeta_hat():
             assert enc.hi < prev.lo
         prev = enc
     limit = ideal_probability(40, 41)
-    hat = default_context().zeta_hat()
+    hat = zeta_hat(PRECISION)
     assert limit.hi >= hat.lo and limit.lo <= hat.hi + Fraction(1, 10**10)
     assert limit.lo > hat.lo  # still strictly above the infinite product
 
@@ -180,7 +178,7 @@ def test_ideal_probability_decreasing_to_zeta_hat():
 def test_pk_bound_hand_value():
     enc = pk_bound(1, 8, 0)
     assert enc.contains(Fraction(1, 3))
-    assert enc.width < Fraction(1, 10**20)
+    assert enc.hi - enc.lo < Fraction(1, 10**20)
 
 
 def test_pk_bound_k_zero_closed_form():
@@ -196,12 +194,11 @@ def test_pk_bound_rejects_small_ratio():
 
 
 def test_pk_sum_below_half_at_reference_ratio():
-    ctx = default_context()
     for n in range(1, 9):
-        j = 8 * half_power(n, n, ctx.grid_digits)  # the ratio 8 n^(n/2)
+        j = 8 * half_power(n, n, _grid_digits(PRECISION))  # the ratio 8 n^(n/2)
         total = Enclosure.exact(0)
         for k in range(n):
-            total = total + pk_bound(n, j, k, ctx)
+            total = total + pk_bound(n, j, k)
         assert total.hi < Fraction(1, 2)
 
 
@@ -220,7 +217,7 @@ def test_fullrank_lower_bound_table():
     for n, printed in FULLRANK_TABLE.items():
         enc = fullrank_lower_bound(n)
         assert abs(enc.mid - Fraction(printed)) <= Fraction(1, 1000)
-        assert enc.width < Fraction(1, 10**15)
+        assert enc.hi - enc.lo < Fraction(1, 10**15)
 
 
 def test_fullrank_exact_small_case():
@@ -248,7 +245,7 @@ def test_alpha_values():
 
 
 def test_alpha_floor_and_limit():
-    hat = default_context().zeta_hat()
+    hat = zeta_hat(PRECISION)
     for n in range(2, 51):
         enc = alpha(n)
         assert enc.lo >= Fraction(92, 1000)
@@ -335,9 +332,9 @@ def test_summatory_matches_pair_count_at_1000():
 
 def test_zeta_context_precision_cap():
     with pytest.raises(ValueError):
-        ZetaContext(precision=60)
+        zeta(2, 60)
     with pytest.raises(ValueError):
-        ZetaContext(precision=0)
+        zeta(2, 0)
 
 
 def test_coprime_prob_exact_values():

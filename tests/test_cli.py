@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -236,6 +238,17 @@ def test_operational_error_exit_one(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # a shortest vector below 10^-30 underflows the covering-radius bound
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(
+        '{"n": 2, "basis": [["1/10000000000000000000000000000000", "0"],'
+        ' ["0", "10000000000000000000000000000000"]]}'
+    )
+    assert main(["fullrank-check", "--lattice", str(tiny), "--trials", "5"]) == 1
+    assert capsys.readouterr().err == "error: shortest vector bound underflowed\n"
+    for precision in ("0", "51"):
+        assert main(["bounds-table", "--n-max", "3", "--precision", precision]) == 1
+        assert capsys.readouterr().err == "error: precision must be in [1, 50]\n"
     # a window below the threshold names the flag that reports it anyway
     assert main(["fullrank-check", "--B", "5", "--trials", "3"]) == 1
     err = capsys.readouterr().err
@@ -315,6 +328,8 @@ STALE_TRACED = {
     "latgen.exactmat.RationalMatrix.inverse",
     "latgen.exactmat.rank_of_rows",
     "latgen.lattice.rank_of_span",
+    "latgen.bounds.ZetaContext.zeta",
+    "latgen.bounds.ZetaContext.zeta_hat",
     *(f"latgen.experiments.{cls}.to_csv" for cls in (
         "CoprimeTable", "BoundsTable", "LemmaReport", "TvReport", "FullrankReport",
     )),
@@ -402,3 +417,21 @@ def test_pool_parent_loads_numpy_before_forking(tmp_path):
     argv = ["unimodular", "--n", "2", "--reps", "2", "--samples", "5", "--workers", "2"]
     seen = _probe_imports("pool", argv, tmp_path)
     assert seen["numpy_at_pool"] is True
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the README's one python block, run as written against src/
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    done = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    *_, ideal, alpha_lo = done.stdout.splitlines()
+    # the values its comments give
+    lo, hi = re.fullmatch(r"Enclosure\((\S+), (\S+)\)", ideal).groups()
+    assert round(float(lo), 6) == round(float(hi), 6) == 0.450631
+    assert Fraction(alpha_lo) > Fraction(185, 1000)
