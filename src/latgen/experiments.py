@@ -138,10 +138,12 @@ class ExperimentConfig:
         policy = self.m_policy.strip()
         if policy == "n":
             return n
-        if policy.startswith("n+"):
-            m = n + int(policy[2:])
-        else:
-            m = int(policy)
+        try:
+            m = n + int(policy[2:]) if policy.startswith("n+") else int(policy)
+        except ValueError:
+            raise ValueError(
+                f"m policy {self.m_policy!r} is not n, n+K or an integer"
+            ) from None
         if m < 1:
             raise ValueError(f"m policy {self.m_policy!r} gives m < 1")
         return m

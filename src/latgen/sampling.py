@@ -30,15 +30,20 @@ w_i column i of W: the big-integer engine computes exactly this, which
 equals x - V floor(T x / |det V|) for x = sum y_i g_i and T = |det V| V^-1.
 
 The int64 engine tabulates, per factor i, 4-bit digit position j and
-digit v < 16, the pair (a, z) of v 16^j y_i's contribution, adds one
-table row per nibble of y_i and folds after each addition: with both
-summands' a in [0, e), the sum's a lies in [0, 2e), and
+digit v < 16, the pair (a, z) of v 16^j y_i's contribution (a in
+[0, e), z = V a / e), and adds one table row per nibble of y_i.  Sums
+keep z = V a / e, and so does a fold
 
-    f = [a >= e],    a -= e f,    z -= V f
+    q = a // e (componentwise),    a -= e q,    z -= V q,
 
-brings the pair back to P with one comparison and no division.  The
-engine runs when e < 2^62 and P's box fits in 62 bits: a never leaves
-int64, and the z updates are ring operations mod 2^64 whose exact
+which brings a back into [0, e): after a last fold the pair is the point
+of P.  The engine folds once per F = (2^63 - 1) // e - 1 additions and
+once at the end.  Bound: after a fold (or at the start) every a_r lies
+in [0, e), and each addition adds at most e - 1, so t additions later
+0 <= a_r < (t + 1) e <= (F + 1) e <= 2^63 - 1 for t <= F: a never
+leaves int64.  The engine runs when e < 2^62, which makes
+(2^63 - 1) // e >= 2 and F >= 1, and when P's box fits in 62 bits: the
+z updates (V q included) are ring operations mod 2^64 whose exact
 result, a point of P, fits, so any wrap-around cancels.  Both engines map
 the same y to the same point, so their streams are bit-identical.  Only
 the int64 engine uses numpy, and it imports numpy in the functions that
@@ -74,6 +79,7 @@ _OVERFLOW_SALT = 0x8CB92BA72F3D8DD7
 # rejections in a row means the generator itself is broken
 _MAX_ATTEMPTS = 1024
 _INT64_GUARD = 1 << 62
+_INT64_MAX = (1 << 63) - 1
 # most samples one vectorized batch computes at once (bounds peak memory)
 _BATCH = 1 << 16
 # consecutive rejected window candidates before a window sampler gives up
@@ -306,7 +312,7 @@ class CosetSampler:
             self._tables = [
                 self._nibble_table(step, divisors[i]) for step, i in zip(self._steps, kept)
             ]
-            # row k: what one fold subtracts from (a, z) when a_k >= e
+            # row k: what one fold subtracts from (a, z) per e taken off a_k
             fold = [[e * (r == k) for r in range(n)] + list(generators[k]) for k in range(n)]
             self._fold = np.array(fold, dtype=np.int64)
 
@@ -343,13 +349,20 @@ class CosetSampler:
         nibble tables (only when the engine guard holds)."""
         import numpy as np
         n, e = self.n, self._exponent
+        window = _INT64_MAX // e - 1  # additions per fold, >= 1 as e < 2^62
         state = np.zeros((len(y), 2 * n), dtype=np.int64)
+        pending = 0
         with np.errstate(over="ignore"):
             for i, table in enumerate(self._tables):
                 digits = y[:, i].astype(np.int64)
                 for j in range(len(table)):
                     state += table[j][(digits >> (4 * j)) & 15]
-                    state -= (state[:, :n] >= e) @ self._fold
+                    pending += 1
+                    if pending == window:
+                        state -= (state[:, :n] // e) @ self._fold
+                        pending = 0
+            if pending:
+                state -= (state[:, :n] // e) @ self._fold
         return state[:, n:]
 
     def take(self, count: int) -> list[tuple[int, ...]]:
@@ -362,7 +375,7 @@ class CosetSampler:
             out: list[tuple[int, ...]] = []
             for start in range(0, count, _BATCH):
                 y = core.rows(base + start * k, min(_BATCH, count - start))
-                out.extend(map(tuple, self._points_int64(y).tolist()))
+                out.extend(zip(*self._points_int64(y).T.tolist()))
         else:
             out = [self._point_exact(core.row(base + j * k)) for j in range(count)]
         core.rng.draw_cursor = base + count * k

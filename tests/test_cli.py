@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from latgen.cli import _parse_n_values, main
-from latgen.experiments import Table
+from latgen.experiments import Table, parse_reports_csv
 
 
 def test_parse_n_values():
@@ -249,6 +249,8 @@ def test_operational_error_exit_one(tmp_path, capsys):
     for precision in ("0", "51"):
         assert main(["bounds-table", "--n-max", "3", "--precision", precision]) == 1
         assert capsys.readouterr().err == "error: precision must be in [1, 50]\n"
+    assert main(["unimodular", "--n", "2", "--m", "n-1"]) == 1
+    assert capsys.readouterr().err == "error: m policy 'n-1' is not n, n+K or an integer\n"
     # a window below the threshold names the flag that reports it anyway
     assert main(["fullrank-check", "--B", "5", "--trials", "3"]) == 1
     err = capsys.readouterr().err
@@ -339,6 +341,7 @@ STALE_TRACED = {
 @pytest.mark.parametrize("argv,shards,decisions", [
     (["unimodular", "--n", "2", "--reps", "2", "--samples", "50"], 2, 100),
     (["fullrank-check", "--trials", "200"], 0, 0),
+    (["unimodular", "--n", "3..4", "--reps", "2", "--samples", "50"], 4, 200),
 ])
 def test_benchmark_tracer_sees_every_layer(argv, shards, decisions, tmp_path):
     # a subprocess, since the tracer rebinds the library functions
@@ -356,6 +359,10 @@ def test_benchmark_tracer_sees_every_layer(argv, shards, decisions, tmp_path):
     assert len(metrics["shard_times"]) == shards  # experiments.shard_count
     assert (metrics["sampling.window_take_s"] > 0) == (argv[0] == "fullrank-check")
     assert metrics["exactmat.decisions"] == decisions
+    if argv[0] == "unimodular":
+        # every matrix is decided by a traced unimodular_columns call
+        reports = parse_reports_csv((tmp_path / "out.csv").read_text())
+        assert metrics["exactmat.successes"] == sum(sum(r.successes) for r in reports)
     assert set(summary["absent"]) <= STALE_TRACED
 
 

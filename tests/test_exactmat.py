@@ -16,6 +16,7 @@ import pytest
 
 from latgen.exactmat import (
     _bareiss_columns,
+    _full_rank_mod2,
     det,
     snf_with_transforms,
     unimodular_columns,
@@ -380,6 +381,56 @@ def test_unimodular_columns_generate_past_a_one_swap_gcd(p):
     assert unimodular_columns(cols, 2)
     assert not unimodular_columns([[p, 0], [0, p], [1, 0], [0, p + p]], 2)
     assert unimodular_columns([[p, 0], [0, p], [1, 2], [1, 3]], 2)
+
+
+def _sublattice_columns(rng, n, m, p):
+    """m tuple columns U x with x_0 divisible by p, U a random unimodular
+    matrix: they lie in a sublattice of index p, so they are rank
+    deficient mod p, yet full rank over Q for most draws."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+    cols = []
+    for _ in range(m):
+        x = [p * rng.randint(-3, 3)] + [rng.randint(-3, 3) for _ in range(n - 1)]
+        cols.append(tuple(sum(row[k] * x[k] for k in range(n)) for row in u))
+    return cols
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_unimodular_columns_mod2_sieve_matches_minor_gcd(n):
+    # three kinds of n x m matrices, m = n+1 and n+2: random small entries;
+    # full-rank columns that the mod-2 sieve rejects; and sieve survivors
+    # that fail mod 3, which only the elimination can reject
+    rng = random.Random(1211 + n)
+    per_kind = max(4, 24 - 4 * n)
+    cases = []
+    for m in (n + 1, n + 2):
+        for _ in range(per_kind):
+            cases.append(("random", [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]))
+        for kind, p in (("even", 2), ("mod3", 3)):
+            found = 0
+            while found < per_kind:
+                cols = _sublattice_columns(rng, n, m, p)
+                survives = _full_rank_mod2(cols, n)
+                if kind == "even":
+                    assert not survives
+                    if minors_gcd(transpose(cols), n) == 0:
+                        continue  # rank deficient over Q as well
+                elif not survives:
+                    continue
+                cases.append((kind, cols))
+                found += 1
+    decided = {kind: set() for kind in ("random", "even", "mod3")}
+    for kind, cols in cases:
+        snapshot = list(cols)
+        expected = minors_gcd(transpose(cols), n) == 1
+        assert unimodular_columns(cols, n) == expected, (kind, cols)
+        assert cols == snapshot
+        decided[kind].add(expected)
+    assert decided == {"random": {False, True}, "even": {False}, "mod3": {False}}
 
 
 def test_bareiss_columns_yields_maximal_minors():

@@ -390,6 +390,43 @@ def test_coset_engines_bit_identical_at_the_guard(p, fast_engine):
         )
 
 
+def _folding_cases():
+    """Parallelepipeds with e in (2^59, 2^62), so that F = (2^63 - 1) // e - 1
+    lies in [1, 14] and the int64 engine folds in the middle of a sample."""
+    yield Parallelepiped([[2**59 + 1]])
+    yield Parallelepiped([[2**62 - 1]])
+    yield Parallelepiped([[6, 0], [0, 6 * (2**58 + 3)]])  # two factors, e = 6 (2^58 + 3)
+    for n, c in ((2, 2**31), (3, 2**21), (4, 2**16)):
+        for stream in range(100):
+            p = random_parallelepiped(n, c, RngStream(seed=59, stream=stream))
+            if 2**59 < p.sampler(RngStream(seed=0))._exponent < 2**62:
+                yield p
+                break
+
+
+@pytest.mark.parametrize("p", list(_folding_cases()))
+def test_coset_engines_bit_identical_with_mid_sample_folds(p):
+    fast_rng = RngStream(seed=5, stream=1)
+    exact_rng = RngStream(seed=5, stream=1)
+    fast = p.sampler(fast_rng)
+    exact = p.sampler(exact_rng)
+    exact._fast = False  # the big-integer engine
+    e = fast._exponent
+    window = (2**63 - 1) // e - 1
+    assert fast._fast and 2**59 < e < 2**62 and 1 <= window <= 15
+    assert sum(len(table) for table in fast._tables) > window
+    assert fast.take(300) == exact.take(300)
+    assert fast_rng.draw_cursor == exact_rng.draw_cursor
+    # the extreme draws: y = 0, y = d_i - 1 and every nibble 0xF, which
+    # adds the v = 15 row of each table, the largest a sums
+    extremes = [
+        (0, d - 1, 16 ** len(table) - 1) for d, table in zip(fast._core.bounds, fast._tables)
+    ]
+    ys = list(itertools.product(*extremes))
+    points = fast._points_int64(np.array(ys, dtype=np.uint64)).tolist()
+    assert points == [list(fast._point_exact(y)) for y in ys]
+
+
 def test_uniformity_chi_square():
     # 10 seeds, chi-square at significance 1e-3 against the enumerated
     # support; by design one failing seed is tolerated.
