@@ -7,9 +7,8 @@ Library layout:
                     unimodularity
 * ``lattice``    -- full-rank lattices, covering-radius bounds, the
                     half-open cell (one box, membership test and
-                    enumerator for windows and parallelepipeds) and
-                    hyperplane counts; lattice points travel as integer
-                    basis coordinates
+                    enumerator for windows) and hyperplane counts;
+                    lattice points travel as integer basis coordinates
 * ``bounds``     -- certified enclosures for every closed-form constant
 * ``groupgen``   -- finite abelian groups and generation probabilities
 * ``sampling``   -- reproducible counter-based RNG, random parallelepipeds

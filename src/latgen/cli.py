@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .bounds import PRECISION
 from .experiments import (
@@ -44,16 +43,10 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _load_lattice(path: Optional[str], default: Optional[str] = None) -> LatticeBasis:
-    if path is None:
-        if default is None:
-            raise ValueError("a lattice JSON file is required")
-        return LatticeBasis.from_json(default)
+def _load_lattice(path: str) -> LatticeBasis:
     with open(path) as handle:
         return LatticeBasis.from_json(handle.read())
 
-
-_Z2_JSON = '{"n": 2, "basis": [["1", "0"], ["0", "1"]], "column_major": true}'
 
 # the --paper-scale settings, for those neither a flag nor --config sets
 PAPER_SCALE_DEFAULTS = {"reps": 1000, "C": 10**18, "n_values": tuple(range(1, 16))}
@@ -138,7 +131,7 @@ def _cmd_tv_check(args) -> tuple[Table, str]:
 
 
 def _cmd_fullrank_check(args) -> tuple[Table, str]:
-    lattice = _load_lattice(args.lattice, default=_Z2_JSON)
+    lattice = _load_lattice(args.lattice) if args.lattice else LatticeBasis([[1, 0], [0, 1]])
     nu = Fraction(args.nu_upper) if args.nu_upper else None
     table = run_fullrank_check(
         lattice,

@@ -8,9 +8,9 @@ machine words, which is why exactness is non-negotiable).
 Two eliminations answer every question: fraction-free Gauss-Jordan
 elimination (``_bareiss_columns``: determinants, adjugates, maximal
 minors and the unimodularity decision) and the Smith form
-(``snf_with_transforms``: quotient groups, whose divisors also decide
-full rank, from the row transform, and the coset sampler's cyclic
-factors, from the column transform).  Ahead of the unimodularity
+(``snf_with_transforms``: quotient groups, from the row transform, and a
+parallelepiped's coset map, from the column transform; in both, the
+divisors also decide full rank).  Ahead of the unimodularity
 elimination, a mod-2 rank sieve (``_full_rank_mod2``) rejects columns
 whose parities span less than (Z/2)^n with bit operations alone: columns
 that generate Z^n also generate (Z/2)^n.
@@ -217,7 +217,7 @@ def det(columns: Sequence[Sequence[int]]) -> int:
 
 
 def _scaled_inverse(cols: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
-    """(det V, rows of T = |det V| V^-1) for the n x n integer matrix V
+    """(|det V|, rows of T = |det V| V^-1) for the n x n integer matrix V
     with the given columns; (0, []) when V is singular.
 
     One fraction-free elimination of [V | I]: the identity columns come
@@ -233,7 +233,7 @@ def _scaled_inverse(cols: Sequence[Sequence[int]], n: int) -> tuple[int, list[li
     rows = [None] * n
     for k, c in enumerate(pivots):
         rows[c] = [sign * col[k] for col in inverse]
-    return _permutation_sign(pivots) * d, rows
+    return abs(d), rows
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:

@@ -262,9 +262,9 @@ def _unimodular_shard(task) -> tuple[int, int, int]:
     seed, n, m, c, samples, shard = task
     pe_rng = RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 0))
     parallelepiped = random_parallelepiped(n, c, pe_rng)
-    sampler = parallelepiped.sampler(RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 1)))
+    rng = RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 1))
     try:
-        points = sampler.take(samples * m)
+        points = parallelepiped.take(rng, samples * m)
     except SamplerError as exc:
         raise SamplerError(
             f"shard {shard} (n={n}, generators {parallelepiped.generators}): {exc}"

@@ -22,13 +22,13 @@ T = |det S| S^-1, both from one fraction-free elimination; coordinates
 (which refuse vectors outside the lattice) and the inverse rows used to
 size search boxes are integer arithmetic on these.
 
-Every region is one half-open cell (``HalfOpenCell``): the integer points
-z with 0 <= (R z)_i < L for an integer matrix R and L > 0, which are the
-integer points of the parallelotope G [0, 1)^n with G = L R^-1.  The
-window [0, W)^n in basis coordinates is one (``window_cell``), and so is
-a random parallelepiped (``sampling.Parallelepiped``); enumeration and
-both sampling engines decide membership on the same R and L in integer
-arithmetic.
+A window is one half-open cell (``HalfOpenCell``): the integer points z
+with 0 <= (R z)_i < L for an integer matrix R and L > 0, which are the
+integer points of the parallelotope G [0, 1)^n with G = L R^-1; the
+window [0, W)^n in basis coordinates is one (``window_cell``).
+Enumeration and the window sampler decide membership on the same R and
+L in integer arithmetic.  A parallelepiped needs no cell: it is sampled
+through its Smith form (``sampling.Parallelepiped``).
 
 Only ``covering_radius_estimate`` uses numpy, and it imports numpy when
 called, so importing this module (as every latgen subcommand does) does
@@ -104,8 +104,8 @@ class LatticeBasis:
         self._scaled_rows = [list(row) for row in zip(*scaled_cols)]
         # T = |det S| S^-1, so B^-1 = scale * T / |det S|
         self._adjugate = adjugate
-        self._scaled_det = abs(d)
-        self.det = Fraction(abs(d), scale**n)
+        self._scaled_det = d
+        self.det = Fraction(d, scale**n)
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeBasis":

@@ -1,5 +1,5 @@
-"""Reproducible random generation: parallelepipeds, their coset sampler
-and the window sampler.
+"""Reproducible random generation: parallelepipeds with their coset
+sampler, and the window sampler.
 
 Randomness comes from a fixed, documented, counter-based generator
 ("splitmix64-ctr-v1"): word k of a stream is the SplitMix64 finalizer
@@ -15,14 +15,15 @@ on the stream.
 Parallelepipeds P = V [0,1)^n (integer generator columns V, det V != 0)
 are sampled with no rejection ("coset-v1").  Every coset of V Z^n in Z^n
 has exactly one point in P, so a uniform coset gives a uniform integer
-point of P.  The Smith form U V W = D = diag(d_1 | ... | d_n) splits
-Z^n / V Z^n into the cyclic factors Z/d_i, generated by the columns g_i
-of U^-1 = V W D^-1.  A sample draws y_i uniformly in [0, d_i) for each
-d_i > 1 (sample j of a take starting at draw index `base` uses the
-indices base + j k + i, k the number of such factors, so a cell with
-|det V| = 1 draws nothing) and returns the point of P in the coset of
-sum y_i g_i.  In the coordinates a = e V^-1 z, with e = d_n the largest
-factor, that point is
+point of P.  V is eliminated once, to its Smith form U V W = D =
+diag(d_1 | ... | d_n), which also refuses a degenerate V (fewer than n
+invariant factors is det V = 0).  D splits Z^n / V Z^n into the cyclic
+factors Z/d_i, generated by the columns g_i of U^-1 = V W D^-1.  A
+sample draws y_i uniformly in [0, d_i) for each d_i > 1 (sample j of a
+take starting at draw index `base` uses the indices base + j k + i, k
+the number of such factors, so a cell with |det V| = 1 draws nothing)
+and returns the point of P in the coset of sum y_i g_i.  In the
+coordinates a = e V^-1 z, with e = d_n the largest factor, that point is
 
     z = V a / e,    a = sum_i y_i (e / d_i) w_i  mod e  (componentwise),
 
@@ -42,13 +43,16 @@ once at the end.  Bound: after a fold (or at the start) every a_r lies
 in [0, e), and each addition adds at most e - 1, so t additions later
 0 <= a_r < (t + 1) e <= (F + 1) e <= 2^63 - 1 for t <= F: a never
 leaves int64.  The engine runs when e < 2^62, which makes
-(2^63 - 1) // e >= 2 and F >= 1, and when P's box fits in 62 bits: the
-z updates (V q included) are ring operations mod 2^64 whose exact
-result, a point of P, fits, so any wrap-around cancels.  Both engines map
-the same y to the same point, so their streams are bit-identical.  Only
-the int64 engine uses numpy, and it imports numpy in the functions that
-need it: the RNG, the big-integer engine and the window sampler run
-without it, so `latgen fullrank-check` never loads it.
+(2^63 - 1) // e >= 2 and F >= 1, and when every row of V has absolute
+sum below 2^62: every coordinate z_r = sum_j V_rj a_j / e (0 <= a_j < e)
+of a point of P is below sum_j |V_rj| in magnitude, so the points of P
+(each table entry and each folded sum) and the entries of V fit in 62
+bits.  The z updates (V q included) are ring operations mod 2^64 whose
+exact result, a point of P, fits, so any wrap-around cancels.  Both
+engines map the same y to the same point, so their streams are
+bit-identical.  Only the int64 engine uses numpy, and it imports numpy
+in the functions that need it: the RNG, the big-integer engine and the
+window sampler run without it, so `latgen fullrank-check` never loads it.
 
 The lattice window [0, B)^n is, in basis coordinates, a half-open cell
 (``lattice.HalfOpenCell``) with no such quotient structure at hand.
@@ -64,8 +68,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .exactmat import _scaled_inverse, snf_with_transforms
-from .lattice import HalfOpenCell, LatticeBasis, Window, window_cell
+from .exactmat import snf_with_transforms
+from .lattice import LatticeBasis, Window, window_cell
 
 if TYPE_CHECKING:
     import numpy as np
@@ -235,11 +239,16 @@ class _BoundedDraws:
 
 
 class Parallelepiped:
-    """{V a : a in [0,1)^n} for integer generator columns V.
+    """{V a : a in [0,1)^n} for integer generator columns V, and its
+    uniform integer points, one uniform coset of V Z^n per sample (the
+    module docstring gives the method).
 
-    Its integer points form the half-open cell with R = T = |det V| V^-1
-    (from the same elimination as det V), L = |det V| and G = V.
-    Degenerate spans (det V = 0) are rejected at construction.
+    One Smith form of V gives everything: fewer than n invariant factors
+    (det V = 0) are refused at construction, and the factors and the
+    column transform give the coset map.  ``take(rng, count)`` consumes
+    exactly count * k draw indices from the rng's cursor, k the number of
+    nontrivial Smith factors; the engine choice depends only on V, never
+    on sampled values.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], resamples: int = 0):
@@ -248,14 +257,95 @@ class Parallelepiped:
             raise ValueError("need n generators of length n")
         self.generators = tuple(tuple(int(x) for x in g) for g in generators)
         self.dim = n
-        self.det, rows = _scaled_inverse(self.generators, n)
-        if self.det == 0:
+        divisors, _, w = snf_with_transforms(self.generators, n)
+        if len(divisors) < n:
             raise ValueError("degenerate parallelepiped: generators are dependent")
         self.resamples = resamples
-        self.cell = HalfOpenCell(rows, abs(self.det), list(zip(*self.generators)))
+        e = divisors[-1]
+        kept = [i for i, d in enumerate(divisors) if d > 1]
+        self._exponent = e
+        self._bounds = [divisors[i] for i in kept]
+        # g_i = V w_i / d_i in the coordinates a = e V^-1 z, reduced mod e
+        self._steps = [
+            [(e // divisors[i]) * (w[r][i] % divisors[i]) for r in range(n)]
+            for i in kept
+        ]
+        self._fast = e < _INT64_GUARD and all(
+            sum(abs(x) for x in row) < _INT64_GUARD for row in zip(*self.generators)
+        )
+        if self._fast:
+            import numpy as np
+            self._tables = [
+                self._nibble_table(step, d) for step, d in zip(self._steps, self._bounds)
+            ]
+            # row k: what one fold subtracts from (a, z) per e taken off a_k
+            fold = [[e * (r == k) for r in range(n)] + list(self.generators[k]) for k in range(n)]
+            self._fold = np.array(fold, dtype=np.int64)
 
-    def sampler(self, rng: RngStream) -> "CosetSampler":
-        return CosetSampler(self, rng)
+    def _point(self, a: Sequence[int]) -> list[int]:
+        """V a / e: the point of P with coordinates a = e V^-1 z in [0, e)."""
+        e = self._exponent
+        return [
+            sum(g[r] * c for g, c in zip(self.generators, a)) // e for r in range(self.dim)
+        ]
+
+    def _nibble_table(self, step: Sequence[int], bound: int) -> np.ndarray:
+        """table[j, v] = (a, z), the point z of P with a = v 16^j step mod e."""
+        import numpy as np
+        e = self._exponent
+        table = []
+        for j in range(-(-(bound - 1).bit_length() // 4)):
+            rows = []
+            for v in range(16):
+                a = [(v << (4 * j)) * s % e for s in step]
+                rows.append(a + self._point(a))
+            table.append(rows)
+        return np.array(table, dtype=np.int64)
+
+    def _point_exact(self, y: Sequence[int]) -> tuple[int, ...]:
+        """The point of P in the coset of y, in Python integers."""
+        e = self._exponent
+        a = [
+            sum(yi * step[r] for yi, step in zip(y, self._steps)) % e for r in range(self.dim)
+        ]
+        return tuple(self._point(a))
+
+    def _points_int64(self, y: np.ndarray) -> np.ndarray:
+        """The points of P in the cosets of the rows of y, by the int64
+        nibble tables (only when the engine guard holds)."""
+        import numpy as np
+        n, e = self.dim, self._exponent
+        window = _INT64_MAX // e - 1  # additions per fold, >= 1 as e < 2^62
+        state = np.zeros((len(y), 2 * n), dtype=np.int64)
+        pending = 0
+        with np.errstate(over="ignore"):
+            for i, table in enumerate(self._tables):
+                digits = y[:, i].astype(np.int64)
+                for j in range(len(table)):
+                    state += table[j][(digits >> (4 * j)) & 15]
+                    pending += 1
+                    if pending == window:
+                        state -= (state[:, :n] // e) @ self._fold
+                        pending = 0
+            if pending:
+                state -= (state[:, :n] // e) @ self._fold
+        return state[:, n:]
+
+    def take(self, rng: RngStream, count: int) -> list[tuple[int, ...]]:
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        draws = _BoundedDraws(rng, self._bounds)
+        k = len(self._bounds)
+        base = rng.draw_cursor
+        if self._fast:
+            out: list[tuple[int, ...]] = []
+            for start in range(0, count, _BATCH):
+                y = draws.rows(base + start * k, min(_BATCH, count - start))
+                out.extend(zip(*self._points_int64(y).T.tolist()))
+        else:
+            out = [self._point_exact(draws.row(base + j * k)) for j in range(count)]
+        rng.draw_cursor = base + count * k
+        return out
 
 
 def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
@@ -277,109 +367,6 @@ def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
             resamples += 1
             if resamples >= 64:
                 raise SamplerError("64 consecutive degenerate parallelepipeds: generator fault")
-
-
-class CosetSampler:
-    """Uniform integer points of a parallelepiped, one uniform coset of
-    V Z^n per sample (the module docstring gives the method).
-
-    ``take(count)`` consumes exactly count * k draw indices from the
-    cursor, k the number of nontrivial Smith factors; the engine choice
-    depends only on the parallelepiped, never on sampled values.
-    """
-
-    def __init__(self, parallelepiped: Parallelepiped, rng: RngStream):
-        generators = parallelepiped.generators
-        n = parallelepiped.dim
-        divisors, _, w = snf_with_transforms(generators, n)
-        e = divisors[-1]
-        kept = [i for i, d in enumerate(divisors) if d > 1]
-        self.n = n
-        self._generators = generators
-        self._exponent = e
-        # g_i = V w_i / d_i in the coordinates a = e V^-1 z, reduced mod e
-        self._steps = [
-            [(e // divisors[i]) * (w[r][i] % divisors[i]) for r in range(n)]
-            for i in kept
-        ]
-        box = parallelepiped.cell.box
-        self._fast = e < _INT64_GUARD and all(
-            max(-lo, hi) < _INT64_GUARD for lo, hi in box
-        )
-        self._core = _BoundedDraws(rng, [divisors[i] for i in kept])
-        if self._fast:
-            import numpy as np
-            self._tables = [
-                self._nibble_table(step, divisors[i]) for step, i in zip(self._steps, kept)
-            ]
-            # row k: what one fold subtracts from (a, z) per e taken off a_k
-            fold = [[e * (r == k) for r in range(n)] + list(generators[k]) for k in range(n)]
-            self._fold = np.array(fold, dtype=np.int64)
-
-    def _point(self, a: Sequence[int]) -> list[int]:
-        """V a / e: the point of P with coordinates a = e V^-1 z in [0, e)."""
-        e = self._exponent
-        return [
-            sum(g[r] * c for g, c in zip(self._generators, a)) // e for r in range(self.n)
-        ]
-
-    def _nibble_table(self, step: Sequence[int], bound: int) -> np.ndarray:
-        """table[j, v] = (a, z), the point z of P with a = v 16^j step mod e."""
-        import numpy as np
-        e = self._exponent
-        table = []
-        for j in range(-(-(bound - 1).bit_length() // 4)):
-            rows = []
-            for v in range(16):
-                a = [(v << (4 * j)) * s % e for s in step]
-                rows.append(a + self._point(a))
-            table.append(rows)
-        return np.array(table, dtype=np.int64)
-
-    def _point_exact(self, y: Sequence[int]) -> tuple[int, ...]:
-        """The point of P in the coset of y, in Python integers."""
-        e = self._exponent
-        a = [
-            sum(yi * step[r] for yi, step in zip(y, self._steps)) % e for r in range(self.n)
-        ]
-        return tuple(self._point(a))
-
-    def _points_int64(self, y: np.ndarray) -> np.ndarray:
-        """The points of P in the cosets of the rows of y, by the int64
-        nibble tables (only when the engine guard holds)."""
-        import numpy as np
-        n, e = self.n, self._exponent
-        window = _INT64_MAX // e - 1  # additions per fold, >= 1 as e < 2^62
-        state = np.zeros((len(y), 2 * n), dtype=np.int64)
-        pending = 0
-        with np.errstate(over="ignore"):
-            for i, table in enumerate(self._tables):
-                digits = y[:, i].astype(np.int64)
-                for j in range(len(table)):
-                    state += table[j][(digits >> (4 * j)) & 15]
-                    pending += 1
-                    if pending == window:
-                        state -= (state[:, :n] // e) @ self._fold
-                        pending = 0
-            if pending:
-                state -= (state[:, :n] // e) @ self._fold
-        return state[:, n:]
-
-    def take(self, count: int) -> list[tuple[int, ...]]:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        core = self._core
-        k = len(core.bounds)
-        base = core.rng.draw_cursor
-        if self._fast:
-            out: list[tuple[int, ...]] = []
-            for start in range(0, count, _BATCH):
-                y = core.rows(base + start * k, min(_BATCH, count - start))
-                out.extend(zip(*self._points_int64(y).T.tolist()))
-        else:
-            out = [self._point_exact(core.row(base + j * k)) for j in range(count)]
-        core.rng.draw_cursor = base + count * k
-        return out
 
 
 # ---------------------------------------------------------------------------

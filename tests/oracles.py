@@ -9,7 +9,9 @@ and the totient summatory carries the coprime pair counts.
 and ``zeta_hat`` encloses the infinite product the ideal probabilities
 decrease to.
 ``lattice_point`` maps the integer basis coordinates the library returns
-to rational points, and ``box_rejection_sample`` samples a half-open
+to rational points, ``parallelepiped_cell`` gives a parallelepiped's
+integer points as a half-open cell, independent of the Smith form the
+coset sampler uses, and ``box_rejection_sample`` samples a half-open
 cell by rejection from its bounding box.
 """
 
@@ -17,6 +19,8 @@ from fractions import Fraction
 
 from latgen.bounds import totients, zeta_inv
 from latgen.enclosure import Enclosure
+from latgen.exactmat import _scaled_inverse
+from latgen.lattice import HalfOpenCell
 
 
 def fraction_solve(rows, rhs):
@@ -219,6 +223,16 @@ def zeta_hat(precision: int):
 def totient_summatory(n: int) -> int:
     """Exact sum_{k=1}^{n} phi(k)."""
     return sum(totients(n)[1:])
+
+
+def parallelepiped_cell(generators):
+    """The integer points of V [0,1)^n, V the generator columns, as the
+    half-open cell with rows T = |det V| V^-1 (one elimination of
+    [V | I]), limit |det V| and G = V, so its box comes from V's rows."""
+    limit, rows = _scaled_inverse(generators, len(generators))
+    if limit == 0:
+        raise ValueError("degenerate parallelepiped: generators are dependent")
+    return HalfOpenCell(rows, limit, list(zip(*generators)))
 
 
 def box_rejection_sample(cell, rng, count):

@@ -298,6 +298,32 @@ def test_certify_outputs_pinned(argv, kind, digest, tmp_path, capsys):
     _round_trip(target.read_text(), kind)
 
 
+# `unimodular` at C = 1, where a third of the draws are singular: the
+# degenerate draws each shard's parallelepiped refused (73 in all), and the
+# output's sha256, both taken before the parallelepiped sampled through
+# its one Smith form
+C1_ARGV = ["unimodular", "--n", "1..3", "--m", "n+1", "--C", "1", "--reps", "50",
+           "--samples", "20", "--seed", "0", "--workers", "1"]
+C1_SHA256 = "6b9fbd3bd8034c6aced0e5c57e3fedc1de06e67921a3184556538824e1529d90"
+C1_RESAMPLES = {
+    1: (0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 4,
+        1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 2, 0, 0),
+    2: (1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 1, 2,
+        0, 0, 0, 0, 0, 0, 1, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    3: (0, 0, 1, 0, 1, 0, 1, 1, 0, 3, 0, 6, 1, 0, 0, 1, 1, 0, 0, 0, 3, 3, 0, 1, 1,
+        0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 5, 1, 2, 0, 0, 0, 2, 0, 1, 1),
+}
+
+
+def test_degenerate_draws_resampled_as_pinned(tmp_path, capsys):
+    target = tmp_path / "c1.csv"
+    assert main([*C1_ARGV, "--out", str(target)]) == 2  # far below the ideal
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == C1_SHA256
+    reports = parse_reports_csv(target.read_text())
+    assert {r.n: r.resamples for r in reports} == C1_RESAMPLES
+    assert sum(map(sum, C1_RESAMPLES.values())) == 73
+
+
 Z1_FILE = "{z1}"  # replaced by a Z^1 lattice JSON file
 ROUND_TRIP = [
     (["unimodular", "--n", "1..2", "--reps", "3", "--samples", "100", "--C", "100",

@@ -31,7 +31,7 @@ from latgen.experiments import (
 from latgen.exactmat import unimodular_columns
 from latgen.lattice import LatticeBasis, count_in_hyperplane
 from latgen.sampling import ALGORITHM_ID, COSET_ALGORITHM_ID, RngStream, random_parallelepiped
-from oracles import box_rejection_sample, fraction_det
+from oracles import box_rejection_sample, fraction_det, parallelepiped_cell
 
 Z1 = LatticeBasis([[1]])
 Z2 = LatticeBasis([[1, 0], [0, 1]])
@@ -158,7 +158,7 @@ def test_unimodular_shard_matches_exact_cell_probability():
     seed, n, m, c, samples = 0, 2, 3, 3, 2000
     for shard in range(12):
         rng = RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 0))
-        points = random_parallelepiped(n, c, rng).cell.points()
+        points = parallelepiped_cell(random_parallelepiped(n, c, rng).generators).points()
         minor = {
             (x, y): abs(int(fraction_det([[x[0], y[0]], [x[1], y[1]]])))
             for x in points
@@ -194,7 +194,7 @@ def test_box_rejection_oracle_reproduces_rejection_pins():
                 n, 10000, RngStream(0, stream_id(KIND_UNIMODULAR, n, shard, 0))
             )
             rng = RngStream(0, stream_id(KIND_UNIMODULAR, n, shard, 1))
-            points = box_rejection_sample(p.cell, rng, samples * m)
+            points = box_rejection_sample(parallelepiped_cell(p.generators), rng, samples * m)
             successes = sum(
                 unimodular_columns([list(points[k * m + j]) for j in range(m)], n)
                 for k in range(samples)
@@ -259,8 +259,7 @@ def test_cube_parallelepiped_matches_ideal():
 
     n, m, c, matrices = 2, 3, 500, 20000
     cube = Parallelepiped([[c if i == j else 0 for i in range(n)] for j in range(n)])
-    sampler = cube.sampler(RngStream(seed=17, stream=2))
-    points = sampler.take(matrices * m)
+    points = cube.take(RngStream(seed=17, stream=2), matrices * m)
     successes = sum(
         unimodular_columns([list(points[k * m + j]) for j in range(m)], n)
         for k in range(matrices)

@@ -18,6 +18,7 @@ import pytest
 import scipy.stats
 
 from latgen import sampling
+from latgen.exactmat import _scaled_inverse
 from latgen.groupgen import quotient_group
 from latgen.lattice import LatticeBasis, Window, enumerate_window
 from latgen.sampling import (
@@ -27,7 +28,7 @@ from latgen.sampling import (
     WindowSampler,
     random_parallelepiped,
 )
-from oracles import lattice_point
+from oracles import fraction_det, lattice_point, parallelepiped_cell
 
 Z2 = LatticeBasis([[1, 0], [0, 1]])
 
@@ -134,17 +135,16 @@ class _SaturatedBlocks(RngStream):
 
 
 def test_engines_bit_identical_past_the_block():
-    p = Parallelepiped([[4, 1], [1, 4]])  # box ranges 5 and 5
+    p = Parallelepiped([[4, 1], [1, 4]])  # Smith factors 1 and 15
     fast_rng = _SaturatedBlocks(seed=77, stream=9)
     exact_rng = _SaturatedBlocks(seed=77, stream=9)
-    fast = p.sampler(fast_rng)
-    exact = p.sampler(exact_rng)
-    exact._fast = False  # the big-integer engine
-    assert fast._fast and not exact._fast
-    samples = fast.take(200)
-    assert samples == exact.take(200)
+    assert p._fast
+    samples = p.take(fast_rng, 200)
+    p._fast = False  # the big-integer engine
+    assert samples == p.take(exact_rng, 200)
     assert fast_rng.draw_cursor == exact_rng.draw_cursor
-    assert all(p.cell.contains(z) for z in samples)
+    cell = parallelepiped_cell(p.generators)
+    assert all(cell.contains(z) for z in samples)
 
 
 class _BrokenGenerator(_SaturatedBlocks):
@@ -159,10 +159,9 @@ def test_broken_generator_still_reported():
         _BrokenGenerator(seed=1).draw_below(5)
     p = Parallelepiped([[4, 1], [1, 4]])
     for fast in (True, False):
-        sampler = p.sampler(_BrokenGenerator(seed=1))
-        sampler._fast = fast
+        p._fast = fast
         with pytest.raises(SamplerError, match="generator fault"):
-            sampler.take(1)
+            p.take(_BrokenGenerator(seed=1), 1)
 
 
 def test_draw_int_inclusive():
@@ -201,16 +200,36 @@ def test_random_parallelepiped_deterministic():
     p1 = random_parallelepiped(3, 10**4, RngStream(seed=5, stream=2))
     p2 = random_parallelepiped(3, 10**4, RngStream(seed=5, stream=2))
     assert p1.generators == p2.generators
-    assert p1.det == p2.det != 0
+    assert parallelepiped_cell(p1.generators).limit == parallelepiped_cell(p2.generators).limit
+
+
+def test_parallelepiped_degenerate_exactly_when_det_is_zero():
+    # Smith rank below n is det V = 0: entries in {-1, 0, 1} are often
+    # singular, entries up to 10^18 almost never
+    rng = random.Random(2020)
+    singular = regular = 0
+    for bound in (1, 10**18):
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            generators = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            degenerate = fraction_det(generators) == 0
+            try:
+                Parallelepiped(generators)
+            except ValueError as exc:
+                assert degenerate and "degenerate" in str(exc), generators
+                singular += 1
+            else:
+                assert not degenerate, generators
+                regular += 1
+    assert singular > 50 and regular > 300
 
 
 def test_integer_box_half_open():
-    cube = Parallelepiped([[5, 0], [0, 5]])
-    assert cube.cell.box == [(0, 4), (0, 4)]
-    mixed = Parallelepiped([[1, -2], [0, 3]])
-    box = mixed.cell.box
-    for z in mixed.cell.points():
-        for (lo, hi), coord in zip(box, z):
+    cube = parallelepiped_cell([[5, 0], [0, 5]])
+    assert cube.box == [(0, 4), (0, 4)]
+    mixed = parallelepiped_cell([[1, -2], [0, 3]])
+    for z in mixed.points():
+        for (lo, hi), coord in zip(mixed.box, z):
             assert lo <= coord <= hi
 
 
@@ -222,12 +241,11 @@ def test_membership_rows_are_scaled_inverse():
         n = rng.randint(1, 5)
         bound = rng.choice([3, 10**4, 10**18])
         generators = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        try:
-            p = Parallelepiped(generators)
-        except ValueError:
+        limit, rows = _scaled_inverse(generators, n)
+        assert limit == abs(fraction_det(generators))
+        if limit == 0:
+            assert rows == []
             continue
-        rows, limit = p.cell.rows, p.cell.limit
-        assert limit == abs(p.det)
         for i in range(n):
             for j in range(n):
                 product = sum(rows[i][k] * generators[j][k] for k in range(n))
@@ -237,12 +255,12 @@ def test_membership_rows_are_scaled_inverse():
 
 
 def test_enumerate_matches_membership():
-    p = Parallelepiped([[3, 1], [1, 4]])
-    points = p.cell.points()
-    assert len(points) == abs(p.det)  # unit-volume cells partition Z^2
+    cell = parallelepiped_cell([[3, 1], [1, 4]])
+    points = cell.points()
+    assert len(points) == cell.limit  # unit-volume cells partition Z^2
     for z in points:
-        assert p.cell.contains(z)
-    assert not p.cell.contains((100, 100))
+        assert cell.contains(z)
+    assert not cell.contains((100, 100))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +271,7 @@ def test_enumerate_matches_membership():
 def test_cube_sampler_accepts_everything():
     p = Parallelepiped([[5, 0, 0], [0, 5, 0], [0, 0, 5]])
     rng = RngStream(seed=13)
-    sampler = p.sampler(rng)
-    samples = sampler.take(2000)
+    samples = p.take(rng, 2000)
     assert rng.draw_cursor == 2000 * 3  # one draw per Smith factor 5, none rejected
     assert {s for s in samples} <= {tuple(v) for v in itertools.product(range(5), repeat=3)}
     assert len(set(samples)) == 125  # every point seen
@@ -268,47 +285,66 @@ def test_sampler_support_matches_enumeration():
         Parallelepiped([[-2, 1], [1, -3]]),
     ]
     for p in cases:
-        expected = set(p.cell.points())
-        rng = RngStream(seed=101, stream=abs(p.det))
-        draws = p.sampler(rng).take(220 * max(1, len(expected)))
+        cell = parallelepiped_cell(p.generators)
+        expected = set(cell.points())
+        rng = RngStream(seed=101, stream=cell.limit)
+        draws = p.take(rng, 220 * max(1, len(expected)))
         got = set(draws)
         assert got == expected
 
 
 def test_degenerate_direction_single_point():
     p = Parallelepiped([[1, 1], [0, 1]])
-    assert p.cell.points() == [(0, 0)]
+    assert parallelepiped_cell(p.generators).points() == [(0, 0)]
     rng = RngStream(seed=2)
-    assert p.sampler(rng).take(1) == [(0, 0)]
+    assert p.take(rng, 1) == [(0, 0)]
 
 
 def test_boundary_points_excluded():
     p = Parallelepiped([[2, 0], [0, 2]])
     expected = {(0, 0), (0, 1), (1, 0), (1, 1)}
     rng = RngStream(seed=4)
-    assert set(p.sampler(rng).take(400)) == expected
+    assert set(p.take(rng, 400)) == expected
 
 
 def test_engines_bit_identical():
     p = Parallelepiped([[3, 1], [1, 4]])
     fast_rng = RngStream(seed=77, stream=9)
     exact_rng = RngStream(seed=77, stream=9)
-    fast = p.sampler(fast_rng)
-    exact = p.sampler(exact_rng)
-    exact._fast = False  # the big-integer engine
-    assert fast._fast and not exact._fast
-    assert fast.take(500) == exact.take(500)
+    assert p._fast
+    fast = p.take(fast_rng, 500)
+    p._fast = False  # the big-integer engine
+    assert fast == p.take(exact_rng, 500)
     assert fast_rng.draw_cursor == exact_rng.draw_cursor
+
+
+def test_engine_guard_reads_row_sums(monkeypatch):
+    # e = 3 and row 0 of V has absolute sum exactly 2^62: the box of P
+    # (row 0 in [0, 2^62 - 1]) fits in 62 bits, but the guard wants every
+    # row sum below 2^62, so the big-integer engine runs
+    columns = [[3, 0], [2**62 - 3, 1]]
+    p = Parallelepiped(columns)
+    cell = parallelepiped_cell(columns)
+    assert p._exponent == 3 and not p._fast
+    assert cell.box == [(0, 2**62 - 1), (0, 0)]
+    monkeypatch.setattr(sampling, "_INT64_GUARD", 2**62 + 1)
+    forced = Parallelepiped(columns)  # the int64 engine, as a box guard chose
+    assert forced._fast
+    exact_rng = RngStream(seed=30, stream=4)
+    fast_rng = RngStream(seed=30, stream=4)
+    exact = p.take(exact_rng, 500)
+    assert forced.take(fast_rng, 500) == exact
+    assert fast_rng.draw_cursor == exact_rng.draw_cursor == 500
+    assert all(cell.contains(z) for z in exact)
 
 
 def test_take_granularity_irrelevant():
     p = Parallelepiped([[3, 1], [1, 4]])
-    one = p.sampler(RngStream(seed=6)).take(60)
+    one = p.take(RngStream(seed=6), 60)
     other_rng = RngStream(seed=6)
-    other = p.sampler(other_rng)
     pieces = []
     for chunk in (1, 2, 7, 50):
-        pieces.extend(other.take(chunk))
+        pieces.extend(p.take(other_rng, chunk))
     assert pieces == one
 
 
@@ -316,10 +352,10 @@ def test_exact_engine_huge_entries():
     c = 10**18
     rng = RngStream(seed=21)
     p = random_parallelepiped(2, c, rng)
-    sampler = p.sampler(rng)
-    assert not sampler._fast  # magnitudes force the big-integer engine
-    for z in sampler.take(5):
-        assert p.cell.contains(z)
+    assert not p._fast  # magnitudes force the big-integer engine
+    cell = parallelepiped_cell(p.generators)
+    for z in p.take(rng, 5):
+        assert cell.contains(z)
 
 
 def _small_parallelepipeds(seed: int, count: int) -> list[Parallelepiped]:
@@ -330,12 +366,8 @@ def _small_parallelepipeds(seed: int, count: int) -> list[Parallelepiped]:
     while len(found) < count:
         n = rng.randint(1, 4)
         generators = [[rng.randint(-bound[n], bound[n]) for _ in range(n)] for _ in range(n)]
-        try:
-            p = Parallelepiped(generators)
-        except ValueError:
-            continue
-        if abs(p.det) <= 3000:
-            found.append(p)
+        if 0 < abs(fraction_det(generators)) <= 3000:
+            found.append(Parallelepiped(generators))
     return found
 
 
@@ -349,13 +381,12 @@ def test_coset_map_is_a_bijection_onto_the_cell():
         Parallelepiped([[2 * (i == j) for i in range(4)] for j in range(4)]),
     ]
     for p in several_factors + _small_parallelepipeds(2026, 200):
-        sampler = p.sampler(RngStream(seed=0))
-        assert sampler._fast
-        ys = list(itertools.product(*(range(d) for d in sampler._core.bounds)))
-        exact = [sampler._point_exact(y) for y in ys]
-        fast = sampler._points_int64(np.array(ys, dtype=np.uint64)).tolist()
+        assert p._fast
+        ys = list(itertools.product(*(range(d) for d in p._bounds)))
+        exact = [p._point_exact(y) for y in ys]
+        fast = p._points_int64(np.array(ys, dtype=np.uint64)).tolist()
         assert [list(z) for z in exact] == fast
-        assert sorted(exact) == p.cell.points()
+        assert sorted(exact) == parallelepiped_cell(p.generators).points()
         _, projection = quotient_group(p.generators)
         assert [projection(z) for z in exact] == ys
 
@@ -372,19 +403,18 @@ def _guard_cases():
 def test_coset_engines_bit_identical_at_the_guard(p, fast_engine):
     fast_rng = RngStream(seed=8, stream=3)
     exact_rng = RngStream(seed=8, stream=3)
-    fast = p.sampler(fast_rng)
-    exact = p.sampler(exact_rng)
-    exact._fast = False  # the big-integer engine
-    assert fast._fast == fast_engine and not exact._fast
-    samples = fast.take(300)
-    assert samples == exact.take(300)
+    assert p._fast == fast_engine
+    samples = p.take(fast_rng, 300)
+    p._fast = False  # the big-integer engine
+    assert samples == p.take(exact_rng, 300)
     assert fast_rng.draw_cursor == exact_rng.draw_cursor
     # sample j is the point of the cell in the coset of draws j k + i
-    bounds = fast._core.bounds
+    bounds = p._bounds
+    cell = parallelepiped_cell(p.generators)
     _, projection = quotient_group(p.generators)
     draws = RngStream(seed=8, stream=3)
     for j, z in enumerate(samples):
-        assert p.cell.contains(z)
+        assert cell.contains(z)
         assert projection(z) == tuple(
             draws.draw_below(d, j * len(bounds) + i) for i, d in enumerate(bounds)
         )
@@ -399,7 +429,7 @@ def _folding_cases():
     for n, c in ((2, 2**31), (3, 2**21), (4, 2**16)):
         for stream in range(100):
             p = random_parallelepiped(n, c, RngStream(seed=59, stream=stream))
-            if 2**59 < p.sampler(RngStream(seed=0))._exponent < 2**62:
+            if 2**59 < p._exponent < 2**62:
                 yield p
                 break
 
@@ -408,38 +438,36 @@ def _folding_cases():
 def test_coset_engines_bit_identical_with_mid_sample_folds(p):
     fast_rng = RngStream(seed=5, stream=1)
     exact_rng = RngStream(seed=5, stream=1)
-    fast = p.sampler(fast_rng)
-    exact = p.sampler(exact_rng)
-    exact._fast = False  # the big-integer engine
-    e = fast._exponent
+    e = p._exponent
     window = (2**63 - 1) // e - 1
-    assert fast._fast and 2**59 < e < 2**62 and 1 <= window <= 15
-    assert sum(len(table) for table in fast._tables) > window
-    assert fast.take(300) == exact.take(300)
-    assert fast_rng.draw_cursor == exact_rng.draw_cursor
+    assert p._fast and 2**59 < e < 2**62 and 1 <= window <= 15
+    assert sum(len(table) for table in p._tables) > window
     # the extreme draws: y = 0, y = d_i - 1 and every nibble 0xF, which
     # adds the v = 15 row of each table, the largest a sums
     extremes = [
-        (0, d - 1, 16 ** len(table) - 1) for d, table in zip(fast._core.bounds, fast._tables)
+        (0, d - 1, 16 ** len(table) - 1) for d, table in zip(p._bounds, p._tables)
     ]
     ys = list(itertools.product(*extremes))
-    points = fast._points_int64(np.array(ys, dtype=np.uint64)).tolist()
-    assert points == [list(fast._point_exact(y)) for y in ys]
+    points = p._points_int64(np.array(ys, dtype=np.uint64)).tolist()
+    assert points == [list(p._point_exact(y)) for y in ys]
+    fast = p.take(fast_rng, 300)
+    p._fast = False  # the big-integer engine
+    assert fast == p.take(exact_rng, 300)
+    assert fast_rng.draw_cursor == exact_rng.draw_cursor
 
 
 def test_uniformity_chi_square():
     # 10 seeds, chi-square at significance 1e-3 against the enumerated
     # support; by design one failing seed is tolerated.
     p = Parallelepiped([[3, 1], [1, 4]])
-    support = p.cell.points()
+    support = parallelepiped_cell(p.generators).points()
     index = {z: i for i, z in enumerate(support)}
     draws_per_seed = 10**5
     critical = scipy.stats.chi2.isf(1e-3, df=len(support) - 1)
     passes = 0
     for seed in range(10):
         counts = [0] * len(support)
-        sampler = p.sampler(RngStream(seed=seed, stream=1))
-        for z in sampler.take(draws_per_seed):
+        for z in p.take(RngStream(seed=seed, stream=1), draws_per_seed):
             counts[index[z]] += 1
         expected = draws_per_seed / len(support)
         stat = sum((c - expected) ** 2 / expected for c in counts)
