@@ -34,13 +34,20 @@ from .sampling import SamplerError
 
 def _parse_n_values(text: str) -> tuple[int, ...]:
     text = text.strip()
-    for sep in ("..", "-"):
-        if sep in text and not text.startswith("-"):
-            lo, hi = map(int, text.split(sep, 1))
-            if lo > hi:
-                raise ValueError(f"n range {text!r} is reversed: {lo} > {hi}")
-            return tuple(range(lo, hi + 1))
-    return tuple(int(part) for part in text.split(","))
+    try:
+        for sep in ("..", "-"):
+            if sep in text and not text.startswith("-"):
+                lo, hi = map(int, text.split(sep, 1))
+                break
+        else:
+            return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"n values {text!r} are not of the form 2, 1..4, 1-4 or 1,3"
+        ) from None
+    if lo > hi:
+        raise ValueError(f"n range {text!r} is reversed: {lo} > {hi}")
+    return tuple(range(lo, hi + 1))
 
 
 def _load_lattice(path: str) -> LatticeBasis:
@@ -91,7 +98,7 @@ def _cmd_unimodular(args) -> tuple[Table, str]:
     lines = []
     for report in reports:
         verdict = report.within_tolerance()
-        ideal = ""
+        ideal = "n/a"
         if report.ideal_lo is not None:
             ideal = float((report.ideal_lo + report.ideal_hi) / 2)
         lines.append(

@@ -7,13 +7,21 @@ machine words, which is why exactness is non-negotiable).
 
 Two eliminations answer every question: fraction-free Gauss-Jordan
 elimination (``_bareiss_columns``: determinants, adjugates, maximal
-minors and the unimodularity decision) and the Smith form
+minors and, beyond the closed-form shapes below, the unimodularity
+decision) and the Smith form
 (``snf_with_transforms``: quotient groups, from the row transform, and a
 parallelepiped's coset map, from the column transform; in both, the
-divisors also decide full rank).  Ahead of the unimodularity
-elimination, a mod-2 rank sieve (``_full_rank_mod2``) rejects columns
-whose parities span less than (Z/2)^n with bit operations alone: columns
-that generate Z^n also generate (Z/2)^n.
+divisors also decide full rank).
+
+The unimodularity decision (``unimodular_columns``) takes one of three
+routes.  For m = n + 1 columns at n = 2..4 (the desk experiment's
+shapes), a closed-form kernel (``_minors_gcd2`` .. ``_minors_gcd4``)
+expands the n + 1 maximal minors over shared cofactors and returns their
+gcd.  At n = 1 a gcd scan of the entries decides.  Everywhere else a
+mod-2 rank sieve (``_full_rank_mod2``) rejects columns whose parities
+span less than (Z/2)^n with bit operations alone (columns that generate
+Z^n also generate (Z/2)^n), and the Bareiss elimination decides the
+survivors.
 
 A matrix is a plain sequence of its columns, each a sequence of Python
 integers (lists or tuples); no kernel modifies its input.  The Smith
@@ -95,19 +103,28 @@ def unimodular_columns(cols: Sequence[Sequence[int]], n: int) -> bool:
     """True iff the given columns (length n each) generate Z^n.
 
     Minor criterion: integer columns generate Z^n exactly when the gcd of
-    their n x n minors is 1 (d_1...d_n of the Smith form).  One
-    fraction-free elimination (``_bareiss_columns``) yields the minor D
-    of the pivot columns and, in every other column a_j, the n minors
-    that put a_j in place of one pivot column.
+    their n x n minors is 1 (d_1...d_n of the Smith form).
 
-    * m < n, or rank below n: False.  n = 1: a gcd scan.
-    * n >= 2 and rank below n modulo 2 (``_full_rank_mod2``): False,
-      before any elimination.  The sieve rejects 35-41% of the desk
-      experiment's matrices (C = 10^4, n = 2..4, m = n + 1) and shortens
-      the mean decision at every n measured, n = 2 included
-      (BENCH_19.json), so it runs at every n >= 2.
-    * m = n + 1: those are all n + 1 maximal minors, so the answer is
-      gcd(D, ...) == 1, stopping as soon as the running gcd reaches 1.
+    * m < n: False.  n = 1: a gcd scan.
+    * m = n + 1 and n = 2..4: the closed-form kernel ``_MINORS_GCD[n]``
+      computes all n + 1 maximal minors and the answer is their gcd == 1.
+      The mod-2 sieve does not run here: on the desk matrices
+      (C = 10^4, m = n + 1) sieve plus kernel cost 1.33, 2.34 and 4.72
+      us per call at n = 2, 3, 4 against 0.54, 1.64 and 4.24 us for the
+      kernel alone (BENCH_21.json), so the sieve costs more than it
+      saves.  The unrolled cost grows as (n + 1) 2^n, so larger n take
+      the elimination.
+    * Otherwise (n >= 5, or m != n + 1), rank below n modulo 2
+      (``_full_rank_mod2``): False, before any elimination.  Ahead of
+      the Bareiss elimination the sieve rejected 35-41% of the desk
+      matrices and shortened the mean decision at every n measured,
+      2..12 (BENCH_19.json), so it runs wherever the elimination does.
+    * Then one fraction-free elimination (``_bareiss_columns``) yields
+      the minor D of the pivot columns (0: rank below n, False) and, in
+      every other column a_j, the n minors that put a_j in place of one
+      pivot column.  At m = n + 1 those are all n + 1 maximal minors, so
+      the answer is gcd(D, ...) == 1, stopping as soon as the running
+      gcd reaches 1.
     * m > n + 1: a gcd g of 1 still decides True.  Otherwise the columns
       are decided exactly modulo g by ``_generates_mod``: the pivot
       columns with one more column a_j span a lattice of index
@@ -116,8 +133,9 @@ def unimodular_columns(cols: Sequence[Sequence[int]], n: int) -> bool:
       and generates Z^n exactly when it generates (Z/g)^n.  Entries
       there stay below g <= |D|.
 
-    Integers only; every entry of the elimination is a minor of the
-    input, so nothing grows past Hadamard's bound.
+    Integers only; every entry of the elimination and every kernel
+    intermediate is a minor of the input, so nothing grows past
+    Hadamard's bound.
     """
     m = len(cols)
     if m < n:
@@ -129,6 +147,8 @@ def unimodular_columns(cols: Sequence[Sequence[int]], n: int) -> bool:
             if g == 1:
                 return True
         return False
+    if m == n + 1 and n <= 4:
+        return _MINORS_GCD[n](cols) == 1
     if not _full_rank_mod2(cols, n):
         return False
     d, _, others = _bareiss_columns(cols, n)
@@ -141,6 +161,76 @@ def unimodular_columns(cols: Sequence[Sequence[int]], n: int) -> bool:
             if g == 1:
                 return True
     return g == 1 if m <= n + 1 else _generates_mod(cols, n, g)
+
+
+def _minors_gcd2(cols: Sequence[Sequence[int]]) -> int:
+    """gcd of the three 2 x 2 minors of three columns of length 2."""
+    (a0, b0), (a1, b1), (a2, b2) = cols
+    return gcd(a1 * b2 - a2 * b1, a0 * b2 - a2 * b0, a0 * b1 - a1 * b0)
+
+
+def _minors_gcd3(cols: Sequence[Sequence[int]]) -> int:
+    """gcd of the four 3 x 3 minors of four columns of length 3.
+
+    Each minor is expanded along row 0 over the six 2 x 2 minors p_ij of
+    rows 1 and 2, which the four share: 24 multiplications.
+    """
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = cols
+    p01 = b0 * c1 - b1 * c0
+    p02 = b0 * c2 - b2 * c0
+    p03 = b0 * c3 - b3 * c0
+    p12 = b1 * c2 - b2 * c1
+    p13 = b1 * c3 - b3 * c1
+    p23 = b2 * c3 - b3 * c2
+    return gcd(
+        a1 * p23 - a2 * p13 + a3 * p12,
+        a0 * p23 - a2 * p03 + a3 * p02,
+        a0 * p13 - a1 * p03 + a3 * p01,
+        a0 * p12 - a1 * p02 + a2 * p01,
+    )
+
+
+def _minors_gcd4(cols: Sequence[Sequence[int]]) -> int:
+    """gcd of the five 4 x 4 minors of five columns of length 4.
+
+    Cofactor expansion over shared minors: the ten 2 x 2 minors p_ij of
+    rows 2 and 3, the ten 3 x 3 minors t_ijk of rows 1..3 (each along
+    row 1), then the five 4 x 4 minors along row 0: 70 multiplications.
+    """
+    (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3), (
+        a4, b4, c4, d4
+    ) = cols
+    p01 = c0 * d1 - c1 * d0
+    p02 = c0 * d2 - c2 * d0
+    p03 = c0 * d3 - c3 * d0
+    p04 = c0 * d4 - c4 * d0
+    p12 = c1 * d2 - c2 * d1
+    p13 = c1 * d3 - c3 * d1
+    p14 = c1 * d4 - c4 * d1
+    p23 = c2 * d3 - c3 * d2
+    p24 = c2 * d4 - c4 * d2
+    p34 = c3 * d4 - c4 * d3
+    t012 = b0 * p12 - b1 * p02 + b2 * p01
+    t013 = b0 * p13 - b1 * p03 + b3 * p01
+    t014 = b0 * p14 - b1 * p04 + b4 * p01
+    t023 = b0 * p23 - b2 * p03 + b3 * p02
+    t024 = b0 * p24 - b2 * p04 + b4 * p02
+    t034 = b0 * p34 - b3 * p04 + b4 * p03
+    t123 = b1 * p23 - b2 * p13 + b3 * p12
+    t124 = b1 * p24 - b2 * p14 + b4 * p12
+    t134 = b1 * p34 - b3 * p14 + b4 * p13
+    t234 = b2 * p34 - b3 * p24 + b4 * p23
+    return gcd(
+        a1 * t234 - a2 * t134 + a3 * t124 - a4 * t123,
+        a0 * t234 - a2 * t034 + a3 * t024 - a4 * t023,
+        a0 * t134 - a1 * t034 + a3 * t014 - a4 * t013,
+        a0 * t124 - a1 * t024 + a2 * t014 - a4 * t012,
+        a0 * t123 - a1 * t023 + a2 * t013 - a3 * t012,
+    )
+
+
+# the closed-form kernels, by n, for m = n + 1 columns
+_MINORS_GCD = (None, None, _minors_gcd2, _minors_gcd3, _minors_gcd4)
 
 
 def _full_rank_mod2(cols: Sequence[Sequence[int]], n: int) -> bool:

@@ -65,6 +65,15 @@ def test_unimodular_small_run(capsys):
     assert "unimodular n=1" in captured.err
 
 
+def test_unimodular_status_without_ideal(capsys):
+    # m < n has no ideal probability: the status says n/a, not an empty value
+    argv = ["unimodular", "--n", "2", "--m", "1", "--reps", "2", "--samples", "10"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "unimodular n=2 m=1: avg=0.000000 min=0.000000 radius=0.081 ideal=n/a [n/a]\n"
+    )
+
+
 def test_unimodular_detects_deviation(capsys):
     # C = 1 in one dimension yields generators +-1, so every sampled column
     # is 0 and nothing ever generates: the ideal-column check must fail.
@@ -251,6 +260,14 @@ def test_operational_error_exit_one(tmp_path, capsys):
         assert capsys.readouterr().err == "error: precision must be in [1, 50]\n"
     assert main(["unimodular", "--n", "2", "--m", "n-1"]) == 1
     assert capsys.readouterr().err == "error: m policy 'n-1' is not n, n+K or an integer\n"
+    # a malformed --n names the accepted forms, not Python's int() message
+    for text in ("2-", "1..", "x", "1,", "1..x"):
+        assert main(["unimodular", "--n", text]) == 1
+        assert capsys.readouterr().err == (
+            f"error: n values {text!r} are not of the form 2, 1..4, 1-4 or 1,3\n"
+        )
+    assert main(["unimodular", "--n", "4..2"]) == 1
+    assert capsys.readouterr().err == "error: n range '4..2' is reversed: 4 > 2\n"
     # a window below the threshold names the flag that reports it anyway
     assert main(["fullrank-check", "--B", "5", "--trials", "3"]) == 1
     err = capsys.readouterr().err

@@ -17,6 +17,9 @@ import pytest
 from latgen.exactmat import (
     _bareiss_columns,
     _full_rank_mod2,
+    _minors_gcd2,
+    _minors_gcd3,
+    _minors_gcd4,
     det,
     snf_with_transforms,
     unimodular_columns,
@@ -431,6 +434,41 @@ def test_unimodular_columns_mod2_sieve_matches_minor_gcd(n):
         assert cols == snapshot
         decided[kind].add(expected)
     assert decided == {"random": {False, True}, "even": {False}, "mod3": {False}}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_minors_gcd_kernels_match_minor_gcd_oracle(n):
+    # the closed-form kernel returns the gcd of the n + 1 maximal minors
+    # itself, so it is compared with the oracle's gcd, not just with 1
+    kernel = {2: _minors_gcd2, 3: _minors_gcd3, 4: _minors_gcd4}[n]
+    rng = random.Random(2113 + n)
+    m = n + 1
+    cases = []  # (kind, a divisor of the minors' gcd, columns)
+    for bound in (1, 10**4, 10**18):
+        for _ in range(150):
+            cases.append(("bound", 1, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]))
+    for p in (2, 3):
+        for _ in range(60):
+            cases.append((f"p={p}", p, _sublattice_columns(rng, n, m, p)))
+    for zeros in range(1, m + 1):
+        for _ in range(20):
+            cols = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            for j in rng.sample(range(m), zeros):
+                cols[j] = [0] * n
+            cases.append(("zero", 1, cols))
+    seen = {kind: set() for kind in ("bound", "p=2", "p=3", "zero")}
+    for kind, divisor, cols in cases:
+        expected = minors_gcd(transpose(cols), n)
+        assert expected % divisor == 0
+        snapshot = [list(col) for col in cols]
+        as_lists = [list(col) for col in cols]
+        as_tuples = [tuple(col) for col in cols]
+        assert kernel(as_lists) == expected, (kind, cols)
+        assert kernel(as_tuples) == expected, (kind, cols)
+        assert as_lists == snapshot and [list(col) for col in as_tuples] == snapshot
+        seen[kind].add(min(expected, 2))  # 0: rank deficient, 1: generates
+    assert seen["bound"] == {0, 1, 2}
+    assert 2 in seen["p=2"] and 2 in seen["p=3"] and 0 in seen["zero"]
 
 
 def test_bareiss_columns_yields_maximal_minors():
