@@ -7,8 +7,9 @@ Library layout:
                     unimodularity
 * ``lattice``    -- full-rank lattices, covering-radius bounds, the
                     half-open cell (one box, membership test and
-                    enumerator for windows) and hyperplane counts;
-                    lattice points travel as integer basis coordinates
+                    enumerator for windows [0, B)^n, each passed as its
+                    bound B) and hyperplane counts; lattice points
+                    travel as integer basis coordinates
 * ``bounds``     -- certified enclosures for every closed-form constant
 * ``groupgen``   -- finite abelian groups and generation probabilities
 * ``sampling``   -- reproducible counter-based RNG, random parallelepipeds
@@ -27,11 +28,10 @@ and ``multiprocessing``, just before forking, so the workers share it.
 __version__ = "0.1.0"
 
 from .enclosure import Enclosure
-from .lattice import LatticeBasis, Window
+from .lattice import LatticeBasis
 
 __all__ = [
     "Enclosure",
     "LatticeBasis",
-    "Window",
     "__version__",
 ]

@@ -218,7 +218,7 @@ def tv_bound(
 def window_thresholds(
     n: int, nu_upper: Union[int, Fraction], precision: int = PRECISION
 ) -> tuple[Fraction, Fraction]:
-    """Window sizes (B_min, B1_min) = (8 n^(n/2) nu, 8 n^2 (n+1) B_min).
+    """Least window bounds (B_min, B1_min) = (8 n^(n/2) nu, 8 n^2 (n+1) B_min).
 
     n^(n/2) for odd n is rounded up, so the returned thresholds remain
     valid lower limits on admissible windows.  n = 1 is rejected: the

@@ -61,14 +61,14 @@ PAPER_SCALE_DEFAULTS = {"reps": 1000, "C": 10**18, "n_values": tuple(range(1, 16
 
 def _experiment_config(args) -> ExperimentConfig:
     settings: dict = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config) as handle:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         settings.update(loaded)
     explicit = {
-        "n_values": _parse_n_values(args.n) if args.n else None,
+        "n_values": _parse_n_values(args.n) if args.n is not None else None,
         "m_policy": args.m,
         "C": args.C,
         "reps": args.reps,
@@ -126,8 +126,9 @@ def _cmd_lemma_verify(args) -> tuple[Table, str]:
 
 
 def _cmd_tv_check(args) -> tuple[Table, str]:
-    if args.lattice or args.sub or args.B1:
-        if not (args.lattice and args.sub and args.B1):
+    custom = (args.lattice, args.sub, args.B1)
+    if custom != (None, None, None):
+        if None in custom:
             raise ValueError("custom tv-check needs --lattice, --sub and --B1")
         lattice = _load_lattice(args.lattice)
         sub = vectors_from_json(json.loads(args.sub), "--sub")
@@ -138,11 +139,13 @@ def _cmd_tv_check(args) -> tuple[Table, str]:
 
 
 def _cmd_fullrank_check(args) -> tuple[Table, str]:
-    lattice = _load_lattice(args.lattice) if args.lattice else LatticeBasis([[1, 0], [0, 1]])
-    nu = Fraction(args.nu_upper) if args.nu_upper else None
+    lattice = LatticeBasis([[1, 0], [0, 1]])
+    if args.lattice is not None:
+        lattice = _load_lattice(args.lattice)
+    nu = Fraction(args.nu_upper) if args.nu_upper is not None else None
     table = run_fullrank_check(
         lattice,
-        Fraction(args.B) if args.B else None,
+        Fraction(args.B) if args.B is not None else None,
         trials=args.trials,
         seed=args.seed,
         nu_upper=nu,

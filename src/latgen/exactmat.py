@@ -5,13 +5,15 @@ floating point or rational arithmetic enters any computation.  Entry
 magnitudes around 10**18 are routine (products of minors far exceed
 machine words, which is why exactness is non-negotiable).
 
-Two eliminations answer every question: fraction-free Gauss-Jordan
-elimination (``_bareiss_columns``: determinants, adjugates, maximal
-minors and, beyond the closed-form shapes below, the unimodularity
-decision) and the Smith form
-(``snf_with_transforms``: quotient groups, from the row transform, and a
-parallelepiped's coset map, from the column transform; in both, the
-divisors also decide full rank).
+Four reductions answer every question: two eliminations over Z,
+fraction-free Gauss-Jordan (``_bareiss_columns``: determinants,
+adjugates, maximal minors and, beyond the closed-form shapes below, the
+unimodularity decision) and the Smith form (``snf_with_transforms``:
+quotient groups, from the row transform, and a parallelepiped's coset
+map, from the column transform; in both, the divisors also decide full
+rank), and, for the unimodularity decision only, the mod-2 XOR-basis
+sieve (``_full_rank_mod2``) and the reduction modulo the minors' gcd
+(``_generates_mod``).
 
 The unimodularity decision (``unimodular_columns``) takes one of three
 routes.  For m = n + 1 columns at n = 2..4 (the desk experiment's

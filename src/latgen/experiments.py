@@ -52,7 +52,6 @@ from .exactmat import det, unimodular_columns
 from .groupgen import quotient_group
 from .lattice import (
     LatticeBasis,
-    Window,
     count_in_hyperplane,
     covering_radius_estimate,
     enumerate_window,
@@ -286,7 +285,7 @@ def _run_shards(tasks, workers: int) -> list:
 
         import numpy  # noqa: F401
 
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
             return list(pool.imap(_unimodular_shard, tasks, chunksize=1))
     return [_unimodular_shard(t) for t in tasks]
 
@@ -568,22 +567,22 @@ def run_lemma_verification(
     """
     rows = []
     for inst in instances or default_lemma_instances():
-        lattice, window = inst.lattice, Window(inst.lattice.dim, inst.bound)
+        lattice, bound = inst.lattice, inst.bound
         n = lattice.dim
         nu_est = covering_radius_estimate(lattice, inst.grid_resolution)
-        points = enumerate_window(lattice, window)
+        points = enumerate_window(lattice, bound)
         count = len(points)
-        lower, upper = lemma1_bounds(lattice, window, nu_est)
+        lower, upper = lemma1_bounds(lattice, bound, nu_est)
         hyperplane_ok = True
         for k in range(1, n):
-            h_bound = lemma2_count_bound(lattice, window, k)
+            h_bound = lemma2_count_bound(lattice, bound, k)
             for support in itertools.combinations(range(n), k):
                 h_count = count_in_hyperplane(lattice, support, points)
                 hyperplane_ok = hyperplane_ok and h_count <= h_bound
         ok = lower <= count <= upper and hyperplane_ok
         rows.append(
             LemmaRow(
-                inst.name, n, str(window.bound), count, float(lower), float(upper),
+                inst.name, n, str(bound), count, float(lower), float(upper),
                 hyperplane_ok, ok,
             )
         )
@@ -617,7 +616,7 @@ def run_tv_check(
     nu1_upper = LatticeBasis(sub).nu_upper
     if b1 <= 2 * nu1_upper:
         raise ValueError("hypothesis violated: need B1 > 2 * nu1_upper")
-    points = enumerate_window(lattice, Window(n, b1))
+    points = enumerate_window(lattice, b1)
     counts: dict[tuple, int] = {}
     for point in points:
         coset = projection(point)
@@ -720,9 +719,10 @@ def run_fullrank_check(
         threshold = bounds.window_thresholds(n, nu)[0]
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    b = Fraction(threshold if window_bound is None else window_bound)
+    rng = RngStream(seed, stream_id(KIND_FULLRANK, n, 0, 1))
     # refuses B <= 0 whatever the trial count
-    window = Window(n, threshold if window_bound is None else window_bound)
-    b = window.bound
+    sampler = WindowSampler(lattice, b, rng)
     if nu <= 0 or _ball_volume_upper(n) * nu**n < lattice.det:
         raise ValueError(
             f"nu_upper {nu} is below the covering radius: balls of radius nu "
@@ -734,14 +734,11 @@ def run_fullrank_check(
             f"window bound {b} below threshold {threshold}; "
             "pass --allow-out-of-hypothesis to report anyway"
         )
-    rng = RngStream(seed, stream_id(KIND_FULLRANK, n, 0, 1))
     successes = 0
-    if trials:
-        sampler = WindowSampler(lattice, window, rng)
-        for _ in range(trials):
-            # B is nonsingular, so the points span R^n iff their coordinates do
-            if det(sampler.take(n)) != 0:
-                successes += 1
+    for _ in range(trials):
+        # B is nonsingular, so the points span R^n iff their coordinates do
+        if det(sampler.take(n)) != 0:
+            successes += 1
     freq = Fraction(successes, trials) if trials else None
     radius = wilson_radius(successes, trials)
     ok = freq is None or not hypothesis_held or float(freq) >= 0.5 - 3 * radius

@@ -22,12 +22,13 @@ T = |det S| S^-1, both from one fraction-free elimination; coordinates
 (which refuse vectors outside the lattice) and the inverse rows used to
 size search boxes are integer arithmetic on these.
 
-A window is one half-open cell (``HalfOpenCell``): the integer points z
-with 0 <= (R z)_i < L for an integer matrix R and L > 0, which are the
-integer points of the parallelotope G [0, 1)^n with G = L R^-1; the
-window [0, W)^n in basis coordinates is one (``window_cell``).
-Enumeration and the window sampler decide membership on the same R and
-L in integer arithmetic.  A parallelepiped needs no cell: it is sampled
+A window [0, B)^n, n the lattice's dimension, is passed as its bound B
+(an int or Fraction; B <= 0 raises).  In basis coordinates it is one
+half-open cell (``HalfOpenCell``, built by ``window_cell``): the integer
+points z with 0 <= (R z)_i < L for an integer matrix R and L > 0, which
+are the integer points of the parallelotope G [0, 1)^n with G = L R^-1.
+Enumeration and the window sampler decide membership on the same R and L
+in integer arithmetic.  A parallelepiped needs no cell: it is sampled
 through its Smith form (``sampling.Parallelepiped``).
 
 Only ``covering_radius_estimate`` uses numpy, and it imports numpy when
@@ -64,24 +65,6 @@ def vectors_from_json(value, what: str) -> list[list[Fraction]]:
             if isinstance(e, bool) or not isinstance(e, (int, str)):
                 raise ValueError(f"{what} entry {json.dumps(e)} is not a JSON integer or string")
     return [[Fraction(e) for e in vec] for vec in value]
-
-
-class Window:
-    """The half-open cube [0, B)^n."""
-
-    __slots__ = ("dim", "bound")
-
-    def __init__(self, dim: int, bound: Union[int, Fraction]):
-        bound = Fraction(bound)
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if bound <= 0:
-            raise ValueError("window bound must be positive")
-        self.dim = dim
-        self.bound = bound
-
-    def __repr__(self) -> str:
-        return f"Window(dim={self.dim}, bound={self.bound})"
 
 
 class LatticeBasis:
@@ -340,16 +323,22 @@ class HalfOpenCell:
         return list(filter(self.contains, itertools.product(*ranges)))
 
 
-def window_cell(lattice: LatticeBasis, window: Window) -> HalfOpenCell:
-    """The coordinates c of the lattice points B c of the window.
+def _window_bound(bound: Union[int, Fraction]) -> Fraction:
+    """The bound B of the window [0, B)^n as a Fraction; B <= 0 raises."""
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise ValueError("window bound must be positive")
+    return bound
+
+
+def window_cell(lattice: LatticeBasis, bound: Union[int, Fraction]) -> HalfOpenCell:
+    """The coordinates c of the lattice points B c of the window [0, B)^n.
 
     B c lies in [0, num/den)^n exactly when 0 <= (den S c)_i < num q, so
     R = den S, L = num q and G = (num/den) B^-1, whose rows are positive
     multiples of the rows of T.
     """
-    if window.dim != lattice.dim:
-        raise ValueError("window dimension mismatch")
-    bound = window.bound
+    bound = _window_bound(bound)
     per_unit = bound * Fraction(lattice._scale, lattice._scaled_det)
     return HalfOpenCell(
         [[bound.denominator * e for e in row] for row in lattice._scaled_rows],
@@ -358,19 +347,19 @@ def window_cell(lattice: LatticeBasis, window: Window) -> HalfOpenCell:
     )
 
 
-def enumerate_window(lattice: LatticeBasis, window: Window) -> list[tuple[int, ...]]:
-    """Coordinates c of all lattice points B c in the window, in
-    lexicographic order.
+def enumerate_window(lattice: LatticeBasis, bound: Union[int, Fraction]) -> list[tuple[int, ...]]:
+    """Coordinates c of all lattice points B c in the window [0, B)^n,
+    B = ``bound``, in lexicographic order.
 
     Guarded to n <= 4 and a predicted point count of at most 10^7; the
     guards raise instead of truncating, since a silent cut would corrupt
     the counting checks built on top of this.
     """
-    cell = window_cell(lattice, window)
+    cell = window_cell(lattice, bound)
     n = lattice.dim
     if n > 4:
         raise ValueError("enumeration guarded to n <= 4")
-    predicted = (window.bound + 2 * lattice.nu_upper) ** n / lattice.det
+    predicted = (bound + 2 * lattice.nu_upper) ** n / lattice.det
     if predicted > _ENUM_GUARD:
         raise ValueError(
             f"enumeration guard exceeded: predicted count {float(predicted):.3g}"
@@ -400,11 +389,11 @@ def count_in_hyperplane(
 
 
 def lemma1_bounds(
-    lattice: LatticeBasis, window: Window, nu_lower: Union[int, Fraction]
+    lattice: LatticeBasis, bound: Union[int, Fraction], nu_lower: Union[int, Fraction]
 ) -> tuple[Fraction, Fraction]:
-    """Two-sided prediction for |lattice ∩ window|: the lower side uses a
+    """Two-sided prediction for |lattice ∩ [0, B)^n|: the lower side uses a
     covering-radius under-estimate, the upper side the cached upper bound."""
-    b = window.bound
+    b = _window_bound(bound)
     n = lattice.dim
     nu_lower = Fraction(nu_lower)
     if b <= 2 * nu_lower:
@@ -414,12 +403,12 @@ def lemma1_bounds(
     return lower, upper
 
 
-def lemma2_count_bound(lattice: LatticeBasis, window: Window, k: int) -> Fraction:
+def lemma2_count_bound(lattice: LatticeBasis, bound: Union[int, Fraction], k: int) -> Fraction:
     """Upper bound n^(k/2) (B + 2 nu)^k (2 nu)^(n-k) / det for the number
-    of window points in any k-dimensional hyperplane (nu = upper bound)."""
+    of points of [0, B)^n in any k-dimensional hyperplane (nu = upper bound)."""
     n = lattice.dim
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     nu = lattice.nu_upper
-    b = window.bound
+    b = _window_bound(bound)
     return half_power(n, k, 30).hi * (b + 2 * nu) ** k * (2 * nu) ** (n - k) / lattice.det

@@ -54,8 +54,9 @@ bit-identical.  Only the int64 engine uses numpy, and it imports numpy
 in the functions that need it: the RNG, the big-integer engine and the
 window sampler run without it, so `latgen fullrank-check` never loads it.
 
-The lattice window [0, B)^n is, in basis coordinates, a half-open cell
-(``lattice.HalfOpenCell``) with no such quotient structure at hand.
+The lattice window [0, B)^n is passed as its bound B.  In basis
+coordinates it is a half-open cell (``lattice.window_cell``, which
+refuses B <= 0) with no such quotient structure at hand.
 `WindowSampler` draws candidates uniformly from the cell's box and
 accepts them by the cell's exact test 0 <= (R z)_i < L, one candidate at
 a time in Python integers.  There is no vectorized window engine: a batch
@@ -66,10 +67,11 @@ floating point participates in any accept/reject decision.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .exactmat import snf_with_transforms
-from .lattice import LatticeBasis, Window, window_cell
+from .lattice import LatticeBasis, window_cell
 
 if TYPE_CHECKING:
     import numpy as np
@@ -389,8 +391,8 @@ class WindowSampler:
     `SamplerError`.
     """
 
-    def __init__(self, lattice: LatticeBasis, window: Window, rng: RngStream):
-        self.cell = window_cell(lattice, window)
+    def __init__(self, lattice: LatticeBasis, bound: Union[int, Fraction], rng: RngStream):
+        self.cell = window_cell(lattice, bound)
         self.n = len(self.cell.box)
         self.candidates = 0
         self.accepted = 0

@@ -268,6 +268,26 @@ def test_operational_error_exit_one(tmp_path, capsys):
         )
     assert main(["unimodular", "--n", "4..2"]) == 1
     assert capsys.readouterr().err == "error: n range '4..2' is reversed: 4 > 2\n"
+    # an empty flag value reaches its parser instead of reading as absent
+    no_file = "[Errno 2] No such file or directory: ''"
+    no_fraction = "Invalid literal for Fraction: ''"
+    sub = "[[2, 0], [0, 2]]"
+    empty = [
+        (["fullrank-check", "--B", ""], no_fraction),
+        (["fullrank-check", "--nu-upper", ""], no_fraction),
+        (["fullrank-check", "--lattice", ""], no_file),
+        (["tv-check", "--lattice", "", "--sub", "", "--B1", ""], no_file),
+        (["tv-check", "--lattice", "", "--sub", sub, "--B1", "50"], no_file),
+        (["tv-check", "--lattice", str(z2), "--sub", "", "--B1", "50"],
+         "Expecting value: line 1 column 1 (char 0)"),
+        (["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", ""], no_fraction),
+        (["unimodular", "--n", ""], "n values '' are not of the form 2, 1..4, 1-4 or 1,3"),
+        (["unimodular", "--config", ""], no_file),
+        (["unimodular", "--m", ""], "m policy '' is not n, n+K or an integer"),
+    ]
+    for argv, line in empty:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {line}\n", argv
     # a window below the threshold names the flag that reports it anyway
     assert main(["fullrank-check", "--B", "5", "--trials", "3"]) == 1
     err = capsys.readouterr().err
@@ -339,6 +359,31 @@ def test_degenerate_draws_resampled_as_pinned(tmp_path, capsys):
     reports = parse_reports_csv(target.read_text())
     assert {r.n: r.resamples for r in reports} == C1_RESAMPLES
     assert sum(map(sum, C1_RESAMPLES.values())) == 73
+
+
+# the two other `unimodular` runs whose sha256 is fixed: the desk run
+# (n = 1..4, C = 10^4), at one and at two workers, and a C = 10^18 run,
+# whose parallelepipeds are too large for the int64 engine from n = 4 on
+DESK_ARGV = ["unimodular", "--n", "1..4", "--m", "n+1", "--C", "10000", "--reps", "6",
+             "--samples", "5000", "--seed", "0"]
+DESK_SHA256 = "63945bddb88dd84c0921e1dd46776a7f0ddf43c2ce153acad6b33439d56bd0dd"
+C18_ARGV = ["unimodular", "--n", "2..6", "--m", "n+1", "--C", "1000000000000000000",
+            "--reps", "4", "--samples", "3", "--seed", "0", "--workers", "1"]
+C18_SHA256 = "a970f3355d8add85dbb438cbc352ad70bd7cbeeb5b15e7f80623d89e9f106d22"
+UNIMODULAR_SHA256 = [
+    ([*DESK_ARGV, "--workers", "1"], DESK_SHA256),
+    ([*DESK_ARGV, "--workers", "2"], DESK_SHA256),
+    (C18_ARGV, C18_SHA256),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", UNIMODULAR_SHA256, ids=["desk-w1", "desk-w2", "C=10^18"]
+)
+def test_unimodular_outputs_pinned(argv, digest, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 Z1_FILE = "{z1}"  # replaced by a Z^1 lattice JSON file

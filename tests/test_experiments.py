@@ -29,8 +29,21 @@ from latgen.experiments import (
     wilson_radius,
 )
 from latgen.exactmat import unimodular_columns
-from latgen.lattice import LatticeBasis, count_in_hyperplane
-from latgen.sampling import ALGORITHM_ID, COSET_ALGORITHM_ID, RngStream, random_parallelepiped
+from latgen.lattice import (
+    LatticeBasis,
+    count_in_hyperplane,
+    enumerate_window,
+    lemma1_bounds,
+    lemma2_count_bound,
+    window_cell,
+)
+from latgen.sampling import (
+    ALGORITHM_ID,
+    COSET_ALGORITHM_ID,
+    RngStream,
+    WindowSampler,
+    random_parallelepiped,
+)
 from oracles import box_rejection_sample, fraction_det, parallelepiped_cell
 
 Z1 = LatticeBasis([[1]])
@@ -132,6 +145,33 @@ def test_unimodular_deterministic_and_worker_invariant():
     )
     assert multi == one
     assert reports_to_csv(multi) == reports_to_csv(one)
+
+
+def test_pool_sized_by_shards(monkeypatch):
+    # more workers than shards forks one process per shard; a serial fake
+    # pool records the size asked for and starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+    cfg = ExperimentConfig(n_values=(2,), reps=2, samples=50, C=100, seed=3, workers=8)
+    pooled = run_unimodular_experiment(cfg)
+    assert sizes == [2]
+    serial = run_unimodular_experiment(ExperimentConfig(**{**cfg.to_json_dict(), "workers": 1}))
+    assert sizes == [2]
+    assert pooled == serial
 
 
 def test_unimodular_shard_successes_pinned():
@@ -413,6 +453,22 @@ def test_fullrank_out_of_hypothesis():
 def test_fullrank_zero_trials_vacuous():
     report = run_fullrank_check(Z2, 32, trials=0, seed=0)
     assert report.ok and report.rows[0].frequency is None
+
+
+def test_nonpositive_window_bound_refused():
+    # every library entry to a window refuses B <= 0, even with no trial to run
+    for bound in (0, -1):
+        calls = [
+            lambda: window_cell(Z2, bound),
+            lambda: enumerate_window(Z2, bound),
+            lambda: WindowSampler(Z2, bound, RngStream(seed=0)),
+            lambda: lemma1_bounds(Z2, bound, 0),
+            lambda: lemma2_count_bound(Z2, bound, 1),
+            lambda: run_fullrank_check(Z2, bound, trials=0, allow_out_of_hypothesis=True),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="window bound must be positive"):
+                call()
 
 
 def test_fullrank_deterministic():

@@ -20,7 +20,6 @@ from latgen.exactmat import unimodular_columns
 from latgen.experiments import default_lemma_instances
 from latgen.lattice import (
     LatticeBasis,
-    Window,
     _int_gram,
     _quadform,
     count_in_hyperplane,
@@ -37,9 +36,9 @@ def lat(*columns):
     return LatticeBasis(columns)
 
 
-def window_points(basis: LatticeBasis, window: Window) -> list[tuple]:
-    """The rational points B c of the window, in enumeration order."""
-    return [lattice_point(basis.columns, c) for c in enumerate_window(basis, window)]
+def window_points(basis: LatticeBasis, bound) -> list[tuple]:
+    """The rational points B c of the window [0, bound)^n, in enumeration order."""
+    return [lattice_point(basis.columns, c) for c in enumerate_window(basis, bound)]
 
 
 def generates_lattice(basis: LatticeBasis, vectors) -> bool:
@@ -198,7 +197,7 @@ def test_lambda1_examples():
 def test_lambda1_matches_window_minimum():
     # rectangular lattices put a shortest vector inside [0, B)^n
     for basis in (Z2, TWOZ2, lat([2, 0], [0, 3])):
-        points = window_points(basis, Window(2, 8))
+        points = window_points(basis, 8)
         norms = [x * x + y * y for x, y in points if (x, y) != (0, 0)]
         assert min(norms) == basis.lambda1_sq
 
@@ -209,13 +208,13 @@ def test_lambda1_matches_window_minimum():
 
 
 def test_enumerate_window_examples():
-    assert len(enumerate_window(Z2, Window(2, 3))) == 9
-    coords = enumerate_window(TWOZ2, Window(2, 3))
+    assert len(enumerate_window(Z2, 3)) == 9
+    coords = enumerate_window(TWOZ2, 3)
     assert sorted(coords) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    pts = window_points(TWOZ2, Window(2, 3))
+    pts = window_points(TWOZ2, 3)
     assert sorted(pts) == [(0, 0), (0, 2), (2, 0), (2, 2)]
     # rectangular count factorizes: |2Z ∩ [0,12)| * |3Z ∩ [0,12)|
-    assert len(enumerate_window(lat([2, 0], [0, 3]), Window(2, 12))) == 24
+    assert len(enumerate_window(lat([2, 0], [0, 3]), 12)) == 24
 
 
 def test_enumerate_window_matches_scan_oracle():
@@ -228,7 +227,7 @@ def test_enumerate_window_matches_scan_oracle():
         (lat([1, 0, 0], [0, 2, 0], [1, 1, 3]), 4),
     ]
     for basis, bound in cases:
-        got = set(window_points(basis, Window(basis.dim, bound)))
+        got = set(window_points(basis, bound))
         expected = enumerate_by_scan(basis, bound)
         assert got == expected
     # a couple of random 2-d integer lattices
@@ -237,29 +236,29 @@ def test_enumerate_window_matches_scan_oracle():
         if cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0] == 0:
             continue
         basis = lat(*cols)
-        got = set(window_points(basis, Window(2, 3)))
+        got = set(window_points(basis, 3))
         assert got == enumerate_by_scan(basis, 3, coeff_box=15)
 
 
 def test_enumerate_window_lexicographic_and_deterministic():
-    first = enumerate_window(SKEW, Window(2, 3))
-    second = enumerate_window(SKEW, Window(2, 3))
+    first = enumerate_window(SKEW, 3)
+    second = enumerate_window(SKEW, 3)
     assert first == second
     assert first == sorted(set(first))
-    points = window_points(SKEW, Window(2, 3))
+    points = window_points(SKEW, 3)
     assert [tuple(SKEW.coordinates(p)) for p in points] == first
 
 
 def test_enumerate_window_guards():
     with pytest.raises(ValueError, match="guard"):
-        enumerate_window(Z1, Window(1, 10**9))
+        enumerate_window(Z1, 10**9)
     l5 = LatticeBasis([[int(i == j) for i in range(5)] for j in range(5)])
     with pytest.raises(ValueError):
-        enumerate_window(l5, Window(5, 2))
+        enumerate_window(l5, 2)
 
 
 def test_half_open_membership():
-    pts = window_points(Z2, Window(2, 2))
+    pts = window_points(Z2, 2)
     assert (2, 0) not in pts and (0, 2) not in pts
     assert (0, 0) in pts and (1, 1) in pts
 
@@ -270,7 +269,7 @@ def test_half_open_membership():
 
 
 def test_count_in_hyperplane_examples():
-    points = enumerate_window(Z2, Window(2, 3))
+    points = enumerate_window(Z2, 3)
     assert count_in_hyperplane(Z2, [0], points) == 3
 
 
@@ -281,13 +280,13 @@ def test_count_in_hyperplane_errors():
             count_in_hyperplane(z3, support, [])
 
 
-def count_in_hyperplane_by_rank(basis: LatticeBasis, window: Window, spanning) -> int:
+def count_in_hyperplane_by_rank(basis: LatticeBasis, bound, spanning) -> int:
     """Oracle: a Fraction rank test of span + [point] for every window point."""
     span_rows = [[Fraction(x) for x in v] for v in spanning]
     k = rank_of_rows(span_rows)
     return sum(
         1
-        for point in window_points(basis, window)
+        for point in window_points(basis, bound)
         if rank_of_rows(span_rows + [list(point)]) == k
     )
 
@@ -298,23 +297,21 @@ def test_count_in_hyperplane_matches_rank_oracle():
     cases += [(random_rational_basis(rng, n), 5) for n in (2, 3) for _ in range(4)]
     for basis, bound in cases:
         n = basis.dim
-        window = Window(n, bound)
-        points = enumerate_window(basis, window)
+        points = enumerate_window(basis, bound)
         for k in range(1, n):
             for support in itertools.combinations(range(n), k):
                 spanning = [basis.columns[j] for j in support]
                 count = count_in_hyperplane(basis, support, points)
-                assert count == count_in_hyperplane_by_rank(basis, window, spanning), (
+                assert count == count_in_hyperplane_by_rank(basis, bound, spanning), (
                     basis,
                     support,
                 )
 
 
 def test_hyperplane_count_within_bound():
-    w = Window(2, 10)
-    count = count_in_hyperplane(Z2, [0], enumerate_window(Z2, w))
+    count = count_in_hyperplane(Z2, [0], enumerate_window(Z2, 10))
     assert count == 10
-    assert count <= lemma2_count_bound(Z2, w, 1)
+    assert count <= lemma2_count_bound(Z2, 10, 1)
 
 
 def test_lemma1_bounds_bracket_counts():
@@ -325,10 +322,9 @@ def test_lemma1_bounds_bracket_counts():
         (lat([2, 0], [0, 3]), 12),
     ]
     for basis, bound in suite:
-        w = Window(2, bound)
         est = covering_radius_estimate(basis, 32)
-        lower, upper = lemma1_bounds(basis, w, est)
-        count = len(enumerate_window(basis, w))
+        lower, upper = lemma1_bounds(basis, bound, est)
+        count = len(enumerate_window(basis, bound))
         assert lower <= count <= upper
 
 

@@ -20,7 +20,7 @@ import scipy.stats
 from latgen import sampling
 from latgen.exactmat import _scaled_inverse
 from latgen.groupgen import quotient_group
-from latgen.lattice import LatticeBasis, Window, enumerate_window
+from latgen.lattice import LatticeBasis, enumerate_window
 from latgen.sampling import (
     Parallelepiped,
     RngStream,
@@ -482,7 +482,7 @@ def test_uniformity_chi_square():
 
 
 def test_window_sampler_z2():
-    sampler = WindowSampler(Z2, Window(2, 3), RngStream(seed=31))
+    sampler = WindowSampler(Z2, 3, RngStream(seed=31))
     draws = sampler.take(1500)
     assert set(draws) == {(x, y) for x in range(3) for y in range(3)}
     assert sampler.acceptance_estimate == 1.0
@@ -490,7 +490,7 @@ def test_window_sampler_z2():
 
 def test_window_sampler_scaled_lattice():
     lattice = LatticeBasis([[2, 0], [0, 2]])
-    draws = WindowSampler(lattice, Window(2, 3), RngStream(seed=32)).take(800)
+    draws = WindowSampler(lattice, 3, RngStream(seed=32)).take(800)
     assert set(draws) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     points = {lattice_point(lattice.columns, c) for c in draws}
     assert points == {(0, 0), (0, 2), (2, 0), (2, 2)}
@@ -498,9 +498,8 @@ def test_window_sampler_scaled_lattice():
 
 def test_window_sampler_matches_enumeration_support():
     lattice = LatticeBasis([[2, 1], [1, 3]])
-    window = Window(2, 6)
-    expected = set(enumerate_window(lattice, window))
-    draws = WindowSampler(lattice, window, RngStream(seed=33)).take(
+    expected = set(enumerate_window(lattice, 6))
+    draws = WindowSampler(lattice, 6, RngStream(seed=33)).take(
         250 * len(expected)
     )
     assert set(draws) == expected
@@ -511,7 +510,7 @@ def test_max_rejects_error_carries_estimate(monkeypatch):
     thin = LatticeBasis([[1, 0], [3000, 1]])  # 4 window points in a box of 12,002
     rng = RngStream(seed=123)
     with pytest.raises(SamplerError) as info:
-        WindowSampler(thin, Window(2, 2), rng).take(50)
+        WindowSampler(thin, 2, rng).take(50)
     message = str(info.value)
     assert message.startswith("exceeded 40 rejects for one sample")
     assert 0 <= float(message.rsplit("acceptance so far ", 1)[1].rstrip(")")) < 0.2
@@ -540,7 +539,7 @@ WINDOW_STREAM_PINS = [
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_window_stream_pinned(columns, bound, samples, cursor, chunk):
     rng = RngStream(seed=77, stream=9)
-    sampler = WindowSampler(LatticeBasis(columns), Window(2, bound), rng)
+    sampler = WindowSampler(LatticeBasis(columns), bound, rng)
     if chunk is None:
         taken = sampler.take(len(samples))
     else:
@@ -554,11 +553,11 @@ def test_window_stream_pinned(columns, bound, samples, cursor, chunk):
 def test_window_sampler_membership_contract():
     lattice = LatticeBasis([[Fraction(3, 2), 0], [1, 2]])
     bound = Fraction(5)
-    for c in WindowSampler(lattice, Window(2, bound), RngStream(seed=34)).take(300):
+    for c in WindowSampler(lattice, bound, RngStream(seed=34)).take(300):
         point = lattice_point(lattice.columns, c)
         assert all(0 <= y < bound for y in point)
 
 
 def test_sample_lattice_point_single():
-    [point] = WindowSampler(Z2, Window(2, 3), RngStream(seed=35)).take(1)
+    [point] = WindowSampler(Z2, 3, RngStream(seed=35)).take(1)
     assert all(0 <= c < 3 for c in point)
