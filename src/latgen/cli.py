@@ -50,6 +50,13 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} {text!r} is not a rational number such as 8 or 7/2") from None
+
+
 def _load_lattice(path: str) -> LatticeBasis:
     with open(path) as handle:
         return LatticeBasis.from_json(handle.read())
@@ -131,8 +138,11 @@ def _cmd_tv_check(args) -> tuple[Table, str]:
         if None in custom:
             raise ValueError("custom tv-check needs --lattice, --sub and --B1")
         lattice = _load_lattice(args.lattice)
-        sub = vectors_from_json(json.loads(args.sub), "--sub")
-        table = run_tv_suite([("custom", lattice, sub, Fraction(args.B1))])
+        try:
+            sub = vectors_from_json(json.loads(args.sub), "--sub")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--sub is not JSON: {exc}") from None
+        table = run_tv_suite([("custom", lattice, sub, _fraction(args.B1, "--B1"))])
     else:
         table = run_tv_suite()
     return table, f"tv-check {len(table.rows)} instances {_tag(table.ok)}"
@@ -142,10 +152,10 @@ def _cmd_fullrank_check(args) -> tuple[Table, str]:
     lattice = LatticeBasis([[1, 0], [0, 1]])
     if args.lattice is not None:
         lattice = _load_lattice(args.lattice)
-    nu = Fraction(args.nu_upper) if args.nu_upper is not None else None
+    nu = _fraction(args.nu_upper, "--nu-upper") if args.nu_upper is not None else None
     table = run_fullrank_check(
         lattice,
-        Fraction(args.B) if args.B is not None else None,
+        _fraction(args.B, "--B") if args.B is not None else None,
         trials=args.trials,
         seed=args.seed,
         nu_upper=nu,

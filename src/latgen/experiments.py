@@ -257,21 +257,27 @@ def _report(
     )
 
 
+# most points a shard takes and decides at once (at least one matrix):
+# it bounds the shard's memory, and the stream does not depend on it
+_CHUNK_POINTS = 1 << 16
+
+
 def _unimodular_shard(task) -> tuple[int, int, int]:
     seed, n, m, c, samples, shard = task
     pe_rng = RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 0))
     parallelepiped = random_parallelepiped(n, c, pe_rng)
     rng = RngStream(seed, stream_id(KIND_UNIMODULAR, n, shard, 1))
-    try:
-        points = parallelepiped.take(rng, samples * m)
-    except SamplerError as exc:
-        raise SamplerError(
-            f"shard {shard} (n={n}, generators {parallelepiped.generators}): {exc}"
-        ) from exc
+    chunk = max(1, _CHUNK_POINTS // m)
     successes = 0
-    for k in range(samples):
-        if unimodular_columns(points[k * m:(k + 1) * m], n):
-            successes += 1
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        try:
+            points = parallelepiped.take(rng, count * m)
+        except SamplerError as exc:
+            raise SamplerError(
+                f"shard {shard} (n={n}, generators {parallelepiped.generators}): {exc}"
+            ) from exc
+        successes += sum(unimodular_columns(points[k * m:(k + 1) * m], n) for k in range(count))
     return shard, successes, parallelepiped.resamples
 
 

@@ -10,7 +10,8 @@ function of (seed, stream, draw index) - independent of platform, worker
 count, and batch size.  An attempt past the end of the block takes its
 words from an overflow sub-stream keyed by (draw index, attempt), so no
 bound exhausts a draw.  Draw indices are handed out by a monotone cursor
-on the stream.
+on the stream, which only `_BoundedDraws` reads and advances: every
+sampler below takes its draws as rows of k consecutive indices from it.
 
 Parallelepipeds P = V [0,1)^n (integer generator columns V, det V != 0)
 are sampled with no rejection ("coset-v1").  Every coset of V Z^n in Z^n
@@ -20,8 +21,8 @@ diag(d_1 | ... | d_n), which also refuses a degenerate V (fewer than n
 invariant factors is det V = 0).  D splits Z^n / V Z^n into the cyclic
 factors Z/d_i, generated by the columns g_i of U^-1 = V W D^-1.  A
 sample draws y_i uniformly in [0, d_i) for each d_i > 1 (sample j of a
-take starting at draw index `base` uses the indices base + j k + i, k
-the number of such factors, so a cell with |det V| = 1 draws nothing)
+take is row j of k draws, k the number of such factors, so a cell with
+|det V| = 1 draws nothing)
 and returns the point of P in the coset of sum y_i g_i.  In the
 coordinates a = e V^-1 z, with e = d_n the largest factor, that point is
 
@@ -68,7 +69,7 @@ floating point participates in any accept/reject decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .exactmat import snf_with_transforms
 from .lattice import LatticeBasis, window_cell
@@ -86,8 +87,6 @@ _OVERFLOW_SALT = 0x8CB92BA72F3D8DD7
 _MAX_ATTEMPTS = 1024
 _INT64_GUARD = 1 << 62
 _INT64_MAX = (1 << 63) - 1
-# most samples one vectorized batch computes at once (bounds peak memory)
-_BATCH = 1 << 16
 # consecutive rejected window candidates before a window sampler gives up
 _MAX_REJECTS = 10**6
 
@@ -121,9 +120,9 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 class RngStream:
     """One logical randomness stream of the counter-based generator.
 
-    The (seed, stream) pair fully determines the word sequence; the
-    cursor only allocates draw indices, so rewinding or re-deriving the
-    stream is always safe.  Each parallel task owns its own stream id.
+    The (seed, stream) pair fully determines the word sequence; the cursor
+    (the next free draw index) only allocates indices, so rewinding or
+    re-deriving the stream is safe.  Each parallel task owns its stream id.
     """
 
     algorithm = ALGORITHM_ID
@@ -157,14 +156,11 @@ class RngStream:
         key = _mix64(_mix64(self._overflow_s0 + index) + attempt)
         return _mix64(key + (w + 1) * _GAMMA)
 
-    def draw_below(self, bound: int, index: Optional[int] = None) -> int:
-        """Uniform integer in [0, bound) from the word block of one draw
-        index (allocated from the cursor when not given)."""
+    def draw_below(self, bound: int, index: int) -> int:
+        """Uniform integer in [0, bound) from the word block of draw
+        ``index``."""
         if bound < 1:
             raise ValueError("bound must be >= 1")
-        if index is None:
-            index = self.draw_cursor
-            self.draw_cursor += 1
         if bound == 1:
             return 0
         bits = (bound - 1).bit_length()
@@ -185,32 +181,30 @@ class RngStream:
                 return x
         raise SamplerError(f"{_MAX_ATTEMPTS} draws rejected for bound {bound}: generator fault")
 
-    def draw_int(self, lo: int, hi: int, index: Optional[int] = None) -> int:
-        """Uniform integer in the inclusive range [lo, hi]."""
-        if hi < lo:
-            raise ValueError("empty range")
-        return lo + self.draw_below(hi - lo + 1, index)
-
 
 class _BoundedDraws:
-    """Rows of bounded draws from one stream: row j of the rows starting
-    at draw index ``base`` holds draw base + j k + i below bounds[i], for
-    the k bounds.  ``rows`` computes ``row`` for a batch of rows at once
-    (bounds below 2^64 only) and gives the same values: it vectorizes the
-    attempts inside each draw's block and hands a draw still rejected at
-    the end of its block to ``draw_below``, which replays the block and
-    goes on into the overflow sub-stream."""
+    """Rows of bounded draws, the one allocator of a stream's draw indices:
+    a row takes the next k indices from ``rng.draw_cursor``, draw i below
+    bounds[i].  ``rows(batch)`` gives the values of ``batch`` calls of
+    ``row()`` at once (bounds below 2^64 only): it vectorizes the attempts
+    inside each draw's block and hands a draw still rejected at the end of
+    its block to ``draw_below``, which replays the block and goes on into
+    the overflow sub-stream."""
 
     def __init__(self, rng: RngStream, bounds: Sequence[int]):
         self.rng = rng
         self.bounds = list(bounds)
 
-    def row(self, base: int) -> list[int]:
+    def row(self) -> list[int]:
+        base = self.rng.draw_cursor
+        self.rng.draw_cursor += len(self.bounds)
         return [self.rng.draw_below(b, base + i) for i, b in enumerate(self.bounds)]
 
-    def rows(self, base: int, batch: int) -> np.ndarray:
+    def rows(self, batch: int) -> np.ndarray:
         import numpy as np
         k = len(self.bounds)
+        base = self.rng.draw_cursor
+        self.rng.draw_cursor += batch * k
         mask = np.array([(1 << (b - 1).bit_length()) - 1 for b in self.bounds], dtype=np.uint64)
         bound = np.array(self.bounds, dtype=np.uint64)
         idx = np.arange(base, base + batch * k, dtype=np.uint64)
@@ -247,10 +241,10 @@ class Parallelepiped:
 
     One Smith form of V gives everything: fewer than n invariant factors
     (det V = 0) are refused at construction, and the factors and the
-    column transform give the coset map.  ``take(rng, count)`` consumes
-    exactly count * k draw indices from the rng's cursor, k the number of
-    nontrivial Smith factors; the engine choice depends only on V, never
-    on sampled values.
+    column transform give the coset map.  ``take(rng, count)`` computes
+    count rows of k draws (k nontrivial Smith factors) in one pass, so a
+    caller that needs many points takes them in chunks, which leave the
+    stream as it is; the engine depends only on V, never on sampled values.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], resamples: int = 0):
@@ -337,32 +331,24 @@ class Parallelepiped:
         if count < 0:
             raise ValueError("count must be >= 0")
         draws = _BoundedDraws(rng, self._bounds)
-        k = len(self._bounds)
-        base = rng.draw_cursor
         if self._fast:
-            out: list[tuple[int, ...]] = []
-            for start in range(0, count, _BATCH):
-                y = draws.rows(base + start * k, min(_BATCH, count - start))
-                out.extend(zip(*self._points_int64(y).T.tolist()))
-        else:
-            out = [self._point_exact(draws.row(base + j * k)) for j in range(count)]
-        rng.draw_cursor = base + count * k
-        return out
+            return list(zip(*self._points_int64(draws.rows(count)).T.tolist()))
+        return [self._point_exact(draws.row()) for _ in range(count)]
 
 
 def random_parallelepiped(n: int, c: int, rng: RngStream) -> Parallelepiped:
     """n generator vectors with coordinates uniform on the integers of
-    [-C, C]; degenerate draws are resampled (and counted), 64 degenerate
-    draws in a row signal a generator fault and raise."""
+    [-C, C], one row of n draws below 2C + 1 each; degenerate draws are
+    resampled (and counted), 64 degenerate draws in a row signal a
+    generator fault and raise."""
     if c < 1:
         raise ValueError("C must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    draws = _BoundedDraws(rng, [2 * c + 1] * n)
     resamples = 0
     while True:
-        generators = [
-            [rng.draw_int(-c, c) for _ in range(n)] for _ in range(n)
-        ]
+        generators = [[x - c for x in draws.row()] for _ in range(n)]
         try:
             return Parallelepiped(generators, resamples=resamples)
         except ValueError:
@@ -380,12 +366,11 @@ class WindowSampler:
     """Uniform lattice points of [0, B)^n, as basis coordinate tuples, by
     rejection from the box of the window's cell in coordinates.
 
-    Candidates are numbered by the stream cursor: candidate j of a take
-    starting at draw index ``base`` uses the n draws base + j n + i, and
-    is accepted by the cell's own exact test.  The k-th accepted candidate
-    is sample k, and after ``take`` the cursor sits right past the
-    candidate that produced the last returned sample, so a stream does not
-    depend on how its takes are chunked.  This big-integer loop is the one
+    Each candidate is one row of draws from ``_core``, one per coordinate,
+    accepted by the cell's own exact test.  The k-th accepted candidate is
+    sample k, and after ``take`` the cursor sits right past the candidate
+    that produced the last returned sample, so a stream does not depend on
+    how its takes are chunked.  This big-integer loop is the one
     engine (the module docstring says why there is no vectorized one).
     More than ``_MAX_REJECTS`` rejected candidates in a row raise
     `SamplerError`.
@@ -393,7 +378,6 @@ class WindowSampler:
 
     def __init__(self, lattice: LatticeBasis, bound: Union[int, Fraction], rng: RngStream):
         self.cell = window_cell(lattice, bound)
-        self.n = len(self.cell.box)
         self.candidates = 0
         self.accepted = 0
         self._since_accept = 0
@@ -408,13 +392,10 @@ class WindowSampler:
     def take(self, count: int) -> list[tuple[int, ...]]:
         if count < 0:
             raise ValueError("count must be >= 0")
-        rng = self._core.rng
         box = self.cell.box
         out: list[tuple[int, ...]] = []
         while len(out) < count:
-            base = rng.draw_cursor
-            rng.draw_cursor += self.n
-            z = [lo + x for (lo, _), x in zip(box, self._core.row(base))]
+            z = [lo + x for (lo, _), x in zip(box, self._core.row())]
             self.candidates += 1
             if self.cell.contains(z):
                 out.append(tuple(z))

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from latgen.cli import _parse_n_values, main
-from latgen.experiments import Table, parse_reports_csv
+from latgen.experiments import KIND_UNIMODULAR, Table, parse_reports_csv, stream_id
+from latgen.sampling import Parallelepiped, RngStream, SamplerError, random_parallelepiped
 
 
 def test_parse_n_values():
@@ -270,21 +271,32 @@ def test_operational_error_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n range '4..2' is reversed: 4 > 2\n"
     # an empty flag value reaches its parser instead of reading as absent
     no_file = "[Errno 2] No such file or directory: ''"
-    no_fraction = "Invalid literal for Fraction: ''"
     sub = "[[2, 0], [0, 2]]"
+
+    def no_fraction(flag, text=""):
+        return f"{flag} {text!r} is not a rational number such as 8 or 7/2"
+
     empty = [
-        (["fullrank-check", "--B", ""], no_fraction),
-        (["fullrank-check", "--nu-upper", ""], no_fraction),
+        (["fullrank-check", "--B", ""], no_fraction("--B")),
+        (["fullrank-check", "--nu-upper", ""], no_fraction("--nu-upper")),
         (["fullrank-check", "--lattice", ""], no_file),
         (["tv-check", "--lattice", "", "--sub", "", "--B1", ""], no_file),
         (["tv-check", "--lattice", "", "--sub", sub, "--B1", "50"], no_file),
         (["tv-check", "--lattice", str(z2), "--sub", "", "--B1", "50"],
-         "Expecting value: line 1 column 1 (char 0)"),
-        (["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", ""], no_fraction),
+         "--sub is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", ""], no_fraction("--B1")),
         (["unimodular", "--n", ""], "n values '' are not of the form 2, 1..4, 1-4 or 1,3"),
         (["unimodular", "--config", ""], no_file),
         (["unimodular", "--m", ""], "m policy '' is not n, n+K or an integer"),
     ]
+    # a value its parser refuses names the flag it came from
+    for text in ("x", "1/0"):
+        empty += [
+            (["fullrank-check", "--B", text], no_fraction("--B", text)),
+            (["fullrank-check", "--nu-upper", text], no_fraction("--nu-upper", text)),
+            (["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", text],
+             no_fraction("--B1", text)),
+        ]
     for argv, line in empty:
         assert main(argv) == 1, argv
         assert capsys.readouterr().err == f"error: {line}\n", argv
@@ -374,16 +386,32 @@ UNIMODULAR_SHA256 = [
     ([*DESK_ARGV, "--workers", "1"], DESK_SHA256),
     ([*DESK_ARGV, "--workers", "2"], DESK_SHA256),
     (C18_ARGV, C18_SHA256),
+    ([*C18_ARGV[:-2], "--workers", "2"], C18_SHA256),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest", UNIMODULAR_SHA256, ids=["desk-w1", "desk-w2", "C=10^18"]
+    "argv,digest", UNIMODULAR_SHA256, ids=["desk-w1", "desk-w2", "C=10^18", "C=10^18-w2"]
 )
 def test_unimodular_outputs_pinned(argv, digest, tmp_path, capsys):
     target = tmp_path / "out.csv"
     assert main([*argv, "--out", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_shard_sampler_fault_names_the_shard(monkeypatch, capsys):
+    def broken(self, rng, count):
+        raise SamplerError("boom")
+
+    monkeypatch.setattr(Parallelepiped, "take", broken)
+    argv = ["unimodular", "--n", "2", "--reps", "1", "--samples", "1", "--workers", "1"]
+    assert main(argv) == 1
+    # the shard's parallelepiped at the default seed 0 and C = 10^4
+    rng = RngStream(0, stream_id(KIND_UNIMODULAR, 2, 0, 0))
+    generators = random_parallelepiped(2, 10**4, rng).generators
+    assert capsys.readouterr().err == (
+        f"sampler error: shard 0 (n=2, generators {generators}): boom\n"
+    )
 
 
 Z1_FILE = "{z1}"  # replaced by a Z^1 lattice JSON file

@@ -174,6 +174,28 @@ def test_pool_sized_by_shards(monkeypatch):
     assert pooled == serial
 
 
+def test_shard_chunking_irrelevant(monkeypatch):
+    # chunks of a few points split each shard's 41 matrices over many
+    # takes, the last one partial; the same matrices are decided in the
+    # same order as in one take, so no chunk drops or repeats a matrix
+    decided = []
+
+    def recording(columns, n):
+        decided.append(tuple(map(tuple, columns)))
+        return unimodular_columns(columns, n)
+
+    monkeypatch.setattr(experiments, "unimodular_columns", recording)
+    cfg = ExperimentConfig(n_values=(2, 3), reps=2, samples=41, C=100, seed=5)
+    whole = run_unimodular_experiment(cfg)
+    whole_decided = decided[:]
+    decided.clear()
+    monkeypatch.setattr(experiments, "_CHUNK_POINTS", 10)  # 3 matrices at n = 2, 2 at n = 3
+    chunked = run_unimodular_experiment(cfg)
+    assert len(whole_decided) == 2 * 2 * 41
+    assert decided == whole_decided
+    assert chunked == whole
+
+
 def test_unimodular_shard_successes_pinned():
     # (shard, successes, resamples) of the first 500 matrices of shards 0
     # and 1 at the acceptance-criterion-5 settings; any change here means

@@ -42,8 +42,8 @@ def test_stream_determinism():
     a = RngStream(seed=7, stream=3)
     b = RngStream(seed=7, stream=3)
     assert [a.word(i) for i in range(20)] == [b.word(i) for i in range(20)]
-    assert [a.draw_below(1000) for _ in range(50)] == [
-        b.draw_below(1000) for _ in range(50)
+    assert [a.draw_below(1000, i) for i in range(50)] == [
+        b.draw_below(1000, i) for i in range(50)
     ]
 
 
@@ -65,22 +65,22 @@ def test_words_np_matches_scalar():
 
 def test_draw_below_range_and_trivial_bound():
     rng = RngStream(seed=1)
-    values = [rng.draw_below(17) for _ in range(500)]
+    values = [rng.draw_below(17, i) for i in range(500)]
     assert all(0 <= v < 17 for v in values)
     assert set(values) == set(range(17))
-    cursor = rng.draw_cursor
-    assert rng.draw_below(1) == 0
-    assert rng.draw_cursor == cursor + 1  # index slot consumed, no words needed
+    assert rng.draw_below(1, 500) == 0
+    assert sampling._BoundedDraws(rng, [1]).row() == [0]
+    assert rng.draw_cursor == 1  # index slot consumed, no words needed
 
 
 def test_draw_below_huge_bound():
     rng = RngStream(seed=9)
     bound = 3 * 10**19  # needs two 64-bit words
-    values = [rng.draw_below(bound) for _ in range(200)]
+    values = [rng.draw_below(bound, i) for i in range(200)]
     assert all(0 <= v < bound for v in values)
     assert max(values) > bound // 4  # sanity: actually spread out
     again = RngStream(seed=9)
-    assert values == [again.draw_below(bound) for _ in range(200)]
+    assert values == [again.draw_below(bound, i) for i in range(200)]
 
 
 def test_draw_below_in_block_values_pinned():
@@ -116,11 +116,11 @@ def test_draw_below_in_block_values_pinned():
 def test_draw_below_beyond_block(bound):
     # more than 64 words per attempt: every attempt is an overflow one
     rng = RngStream(seed=5, stream=1)
-    values = [rng.draw_below(bound) for _ in range(40)]
+    values = [rng.draw_below(bound, i) for i in range(40)]
     assert all(0 <= v < bound for v in values)
     assert len(set(values)) == 40
     again = RngStream(seed=5, stream=1)
-    assert values == [again.draw_below(bound) for _ in range(40)]
+    assert values == [again.draw_below(bound, i) for i in range(40)]
 
 
 class _SaturatedBlocks(RngStream):
@@ -156,7 +156,7 @@ class _BrokenGenerator(_SaturatedBlocks):
 
 def test_broken_generator_still_reported():
     with pytest.raises(SamplerError, match="generator fault"):
-        _BrokenGenerator(seed=1).draw_below(5)
+        _BrokenGenerator(seed=1).draw_below(5, 0)
     p = Parallelepiped([[4, 1], [1, 4]])
     for fast in (True, False):
         p._fast = fast
@@ -164,10 +164,12 @@ def test_broken_generator_still_reported():
             p.take(_BrokenGenerator(seed=1), 1)
 
 
-def test_draw_int_inclusive():
-    rng = RngStream(seed=3)
-    values = [rng.draw_int(-2, 2) for _ in range(400)]
-    assert set(values) == {-2, -1, 0, 1, 2}
+def test_random_parallelepiped_entries_cover_the_range():
+    for c in (1, 2):
+        rng = RngStream(seed=3)
+        drawn = [random_parallelepiped(2, c, rng) for _ in range(40)]
+        values = {x for p in drawn for g in p.generators for x in g}
+        assert values == set(range(-c, c + 1))
 
 
 def test_provenance():
