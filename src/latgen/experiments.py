@@ -24,12 +24,13 @@ The unimodular report ("latgen-reports-v2") records its configuration
 (without the worker count, which does not change the result) and its
 RNG provenance once in the header, one row per shard with that shard's
 counts, and per-dimension summaries (exact values as "p/q" strings).
-`_report` derives every summary from the shard counts, both when the
-experiment runs and when `parse_reports_csv` reads a report back from
-its header config and shard rows, so writing the parsed reports gives
-the same text only when the header's summaries agree with the rows.
-Frequencies are exact rationals end to end; only the confidence radii
-are floats.
+An `ExperimentReport` is its config, n and per-shard counts, and derives
+every summary from them.  `_reports` groups shard rows into reports both
+when the experiment runs and when `parse_reports_csv` reads a report
+back from its header config and shard rows, so writing the parsed
+reports gives the same text only when the header's summaries agree with
+the rows.  Frequencies are exact rationals end to end; only the
+confidence radii are floats.
 
 The reported uncertainty is the Wilson 95% radius on the pooled success
 count together with a between-parallelepiped (cluster) radius; tolerance
@@ -43,7 +44,7 @@ import itertools
 import json
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -115,9 +116,11 @@ class ExperimentConfig:
     reps: int = 100
     samples: int = 10**4
     seed: int = 0
-    workers: int = 1
+    workers: int = field(default=1, compare=False)  # the result does not depend on it
 
     def __post_init__(self):
+        # a JSON list would compare unequal to the same dimensions as a tuple
+        object.__setattr__(self, "n_values", tuple(self.n_values))
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n values must be >= 1")
         # 2 * shard + b and n each fill 24 bits of a stream id
@@ -165,10 +168,7 @@ class ExperimentConfig:
                 ok = _is_int(value)
             if not ok:
                 raise ValueError(f"config {key} has the wrong type: {value!r}")
-        data = dict(obj)
-        if "n_values" in data:
-            data["n_values"] = tuple(data["n_values"])
-        return cls(**data)
+        return cls(**obj)
 
 
 def _is_int(value) -> bool:
@@ -182,23 +182,38 @@ def _is_int(value) -> bool:
 
 @dataclass
 class ExperimentReport:
-    """The unimodular experiment at one dimension, as `_report` derives
-    it from the shard counts."""
+    """The unimodular experiment at one dimension: the run's config, n and
+    the per-shard success and resample counts in shard order.  Every other
+    attribute is derived from these four at construction: m, frequencies,
+    average, minimum, maximum, wilson_radius, cluster_radius, ideal_lo and
+    ideal_hi (None when m < n) and the RNG provenance rng."""
 
+    config: ExperimentConfig
     n: int
-    m: int
-    config: dict
-    frequencies: tuple[Fraction, ...]
     successes: tuple[int, ...]
     resamples: tuple[int, ...]
-    average: Fraction
-    minimum: Fraction
-    maximum: Fraction
-    wilson_radius: float
-    cluster_radius: float
-    ideal_lo: Optional[Fraction]
-    ideal_hi: Optional[Fraction]
-    rng: dict
+
+    def __post_init__(self):
+        samples = self.config.samples
+        if not all(0 <= s <= samples for s in self.successes):
+            raise ValueError(f"n={self.n}: shard successes must lie in [0, {samples}]")
+        self.m = self.config.m_for(self.n)
+        self.frequencies = tuple(Fraction(s, samples) for s in self.successes)
+        total, trials = sum(self.successes), len(self.successes) * samples
+        self.average = Fraction(total, trials)
+        self.minimum, self.maximum = min(self.frequencies), max(self.frequencies)
+        self.wilson_radius = wilson_radius(total, trials)
+        self.cluster_radius = cluster_radius(self.frequencies)
+        self.ideal_lo = self.ideal_hi = None
+        if self.m >= self.n:
+            ideal = bounds.ideal_probability(self.n, self.m)
+            self.ideal_lo, self.ideal_hi = ideal.lo, ideal.hi
+        self.rng = {
+            "algorithm": COSET_ALGORITHM_ID,
+            "seed": self.config.seed,
+            "stream_layout": STREAM_LAYOUT,
+            "kind_id": KIND_UNIMODULAR,
+        }
 
     @property
     def radius(self) -> float:
@@ -213,48 +228,23 @@ class ExperimentReport:
         return abs(float(self.average - mid)) <= 3 * self.radius
 
 
-def _report(
-    config: ExperimentConfig,
-    n: int,
-    m: int,
-    successes: tuple[int, ...],
-    resamples: tuple[int, ...],
-) -> ExperimentReport:
-    """The report of dimension n from its per-shard success and resample
-    counts in shard order: frequencies, statistics, ideal enclosure and
-    RNG provenance."""
-    if not all(0 <= s <= config.samples for s in successes):
-        raise ValueError(f"n={n}: shard successes must lie in [0, {config.samples}]")
-    recorded = config.to_json_dict()
-    del recorded["workers"]  # the result does not depend on it
-    freqs = tuple(Fraction(s, config.samples) for s in successes)
-    total = sum(successes)
-    trials = len(successes) * config.samples
-    ideal_lo = ideal_hi = None
-    if m >= n:
-        ideal = bounds.ideal_probability(n, m)
-        ideal_lo, ideal_hi = ideal.lo, ideal.hi
-    return ExperimentReport(
-        n=n,
-        m=m,
-        config=recorded,
-        frequencies=freqs,
-        successes=successes,
-        resamples=resamples,
-        average=Fraction(total, trials),
-        minimum=min(freqs),
-        maximum=max(freqs),
-        wilson_radius=wilson_radius(total, trials),
-        cluster_radius=cluster_radius(freqs),
-        ideal_lo=ideal_lo,
-        ideal_hi=ideal_hi,
-        rng={
-            "algorithm": COSET_ALGORITHM_ID,
-            "seed": config.seed,
-            "stream_layout": STREAM_LAYOUT,
-            "kind_id": KIND_UNIMODULAR,
-        },
-    )
+def _reports(cfg: ExperimentConfig, rows) -> list[ExperimentReport]:
+    """One report per n of the config, in config order, from the run's
+    (n, shard, successes, resamples) rows in any order; refused unless the
+    rows of each listed n are its shards 0..reps-1."""
+    per_n: dict[int, list[tuple[int, int, int]]] = {n: [] for n in cfg.n_values}
+    for n, shard, successes, resamples in rows:
+        if n not in per_n:
+            raise ValueError(f"shard row for n={n}, which the config does not list")
+        per_n[n].append((shard, successes, resamples))
+    reports = []
+    for n, shards in per_n.items():
+        shards.sort()
+        if [shard for shard, _, _ in shards] != list(range(cfg.reps)):
+            raise ValueError(f"n={n}: the shard rows are not shards 0..{cfg.reps - 1}")
+        _, successes, resamples = zip(*shards)
+        reports.append(ExperimentReport(cfg, n, successes, resamples))
+    return reports
 
 
 # most points a shard takes and decides at once (at least one matrix):
@@ -310,14 +300,8 @@ def run_unimodular_experiment(cfg: ExperimentConfig) -> list[ExperimentReport]:
         for n in sorted(cfg.n_values, reverse=True)
         for shard in range(cfg.reps)
     ]
-    per_n: dict[int, list] = {n: [] for n in cfg.n_values}
-    for task, result in zip(tasks, _run_shards(tasks, cfg.workers)):
-        per_n[task[1]].append(result)
-    reports = []
-    for n, results in per_n.items():
-        _, successes, resamples = zip(*results)
-        reports.append(_report(cfg, n, cfg.m_for(n), successes, resamples))
-    return reports
+    results = _run_shards(tasks, cfg.workers)
+    return _reports(cfg, [(task[1], *result) for task, result in zip(tasks, results)])
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +353,8 @@ class Table:
         if len(lines) < 2:
             raise ValueError("missing column line")
         header = json.loads(lines[0][2:])
+        if not isinstance(header, dict):
+            raise ValueError("the header line does not hold a JSON object")
         row_type = namedtuple("Row", lines[1].split(","))
         rows = []
         for line in lines[2:]:
@@ -388,9 +374,11 @@ def reports_table(reports: Sequence[ExperimentReport]) -> Table:
     """The unimodular report: the config, RNG provenance and verdict once
     in the header beside per-dimension summaries, one row per shard; ok
     unless some report is out of tolerance."""
+    config = reports[0].config.to_json_dict()
+    del config["workers"]  # the result does not depend on it
     header = {
         "format": REPORTS_FORMAT,
-        "config": reports[0].config,
+        "config": config,
         "rng": reports[0].rng,
         "ok": all(r.within_tolerance() is not False for r in reports),
         "summaries": [
@@ -421,28 +409,21 @@ def reports_to_csv(reports: Sequence[ExperimentReport]) -> str:
 
 
 def parse_reports_csv(text: str) -> list[ExperimentReport]:
-    """The reports of a unimodular output, derived again by `_report` from
-    the header's config and the shard rows; the header's summaries are not
-    read, so writing the reports back gives the same text only when they
-    agree with the rows."""
+    """The reports of a unimodular output, built by `_reports` from the
+    header's config and the shard rows, as the run builds them; the
+    header's summaries and the rows' m and frequency cells are not read,
+    so writing the reports back gives the same text only when they agree
+    with the counts."""
     table = Table.from_csv(text)
     if table.header.get("format") != REPORTS_FORMAT:
         raise ValueError("unknown report format")
-    cfg = ExperimentConfig.from_json_dict(table.header["config"])
-    per_n: dict[int, list[tuple[int, int, int]]] = {n: [] for n in cfg.n_values}
-    for row in table.rows:
-        shards = per_n.get(int(row.n))
-        if shards is None:
-            raise ValueError(f"shard row for n={row.n}, which the config does not list")
-        shards.append((int(row.shard), int(row.successes), int(row.resamples)))
-    reports = []
-    for n, shards in per_n.items():
-        shards.sort()
-        if [shard for shard, _, _ in shards] != list(range(cfg.reps)):
-            raise ValueError(f"n={n}: the shard rows are not shards 0..{cfg.reps - 1}")
-        _, successes, resamples = zip(*shards)
-        reports.append(_report(cfg, n, cfg.m_for(n), successes, resamples))
-    return reports
+    if table.columns != ShardRow._fields:
+        raise ValueError(f"the column line is not {','.join(ShardRow._fields)}")
+    config = table.header.get("config")
+    if not isinstance(config, dict):
+        raise ValueError("the header holds no config object")
+    rows = [(int(r.n), int(r.shard), int(r.successes), int(r.resamples)) for r in table.rows]
+    return _reports(ExperimentConfig.from_json_dict(config), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +600,7 @@ def run_tv_check(
     if len(sub) != n:
         raise ValueError(f"need exactly {n} sublattice generators")
     group, projection = quotient_group([lattice.coordinates(v) for v in sub])
-    nu1_upper = LatticeBasis(sub).nu_upper
-    if b1 <= 2 * nu1_upper:
-        raise ValueError("hypothesis violated: need B1 > 2 * nu1_upper")
+    bound = bounds.tv_bound(n, b1, LatticeBasis(sub).nu_upper, lattice.nu_upper)
     points = enumerate_window(lattice, b1)
     counts: dict[tuple, int] = {}
     for point in points:
@@ -635,7 +614,6 @@ def run_tv_check(
         share = Fraction(counts.get(element, 0), total)
         tv += abs(share - uniform)
     tv /= 2
-    bound = bounds.tv_bound(n, b1, nu1_upper, lattice.nu_upper)
     return TvRow(name, n, str(b1), order, tv, bound, tv <= bound)
 
 

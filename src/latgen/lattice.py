@@ -57,14 +57,20 @@ _INT64_GUARD = 1 << 62
 def vectors_from_json(value, what: str) -> list[list[Fraction]]:
     """Exact vectors from decoded JSON: a list of lists whose entries are
     JSON integers or strings ("3", "-2/7", "0.1").  Anything else (floats,
-    booleans, null, other shapes) raises ValueError naming ``what``."""
+    booleans, null, strings that are not rationals such as "x" or "1/0",
+    other shapes) raises ValueError naming ``what``."""
     if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
         raise ValueError(f"{what} must be a JSON list of vectors")
-    for vec in value:
-        for e in vec:
-            if isinstance(e, bool) or not isinstance(e, (int, str)):
-                raise ValueError(f"{what} entry {json.dumps(e)} is not a JSON integer or string")
-    return [[Fraction(e) for e in vec] for vec in value]
+
+    def exact(e) -> Fraction:
+        if isinstance(e, bool) or not isinstance(e, (int, str)):
+            raise ValueError(f"{what} entry {json.dumps(e)} is not a JSON integer or string")
+        try:
+            return Fraction(e)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{what} entry {json.dumps(e)} is not a rational number") from None
+
+    return [[exact(e) for e in vec] for vec in value]
 
 
 class LatticeBasis:

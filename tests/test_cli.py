@@ -290,12 +290,21 @@ def test_operational_error_exit_one(tmp_path, capsys):
         (["unimodular", "--m", ""], "m policy '' is not n, n+K or an integer"),
     ]
     # a value its parser refuses names the flag it came from
-    for text in ("x", "1/0"):
+    for i, text in enumerate(("x", "1/0")):
         empty += [
             (["fullrank-check", "--B", text], no_fraction("--B", text)),
             (["fullrank-check", "--nu-upper", text], no_fraction("--nu-upper", text)),
             (["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", text],
              no_fraction("--B1", text)),
+        ]
+        # so does a vector entry, from --sub or from a lattice file
+        lattice = tmp_path / f"entry{i}.json"
+        lattice.write_text('{"n": 2, "basis": [["%s", "0"], ["0", "1"]]}' % text)
+        empty += [
+            (["tv-check", "--lattice", str(z2), "--sub", '[["%s", 0], [0, 2]]' % text,
+              "--B1", "50"], f'--sub entry "{text}" is not a rational number'),
+            (["fullrank-check", "--lattice", str(lattice)],
+             f'lattice basis entry "{text}" is not a rational number'),
         ]
     for argv, line in empty:
         assert main(argv) == 1, argv

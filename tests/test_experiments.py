@@ -300,6 +300,32 @@ def test_reports_csv_round_trip():
         parse_reports_csv("".join(lines[:-1]))
     with pytest.raises(ValueError, match="does not list"):
         parse_reports_csv(text + "7,8,0,1,1/200,0\n")
+    # the rows may come in any order, but each shard only once
+    head, columns, *rows = lines
+    shuffled = [head, columns, *rows[::-1]]
+    assert parse_reports_csv("".join(shuffled)) == reports
+    assert reports_to_csv(parse_reports_csv("".join(shuffled))) == text
+    with pytest.raises(ValueError, match="shard rows"):
+        parse_reports_csv(text + rows[0])
+    # a malformed header or column line is a ValueError too
+    del header["config"]
+    for bad in (
+        "# [1]\n" + rest,
+        "# " + json.dumps(header, sort_keys=True) + "\n" + rest,
+        head + columns.replace(",resamples", "") + "".join(
+            row.rsplit(",", 1)[0] + "\n" for row in rows
+        ),
+    ):
+        with pytest.raises(ValueError):
+            parse_reports_csv(bad)
+    # m < n has no ideal column: its empty cells round-trip as well
+    below = run_unimodular_experiment(
+        ExperimentConfig(n_values=(2,), m_policy="1", reps=2, samples=10, seed=5)
+    )
+    assert below[0].ideal_lo is None
+    below_text = reports_to_csv(below)
+    assert parse_reports_csv(below_text) == below
+    assert reports_to_csv(parse_reports_csv(below_text)) == below_text
 
 
 def test_paper_scale_magnitudes_smoke():
