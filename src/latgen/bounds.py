@@ -162,6 +162,7 @@ def pk_bound(
     return value.round_outward(g)
 
 
+@lru_cache(maxsize=None)
 def fullrank_lower_bound(n: int, precision: int = PRECISION) -> Enclosure:
     """Enclosure of prod_{k=0}^{n-1} (1 - n^(k/2) (4n^(n/2)+1)^k / (4n^(n/2)-1)^n),
     the lower bound on n samples spanning full rank at window ratio 8 n^(n/2)."""

@@ -3,10 +3,11 @@
 Subcommands: unimodular, coprime, bounds-table, lemma-verify, tv-check,
 fullrank-check.  `SUBCOMMANDS` lists each one with its help text and
 flags; its handler `_cmd_<name>` (dashes as underscores) only computes
-the result `Table` and a status text.  `main` writes every table the same
-way: CSV (with a JSON header line) to --out or stdout, the status to
-stderr.  Exit codes: 0 when every check passes, 2 when a check fails, 1
-on operational errors (bad arguments, sampler faults, unreadable files).
+the result `Table` and a status text.  `main` refuses an --out it cannot
+open before the handler runs, then writes every table the same way: CSV
+(with a JSON header line) to --out or stdout, the status to stderr.  Exit
+codes: 0 when every check passes, 2 when a check fails, 1 on operational
+errors (bad arguments, sampler faults, unreadable files).
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ def _experiment_config(args) -> ExperimentConfig:
         "reps": args.reps,
         "samples": args.samples,
         "seed": args.seed,
-        "workers": args.workers,
     }
     for key, value in explicit.items():
         if value is not None:
@@ -101,7 +101,7 @@ def _tag(ok: bool) -> str:
 
 
 def _cmd_unimodular(args) -> tuple[Table, str]:
-    reports = run_unimodular_experiment(_experiment_config(args))
+    reports = run_unimodular_experiment(_experiment_config(args), args.workers)
     lines = []
     for report in reports:
         verdict = report.within_tolerance()
@@ -174,7 +174,7 @@ def _cmd_fullrank_check(args) -> tuple[Table, str]:
 SUBCOMMANDS = {
     "unimodular": ("random-parallelepiped unimodularity experiment", [
         ("--seed", dict(type=int, help="master seed")),
-        ("--workers", dict(type=int, help="worker processes")),
+        ("--workers", dict(type=int, default=1, help="worker processes")),
         ("--config", dict(help="JSON config file")),
         ("--n", dict(help="dimensions, e.g. 2 or 1..4 or 1,3")),
         ("--m", dict(help="columns policy: n+1 (default), n, or an integer")),
@@ -239,6 +239,9 @@ def main(argv=None) -> int:
         # keep exit 2 reserved for failed checks; usage errors are operational
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.out:
+            # refuse an unwritable --out before any work; "a" keeps its bytes
+            open(args.out, "a").close()
         table, status = args.func(args)
         text = table.to_csv()
         if args.out:

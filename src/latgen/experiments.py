@@ -20,10 +20,10 @@ bounds B and B1 are stored as str(b), so they read "10", not "10/1").
 writing that back gives the same bytes.  Each kind's rows are a
 namedtuple whose fields are its columns.
 
-The unimodular report ("latgen-reports-v2") records its configuration
-(without the worker count, which does not change the result) and its
-RNG provenance once in the header, one row per shard with that shard's
-counts, and per-dimension summaries (exact values as "p/q" strings).
+The unimodular report ("latgen-reports-v2") records its `ExperimentConfig`
+(the worker count is a run argument, not config) and its RNG provenance
+once in the header, one row per shard with that shard's counts, and
+per-dimension summaries (exact values as "p/q" strings).
 An `ExperimentReport` is its config, n and per-shard counts, and derives
 every summary from them.  `_reports` groups shard rows into reports both
 when the experiment runs and when `parse_reports_csv` reads a report
@@ -44,7 +44,7 @@ import itertools
 import json
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -110,15 +110,25 @@ def cluster_radius(frequencies: Sequence[Fraction]) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The recorded experiment: these six fields are the report header's
+    config, so a header's config reruns the run.  Each field's type and
+    value are checked here, however the config is built."""
+
     n_values: tuple[int, ...] = (1, 2, 3, 4)
     m_policy: str = "n+1"
     C: int = 10**4
     reps: int = 100
     samples: int = 10**4
     seed: int = 0
-    workers: int = field(default=1, compare=False)  # the result does not depend on it
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if key == "n_values":
+                ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
+            else:
+                ok = isinstance(value, str) if key == "m_policy" else _is_int(value)
+            if not ok:
+                raise ValueError(f"config {key} has the wrong type: {value!r}")
         # a JSON list would compare unequal to the same dimensions as a tuple
         object.__setattr__(self, "n_values", tuple(self.n_values))
         if not self.n_values or any(n < 1 for n in self.n_values):
@@ -131,7 +141,7 @@ class ExperimentConfig:
             )
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError(f"n values must be distinct: {list(self.n_values)}")
-        if self.C < 1 or self.reps < 1 or self.samples < 1 or self.workers < 1:
+        if self.C < 1 or self.reps < 1 or self.samples < 1:
             raise ValueError("all counts must be >= 1")
         for n in self.n_values:  # refuse a bad policy before any work
             self.m_for(n)
@@ -155,19 +165,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in obj.items():
-            if key == "n_values":
-                ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
-            elif key == "m_policy":
-                ok = isinstance(value, str)
-            else:
-                ok = _is_int(value)
-            if not ok:
-                raise ValueError(f"config {key} has the wrong type: {value!r}")
         return cls(**obj)
 
 
@@ -276,6 +276,8 @@ def _run_shards(tasks, workers: int) -> list:
 
     The parent imports numpy before the pool forks, so the workers share
     its pages instead of each importing it again."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
@@ -286,21 +288,22 @@ def _run_shards(tasks, workers: int) -> list:
     return [_unimodular_shard(t) for t in tasks]
 
 
-def run_unimodular_experiment(cfg: ExperimentConfig) -> list[ExperimentReport]:
+def run_unimodular_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ExperimentReport]:
     """The random-parallelepiped unimodularity experiment.
 
     For each dimension n: draw `reps` parallelepipeds from [-C, C]^n, for
     each draw `samples` integer n x m matrices with columns uniform in
     the parallelepiped, and record the fraction that generate Z^n.  All
-    shards of all n share one worker pool, largest n (the slowest
-    shards) first.
+    shards of all n share one pool of `workers` processes (at least 1),
+    largest n (the slowest shards) first; the reports do not depend on
+    the worker count.
     """
     tasks = [
         (cfg.seed, n, cfg.m_for(n), cfg.C, cfg.samples, shard)
         for n in sorted(cfg.n_values, reverse=True)
         for shard in range(cfg.reps)
     ]
-    results = _run_shards(tasks, cfg.workers)
+    results = _run_shards(tasks, workers)
     return _reports(cfg, [(task[1], *result) for task, result in zip(tasks, results)])
 
 
@@ -374,11 +377,9 @@ def reports_table(reports: Sequence[ExperimentReport]) -> Table:
     """The unimodular report: the config, RNG provenance and verdict once
     in the header beside per-dimension summaries, one row per shard; ok
     unless some report is out of tolerance."""
-    config = reports[0].config.to_json_dict()
-    del config["workers"]  # the result does not depend on it
     header = {
         "format": REPORTS_FORMAT,
-        "config": config,
+        "config": reports[0].config.to_json_dict(),
         "rng": reports[0].rng,
         "ok": all(r.within_tolerance() is not False for r in reports),
         "summaries": [

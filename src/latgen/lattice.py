@@ -102,11 +102,15 @@ class LatticeBasis:
 
         Entries are JSON integers or strings ("p/q" or decimal), so
         rationals load exactly (``vectors_from_json``);
-        column_major defaults to true.  Any other shape raises ValueError.
+        column_major defaults to true.  Any other key or shape raises
+        ValueError.
         """
         obj = json.loads(text)
         if not isinstance(obj, dict) or "basis" not in obj:
             raise ValueError('lattice JSON must be an object with "n" and "basis"')
+        unknown = set(obj) - {"n", "basis", "column_major"}
+        if unknown:
+            raise ValueError(f"unknown lattice keys: {sorted(unknown)}")
         n = obj.get("n")
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f'lattice "n" must be a JSON integer, not {json.dumps(n)}')

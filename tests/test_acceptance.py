@@ -140,9 +140,8 @@ def test_criterion_05_unimodular_experiment_desk_scale():
         reps=100,
         samples=10**4,
         seed=0,
-        workers=4,
     )
-    reports = run_unimodular_experiment(cfg)
+    reports = run_unimodular_experiment(cfg, workers=4)
     ok = True
     details = []
     for report in reports:

@@ -109,6 +109,11 @@ def test_unimodular_config_file(tmp_path, capsys):
     # explicit flag overrides the file value
     assert header["config"]["samples"] == 80
     assert header["config"]["C"] == 300
+    # a report header's config is a config file that reruns the same bytes
+    path.write_text(json.dumps(header["config"]))
+    rerun = tmp_path / "rerun.csv"
+    assert main(["unimodular", "--config", str(path), "--workers", "2", "--out", str(rerun)]) == 0
+    assert rerun.read_bytes() == out_path.read_bytes()
 
 
 def test_paper_scale_flag(tmp_path, capsys):
@@ -122,8 +127,9 @@ def test_paper_scale_flag(tmp_path, capsys):
     # the preset fills what no flag sets; the explicit flags win
     assert config["C"] == 10**18
     assert (config["n_values"], config["reps"], config["samples"]) == ([2], 1, 5)
-    # the preset and the output file are CLI flags, not config keys
-    for key, value in (("paper_scale", True), ("out", str(out_path))):
+    # the preset, the output file and the worker count are CLI flags, not
+    # config keys
+    for key, value in (("paper_scale", True), ("out", str(out_path)), ("workers", 2)):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({key: value}))
         capsys.readouterr()
@@ -192,7 +198,7 @@ def test_fullrank_subcommand(tmp_path, capsys):
     assert code == 0
 
 
-def test_operational_error_exit_one(tmp_path, capsys):
+def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
     assert main(["unimodular", "--n", "0"]) == 1
     assert main(["coprime", "--n-max", "0"]) == 1
     assert main(["fullrank-check", "--lattice", "/nonexistent.json"]) == 1
@@ -218,6 +224,7 @@ def test_operational_error_exit_one(tmp_path, capsys):
     malformed.append(["unimodular", "--n", "1,1"])  # a repeated dimension
     # more shards than the stream layout holds, refused before any shard runs
     malformed.append(["unimodular", "--reps", "8388609"])
+    malformed.append(["unimodular", "--n", "1", "--reps", "1", "--samples", "1", "--workers", "0"])
     for sub in ("null", "5", "[1, 2]", "[[null]]", "[[true, 0], [0, 2]]", "[[2.0, 0], [0, 2]]"):
         malformed.append(["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", "50"])
     for bound in ("-5", "0", "1/0"):
@@ -306,6 +313,14 @@ def test_operational_error_exit_one(tmp_path, capsys):
             (["fullrank-check", "--lattice", str(lattice)],
              f'lattice basis entry "{text}" is not a rational number'),
         ]
+    # a misspelled key would load the transpose of the meant lattice
+    typo = tmp_path / "typo.json"
+    typo.write_text('{"n": 2, "basis": [["1", "1"], ["0", "1"]], "colum_major": false}')
+    empty += [
+        (["fullrank-check", "--lattice", str(typo)], "unknown lattice keys: ['colum_major']"),
+        (["tv-check", "--lattice", str(typo), "--sub", sub, "--B1", "50"],
+         "unknown lattice keys: ['colum_major']"),
+    ]
     for argv, line in empty:
         assert main(argv) == 1, argv
         assert capsys.readouterr().err == f"error: {line}\n", argv
@@ -317,6 +332,28 @@ def test_operational_error_exit_one(tmp_path, capsys):
     # usage errors are operational too; --help stays a success
     assert main(["no-such-command"]) == 1
     assert main(["--help"]) == 0
+    # an --out that cannot be opened is refused before any work
+    def no_run(*args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("latgen.cli.run_unimodular_experiment", no_run)
+    missing = str(tmp_path / "missing" / "out.csv")
+    for argv in (["unimodular", "--n", "2"], ["coprime", "--n-max", "20"]):
+        capsys.readouterr()
+        assert main([*argv, "--out", missing]) == 1, argv
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        ), argv
+    # a run that fails after the check leaves an existing --out as it was
+    def failing(*args):
+        raise ValueError("failed")
+
+    monkeypatch.setattr("latgen.cli.run_unimodular_experiment", failing)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    assert main(["unimodular", "--n", "2", "--out", str(kept)]) == 1
+    assert capsys.readouterr().err == "error: failed\n"
+    assert kept.read_text() == "earlier output\n"
 
 
 def _round_trip(text: str, kind: str) -> Table:

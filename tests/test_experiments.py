@@ -92,6 +92,10 @@ def test_config_json_round_trip():
     assert again == cfg
     with pytest.raises(ValueError, match="unknown"):
         ExperimentConfig.from_json_dict({"bogus": 1})
+    # the constructor checks each field's type, not only the JSON path
+    for bad in ({"seed": 1.5}, {"n_values": (2.5,)}, {"m_policy": 5}, {"C": True}):
+        with pytest.raises(ValueError, match="wrong type"):
+            ExperimentConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +144,7 @@ def test_unimodular_deterministic_and_worker_invariant():
     one = run_unimodular_experiment(SMALL)
     again = run_unimodular_experiment(SMALL)
     assert reports_to_csv(one) == reports_to_csv(again)
-    multi = run_unimodular_experiment(
-        ExperimentConfig(**{**SMALL.to_json_dict(), "workers": 3})
-    )
+    multi = run_unimodular_experiment(SMALL, workers=3)
     assert multi == one
     assert reports_to_csv(multi) == reports_to_csv(one)
 
@@ -166,10 +168,10 @@ def test_pool_sized_by_shards(monkeypatch):
             return map(func, tasks)
 
     monkeypatch.setattr("multiprocessing.Pool", SerialPool)
-    cfg = ExperimentConfig(n_values=(2,), reps=2, samples=50, C=100, seed=3, workers=8)
-    pooled = run_unimodular_experiment(cfg)
+    cfg = ExperimentConfig(n_values=(2,), reps=2, samples=50, C=100, seed=3)
+    pooled = run_unimodular_experiment(cfg, workers=8)
     assert sizes == [2]
-    serial = run_unimodular_experiment(ExperimentConfig(**{**cfg.to_json_dict(), "workers": 1}))
+    serial = run_unimodular_experiment(cfg, workers=1)
     assert sizes == [2]
     assert pooled == serial
 
