@@ -4,16 +4,18 @@ Subcommands: unimodular, coprime, bounds-table, lemma-verify, tv-check,
 fullrank-check.  `SUBCOMMANDS` lists each one with its help text and
 flags; its handler `_cmd_<name>` (dashes as underscores) only computes
 the result `Table` and a status text.  `main` refuses an --out it cannot
-open before the handler runs, then writes every table the same way: CSV
-(with a JSON header line) to --out or stdout, the status to stderr.  Exit
-codes: 0 when every check passes, 2 when a check fails, 1 on operational
-errors (bad arguments, sampler faults, unreadable files).
+open before the handler runs (and removes it again on exit 1 if that
+check created it), then writes every table the same way: CSV (with a
+JSON header line) to --out or stdout, the status to stderr.  Exit codes:
+0 when every check passes, 2 when a check fails, 1 on operational errors
+(bad arguments, sampler faults, unreadable files).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -238,10 +240,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # keep exit 2 reserved for failed checks; usage errors are operational
         return 0 if exc.code in (0, None) else 1
+    created = False
     try:
         if args.out:
             # refuse an unwritable --out before any work; "a" keeps its bytes
+            existed = os.path.exists(args.out)
             open(args.out, "a").close()
+            created = not existed
         table, status = args.func(args)
         text = table.to_csv()
         if args.out:
@@ -249,11 +254,12 @@ def main(argv=None) -> int:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-    except SamplerError as exc:
-        print(f"sampler error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SamplerError, ValueError, ArithmeticError, OSError) as exc:
+        kind = "sampler error" if isinstance(exc, SamplerError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        if created:
+            # a failed run leaves no file that the probe made
+            os.remove(args.out)
         return 1
     print(status, file=sys.stderr)
     return 0 if table.ok else 2

@@ -30,10 +30,6 @@ are the integer points of the parallelotope G [0, 1)^n with G = L R^-1.
 Enumeration and the window sampler decide membership on the same R and L
 in integer arithmetic.  A parallelepiped needs no cell: it is sampled
 through its Smith form (``sampling.Parallelepiped``).
-
-Only ``covering_radius_estimate`` uses numpy, and it imports numpy when
-called, so importing this module (as every latgen subcommand does) does
-not load it.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from .exactmat import _scaled_inverse
 
 _ENUM_GUARD = 10**7
 _BOX_GUARD = 5 * 10**7
-_INT64_GUARD = 1 << 62
 
 
 def vectors_from_json(value, what: str) -> list[list[Fraction]]:
@@ -231,6 +226,35 @@ def covering_radius_upper(lattice: LatticeBasis) -> Fraction:
     return Fraction(1, 2) * n_power * lattice.det / lam_power
 
 
+def _ellipsoid_rows(gram: list[list[int]], bound: int):
+    """The integer points w with w G w <= bound (G an integer positive
+    definite Gram matrix), one row at a time: yields (outer, ts) for each
+    outer point w_1..w_(n-1) over which the ellipsoid holds a point, ts the
+    range of the last coordinates t with Q(outer, t) <= bound.
+
+    With a = G_nn and b = the sum of G_nj w_j, Q(outer, t) = a t^2 + 2 b t
+    + Q(outer, 0), so the t range is a root pair solved with ``isqrt``.
+    Its discriminant is a * bound - H(outer), H = a G' - g g^T the integer
+    Schur complement of a (G' = G without row and column n, g = the rest
+    of row n), so the outer points are exactly those of the ellipsoid
+    H <= a * bound, walked the same way.
+    """
+    n = len(gram)
+    a = gram[-1][-1]
+    g = gram[-1][:-1]
+    if n == 1:
+        outers = [()]
+    else:
+        schur = [[a * x - gi * gj for x, gj in zip(row, g)] for row, gi in zip(gram, g)]
+        outers = (
+            (*head, t) for head, ts in _ellipsoid_rows(schur, a * bound) for t in ts
+        )
+    for outer in outers:
+        b = sum(map(mul, g, outer))
+        root = isqrt(a * bound - a * _quadform(gram, [*outer, 0]) + b * b)
+        yield outer, range(-((b + root) // a), (root - b) // a + 1)
+
+
 def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fraction:
     """Grid under-estimate of the covering radius (n <= 3 only).
 
@@ -239,16 +263,17 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
     so the value never exceeds the true covering radius and converges to
     it from below as the resolution grows.
 
-    All res^n grid points are searched at once.  In units of 1/(scale *
-    res), grid point g lies at w0 = g - res * round(g / res) from its
-    rounded lattice point and at w0 - res * o from the one o further on.
-    One box of offsets o, sized from the largest starting distance, holds
-    every lattice point that can be nearest to any grid point, so the
-    minimum over it is the exact distance.  The squared distances are
-    integers, kept in int64 only when a bound on their size rules out
-    overflow and in Python integers (object arrays) otherwise.
+    In units of 1/(scale * res), the lattice points lie at the vectors w
+    with every w_i divisible by res, so the squared distance from grid
+    point g to its nearest lattice point is the least Q(w) = w G w over
+    the integer vectors w = g (mod res), G the integer Gram matrix.  Each
+    class has a centred representative in the box [-(res // 2),
+    (res - 1) // 2]^n, and Q is convex, so Q is at most its largest corner
+    value ``bound`` on the whole box: the box lies inside the ellipsoid
+    Q <= bound, and so does each class's minimum.  One walk over the
+    integer points of that ellipsoid (``_ellipsoid_rows``), keeping the
+    least Q per class, therefore finds every distance exactly.
     """
-    import numpy as np
     n = lattice.dim
     if n > 3:
         raise ValueError("grid estimate supported only for n <= 3")
@@ -256,27 +281,23 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
         raise ValueError("resolution must be >= 1")
     res = grid_resolution
     gram = _int_gram(lattice._scaled_rows)
-    qq_res = (lattice._scale * res) ** 2
-    # each w0_i ranges over the integers of [-(res // 2), (res - 1) // 2];
-    # the quadratic form is convex, so its maximum there sits at a corner
     corners = itertools.product((-(res // 2), (res - 1) // 2), repeat=n)
-    start_max = max(_quadform(gram, list(c)) for c in corners)
-    radii = lattice._coordinate_radii(Fraction(start_max, qq_res))
-    # |w_i| < res * (r_i + 1) = w_bound, so no partial sum of w G w
-    # reaches n^2 * max|G| * w_bound^2
-    w_bound = res * (max(radii) + 1)
-    g_max = max(abs(x) for row in gram for x in row)
-    exact_int64 = n * n * g_max * w_bound * w_bound < _INT64_GUARD
-    dtype = np.int64 if exact_int64 else object
-    g = np.indices((res,) * n).reshape(n, -1).T
-    w0 = (g - res * (2 * g >= res)).astype(dtype)
-    gram_np = np.array(gram, dtype=dtype)
-    best = None
-    for offs in itertools.product(*(range(-r, r + 1) for r in radii)):
-        w = w0 - res * np.array(offs, dtype=dtype)
-        dist = ((w @ gram_np) * w).sum(axis=1)
-        best = dist if best is None else np.minimum(best, dist)
-    max_dist_sq = Fraction(int(best.max()), qq_res)
+    bound = max(_quadform(gram, list(c)) for c in corners)
+    a = gram[-1][-1]
+    least = [bound] * res**n
+    for outer, ts in _ellipsoid_rows(gram, bound):
+        b = sum(map(mul, gram[-1], outer))
+        rest = _quadform(gram, [*outer, 0])
+        base = 0
+        for x in outer:
+            base = base * res + x % res
+        base *= res
+        for t in ts:
+            key = base + t % res
+            q = (a * t + 2 * b) * t + rest
+            if q < least[key]:
+                least[key] = q
+    max_dist_sq = Fraction(max(least), (lattice._scale * res) ** 2)
     return sqrt_enclosure(max_dist_sq, 25).lo
 
 

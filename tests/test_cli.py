@@ -354,6 +354,12 @@ def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
     assert main(["unimodular", "--n", "2", "--out", str(kept)]) == 1
     assert capsys.readouterr().err == "error: failed\n"
     assert kept.read_text() == "earlier output\n"
+    # and removes an --out that the check itself created
+    monkeypatch.undo()
+    fresh = tmp_path / "new.csv"
+    assert main(["unimodular", "--n", "2", "--workers", "0", "--out", str(fresh)]) == 1
+    assert capsys.readouterr().err == "error: workers must be >= 1, not 0\n"
+    assert not fresh.exists()
 
 
 def _round_trip(text: str, kind: str) -> Table:
@@ -574,7 +580,7 @@ def _probe_imports(stage, argv, tmp_path):
     ("main", ["bounds-table", "--n-max", "3"], False),
     ("main", ["tv-check"], False),
     ("main", ["fullrank-check", "--trials", "10"], False),
-    ("main", ["lemma-verify"], True),
+    ("main", ["lemma-verify"], False),
     ("main", ["unimodular", "--n", "2", "--reps", "2", "--samples", "5", "--workers", "1"], True),
 ])
 def test_only_the_subcommands_that_need_numpy_load_it(stage, argv, numpy_loaded, tmp_path):

@@ -20,6 +20,7 @@ from latgen.exactmat import unimodular_columns
 from latgen.experiments import default_lemma_instances
 from latgen.lattice import (
     LatticeBasis,
+    _ellipsoid_rows,
     _int_gram,
     _quadform,
     count_in_hyperplane,
@@ -174,11 +175,47 @@ def test_covering_radius_estimate_matches_scalar_on_random_bases(n, resolutions)
 def test_covering_radius_estimate_large_entries_match_scalar():
     basis = lat([10**12, 3], [Fraction(1, 7), 10**12 + 9])
     gram = _int_gram(basis._scaled_rows)
-    # squared distances pass 2^62 here, so the search runs on Python integers
+    # squared distances pass 2^62 here, far outside any fixed-width integer
     assert max(abs(x) for row in gram for x in row) > 2**62
     for res in (4, 9):
         fast = covering_radius_estimate(basis, res)
         assert fast == covering_radius_estimate_scalar(basis, res)
+
+
+@pytest.mark.parametrize("columns,resolutions,scalar_resolutions", [
+    ([[1, 0], [37, 1]], (3, 4, 8), (3,)),
+    ([[1, 0, 0], [13, 1, 0], [7, 29, 1]], (2, 3), ()),
+])
+def test_covering_radius_estimate_skewed_bases_match_scalar(
+    columns, resolutions, scalar_resolutions
+):
+    # both bases span Z^n, but the ellipsoid Q <= bound around their grid
+    # box holds hundreds of times as many points as the box.  A unimodular
+    # change of basis only permutes the grid classes g mod res, so the
+    # estimate must equal the scalar search on the standard basis; where
+    # the scalar search on the skewed basis itself is affordable, it too
+    basis = lat(*columns)
+    n = basis.dim
+    standard = lat(*([int(i == j) for i in range(n)] for j in range(n)))
+    for res in resolutions:
+        fast = covering_radius_estimate(basis, res)
+        assert fast == covering_radius_estimate_scalar(standard, res), res
+    for res in scalar_resolutions:
+        fast = covering_radius_estimate(basis, res)
+        assert fast == covering_radius_estimate_scalar(basis, res), res
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ellipsoid_rows_match_a_box_scan(n):
+    rng = random.Random(2000 + n)
+    for _ in range(4):
+        basis = random_rational_basis(rng, n)
+        gram = _int_gram(basis._scaled_rows)
+        bound = rng.randint(0, 4 * max(row[i] for i, row in enumerate(gram)))
+        walked = [(*outer, t) for outer, ts in _ellipsoid_rows(gram, bound) for t in ts]
+        radii = basis._coordinate_radii(Fraction(bound, basis._scale**2))
+        box = itertools.product(*(range(-r, r + 1) for r in radii))
+        assert walked == [w for w in box if _quadform(gram, list(w)) <= bound]
 
 
 # ---------------------------------------------------------------------------
