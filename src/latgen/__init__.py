@@ -19,8 +19,7 @@ Library layout:
 * ``experiments``-- the Monte Carlo harness and CSV reports behind the
                     ``latgen`` CLI
 
-numpy is imported only by the functions that run on it: the covering-
-radius grid search (``latgen lemma-verify``) and the coset sampler's
+numpy is imported only by the code that runs on it, the coset sampler's
 int64 engine (``latgen unimodular``).  A worker pool's parent imports it,
 and ``multiprocessing``, just before forking, so the workers share it.
 """

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .bounds import PRECISION
@@ -60,8 +61,17 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag} {text!r} is not a rational number such as 8 or 7/2") from None
 
 
+@contextmanager
+def _json_from(source: str):
+    """Name ``source`` (a flag, and the file it read) in a JSON decode error."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not JSON: {exc}") from None
+
+
 def _load_lattice(path: str) -> LatticeBasis:
-    with open(path) as handle:
+    with open(path) as handle, _json_from(f"--lattice {path}"):
         return LatticeBasis.from_json(handle.read())
 
 
@@ -72,7 +82,7 @@ PAPER_SCALE_DEFAULTS = {"reps": 1000, "C": 10**18, "n_values": tuple(range(1, 16
 def _experiment_config(args) -> ExperimentConfig:
     settings: dict = {}
     if args.config is not None:
-        with open(args.config) as handle:
+        with open(args.config) as handle, _json_from(f"--config {args.config}"):
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
@@ -140,10 +150,8 @@ def _cmd_tv_check(args) -> tuple[Table, str]:
         if None in custom:
             raise ValueError("custom tv-check needs --lattice, --sub and --B1")
         lattice = _load_lattice(args.lattice)
-        try:
+        with _json_from("--sub"):
             sub = vectors_from_json(json.loads(args.sub), "--sub")
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--sub is not JSON: {exc}") from None
         table = run_tv_suite([("custom", lattice, sub, _fraction(args.B1, "--B1"))])
     else:
         table = run_tv_suite()

@@ -14,13 +14,17 @@ vectors are converted to coordinates only at the edges, by
 Everything is exact, and the covering-radius machinery only ever
 produces one-sided bounds (a certified upper bound from the closed form,
 a grid under-estimate for the lower side of the window-count bracket),
-since the exact covering radius is never needed.
+since the exact covering radius is never needed.  Both search short
+vectors the same way: one walk over the integer points of an ellipsoid
+w G w <= bound, G the integer Gram matrix (``_ellipsoid_rows``), finds
+the shortest vector the closed form needs and each grid point's nearest
+lattice point.
 
 A basis B is held as the integer matrix S = q B (q the least common
 denominator of its entries) together with |det S| and the integer matrix
 T = |det S| S^-1, both from one fraction-free elimination; coordinates
-(which refuse vectors outside the lattice) and the inverse rows used to
-size search boxes are integer arithmetic on these.
+(which refuse vectors outside the lattice) and the rows of B^-1 that box
+a window's coordinates are integer arithmetic on these.
 
 A window [0, B)^n, n the lattice's dimension, is passed as its bound B
 (an int or Fraction; B <= 0 raises).  In basis coordinates it is one
@@ -47,6 +51,7 @@ from .exactmat import _scaled_inverse
 
 _ENUM_GUARD = 10**7
 _BOX_GUARD = 5 * 10**7
+_WALK_GUARD = 2 * 10**6
 
 
 def vectors_from_json(value, what: str) -> list[list[Fraction]]:
@@ -150,38 +155,27 @@ class LatticeBasis:
     @property
     def lambda1_sq(self) -> Fraction:
         """Exact squared length of a shortest nonzero vector, searched
-        afresh on each read (``nu_upper``, its one reader, is cached)."""
-        n = self.dim
-        gram = _int_gram(self._scaled_rows)
-        qq = self._scale * self._scale
-        # initial bound: the shortest basis column
-        best = min(
-            Fraction(_quadform(gram, [int(i == j) for i in range(n)]), qq)
-            for j in range(n)
-        )
-        radii = self._coordinate_radii(best)
-        box = 1
-        for r in radii:
-            box *= 2 * r + 1
-        if box > 2 * 10**6:
-            raise ValueError(f"shortest-vector search box too large ({box})")
-        for c in itertools.product(*(range(-r, r + 1) for r in radii)):
-            if not any(c):
-                continue
-            value = Fraction(_quadform(gram, list(c)), qq)
-            if value < best:
-                best = value
-        return best
+        afresh on each read (``nu_upper``, its one reader, is cached).
 
-    def _coordinate_radii(self, norm_sq_bound: Fraction) -> list[int]:
-        """Integer radii r_i with |c_i| <= r_i for every lattice vector of
-        squared norm <= norm_sq_bound (via rows of the inverse basis
-        B^-1 = scale * T / |det S|)."""
-        factor = Fraction(self._scale**2, self._scaled_det**2) * norm_sq_bound
-        return [
-            isqrt(ceil(sum(t * t for t in row) * factor)) + 1
-            for row in self._adjugate
-        ]
+        The shortest basis column has Q = min diag(G), G the integer Gram
+        matrix of the scaled basis, so a shortest vector lies in the
+        ellipsoid Q <= min diag(G): lambda1^2 is the least nonzero Q of its
+        walk (``_ellipsoid_rows``), over scale^2.  Raises ValueError before
+        walking when ``_walk_size`` exceeds 2 * 10^6.
+        """
+        gram = _int_gram(self._scaled_rows)
+        chain = _schur_chain(gram, min(row[i] for i, row in enumerate(gram)))
+        size = _walk_size(chain)
+        if size > _WALK_GUARD:
+            raise ValueError(f"shortest-vector search too large ({size})")
+        a = gram[-1][-1]
+        least = min(
+            (a * t + 2 * b) * t + rest
+            for outer, ts, b, rest in _ellipsoid_rows(chain)
+            for t in ts
+            if t or any(outer)
+        )
+        return Fraction(least, self._scale**2)
 
     def __repr__(self) -> str:
         return f"LatticeBasis({[[str(e) for e in col] for col in self.columns]!r})"
@@ -226,33 +220,68 @@ def covering_radius_upper(lattice: LatticeBasis) -> Fraction:
     return Fraction(1, 2) * n_power * lattice.det / lam_power
 
 
-def _ellipsoid_rows(gram: list[list[int]], bound: int):
-    """The integer points w with w G w <= bound (G an integer positive
-    definite Gram matrix), one row at a time: yields (outer, ts) for each
-    outer point w_1..w_(n-1) over which the ellipsoid holds a point, ts the
-    range of the last coordinates t with Q(outer, t) <= bound.
+def _schur_chain(gram: list[list[int]], bound: int) -> list[tuple[list[list[int]], int]]:
+    """The levels of the walk over the integer points w with w G w <= bound
+    (G an integer positive definite Gram matrix): [(G, bound), (H, a *
+    bound), ...] down to a 1 x 1 matrix, each H = a G' - g g^T the integer
+    Schur complement of the last pivot a = G_nn of the level before it
+    (G' = G without row and column n, g = the rest of row n)."""
+    chain = [(gram, bound)]
+    while len(gram) > 1:
+        a, g = gram[-1][-1], gram[-1][:-1]
+        gram = [[a * x - gi * gj for x, gj in zip(row, g)] for row, gi in zip(gram, g)]
+        bound *= a
+        chain.append((gram, bound))
+    return chain
 
-    With a = G_nn and b = the sum of G_nj w_j, Q(outer, t) = a t^2 + 2 b t
-    + Q(outer, 0), so the t range is a root pair solved with ``isqrt``.
-    Its discriminant is a * bound - H(outer), H = a G' - g g^T the integer
-    Schur complement of a (G' = G without row and column n, g = the rest
-    of row n), so the outer points are exactly those of the ellipsoid
-    H <= a * bound, walked the same way.
+
+def _walk_size(chain: list[tuple[list[list[int]], int]]) -> int:
+    """The product over the levels of c = 2 isqrt(beta // a) + 3, beta the
+    level's bound and a its last pivot: a bound on the rows and points
+    ``_ellipsoid_rows(chain)`` visits, found before any of them is.
+
+    Over an outer point w, a level's row holds the t with a t^2 + 2 b t +
+    Q(w, 0) <= beta, that is (a t + b)^2 <= a beta - H(w) <= a beta, since
+    the next level's H(w) = a Q(w, 0) - b^2 is >= 0.  So t lies in an
+    interval of length 2 sqrt(beta / a) < 2 (m + 1), m = isqrt(beta // a)
+    (as beta / a < beta // a + 1 <= (m + 1)^2), which holds at most
+    2 m + 2 = c - 1 integers.  The innermost level has one row, over the
+    empty point, and each point of a level is one row of the level outside
+    it, so the k-th level from the inside holds at most
+    D_k = (c_1 - 1) ... (c_k - 1) points.  The walk visits that one row
+    and the points of every level (the other rows being those points), at
+    most 1 + D_1 + ... + D_n: some of the nonnegative terms of the
+    expanded product (1 + (c_1 - 1)) ... (1 + (c_n - 1)).
     """
-    n = len(gram)
-    a = gram[-1][-1]
-    g = gram[-1][:-1]
-    if n == 1:
-        outers = [()]
-    else:
-        schur = [[a * x - gi * gj for x, gj in zip(row, g)] for row, gi in zip(gram, g)]
-        outers = (
-            (*head, t) for head, ts in _ellipsoid_rows(schur, a * bound) for t in ts
-        )
+    size = 1
+    for gram, bound in chain:
+        size *= 2 * isqrt(bound // gram[-1][-1]) + 3
+    return size
+
+
+def _ellipsoid_rows(chain: list[tuple[list[list[int]], int]]):
+    """The integer points w with w G w <= bound, (G, bound) = chain[0] and
+    chain from ``_schur_chain``, one row at a time: yields (outer, ts, b,
+    rest) for each integer outer point w_1..w_(n-1) whose line of last
+    coordinates meets the ellipsoid, with Q(outer, t) = (a t + 2 b) t + rest for a = G_nn, b = the
+    sum of G_nj w_j and rest = Q(outer, 0), and ts the range of the last
+    coordinates t with Q(outer, t) <= bound.
+
+    The t range is a root pair solved with ``isqrt``.  Its discriminant
+    is a * bound - H(outer), H the next level's Schur complement, so the
+    outer points are exactly those of the ellipsoid H <= a * bound,
+    walked the same way.
+    """
+    (gram, bound), inner = chain[0], chain[1:]
+    a, g = gram[-1][-1], gram[-1][:-1]
+    outers = [()]
+    if inner:
+        outers = ((*head, t) for head, ts, _, _ in _ellipsoid_rows(inner) for t in ts)
     for outer in outers:
         b = sum(map(mul, g, outer))
-        root = isqrt(a * bound - a * _quadform(gram, [*outer, 0]) + b * b)
-        yield outer, range(-((b + root) // a), (root - b) // a + 1)
+        rest = _quadform(gram, [*outer, 0])
+        root = isqrt(a * (bound - rest) + b * b)
+        yield outer, range(-((b + root) // a), (root - b) // a + 1), b, rest
 
 
 def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fraction:
@@ -285,9 +314,7 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
     bound = max(_quadform(gram, list(c)) for c in corners)
     a = gram[-1][-1]
     least = [bound] * res**n
-    for outer, ts in _ellipsoid_rows(gram, bound):
-        b = sum(map(mul, gram[-1], outer))
-        rest = _quadform(gram, [*outer, 0])
+    for outer, ts, b, rest in _ellipsoid_rows(_schur_chain(gram, bound)):
         base = 0
         for x in outer:
             base = base * res + x % res

@@ -9,13 +9,17 @@ and the totient summatory carries the coprime pair counts.
 and ``zeta_hat`` encloses the infinite product the ideal probabilities
 decrease to.
 ``lattice_point`` maps the integer basis coordinates the library returns
-to rational points, ``parallelepiped_cell`` gives a parallelepiped's
+to rational points, ``lambda1_sq_by_box`` finds a shortest lattice
+vector by scanning the coefficient box ``coordinate_radii`` gives,
+``parallelepiped_cell`` gives a parallelepiped's
 integer points as a half-open cell, independent of the Smith form the
 coset sampler uses, and ``box_rejection_sample`` samples a half-open
 cell by rejection from its bounding box.
 """
 
+import itertools
 from fractions import Fraction
+from math import floor, isqrt, lcm, prod
 
 from latgen.bounds import totients, zeta_inv
 from latgen.enclosure import Enclosure
@@ -120,6 +124,34 @@ def lattice_point(columns, coords):
     for col, c in zip(columns, coords):
         point = [p + c * Fraction(e) for p, e in zip(point, col)]
     return tuple(point)
+
+
+def coordinate_radii(gram, bound):
+    """Radii r_i with |c_i| <= r_i for every integer vector c with
+    c G c <= bound, G a positive definite Gram matrix: by Cauchy-Schwarz
+    in the inner product G, c_i^2 <= bound * (G^-1)_ii, over the exact
+    inverse."""
+    inverse = fraction_inverse(gram)
+    return [isqrt(floor(bound * inverse[i][i])) for i in range(len(gram))]
+
+
+def lambda1_sq_by_box(columns, max_box=2 * 10**6):
+    """Squared length of a shortest nonzero vector of the lattice with the
+    given rational basis columns, by scanning every coefficient vector in
+    the ``coordinate_radii`` box of the shortest column's squared length;
+    None when that box holds more than ``max_box`` points."""
+    columns = [[Fraction(e) for e in col] for col in columns]
+    scale = lcm(*(e.denominator for col in columns for e in col))
+    scaled = [[int(e * scale) for e in col] for col in columns]
+    gram = [[sum(map(int.__mul__, u, v)) for v in scaled] for u in scaled]
+    best = min(gram[i][i] for i in range(len(gram)))
+    radii = coordinate_radii(gram, best)
+    if prod(2 * r + 1 for r in radii) > max_box:
+        return None
+    for c in itertools.product(*(range(-r, r + 1) for r in radii)):
+        if any(c):
+            best = min(best, sum(x * y * e for x, row in zip(c, gram) for y, e in zip(c, row)))
+    return Fraction(best, scale * scale)
 
 
 def generation_prob_bruteforce(group, t: int) -> Fraction:

@@ -321,6 +321,18 @@ def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
         (["tv-check", "--lattice", str(typo), "--sub", sub, "--B1", "50"],
          "unknown lattice keys: ['colum_major']"),
     ]
+    # malformed JSON in a file names the flag and the path it came from
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    not_json = (
+        "is not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+    empty += [
+        (["unimodular", "--config", str(broken)], f"--config {broken} {not_json}"),
+        (["fullrank-check", "--lattice", str(broken)], f"--lattice {broken} {not_json}"),
+        (["tv-check", "--lattice", str(broken), "--sub", sub, "--B1", "50"],
+         f"--lattice {broken} {not_json}"),
+    ]
     for argv, line in empty:
         assert main(argv) == 1, argv
         assert capsys.readouterr().err == f"error: {line}\n", argv

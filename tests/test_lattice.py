@@ -15,6 +15,7 @@ from math import ceil, floor, isqrt
 
 import pytest
 
+from latgen import lattice as lattice_module
 from latgen.enclosure import sqrt_enclosure
 from latgen.exactmat import unimodular_columns
 from latgen.experiments import default_lemma_instances
@@ -23,6 +24,8 @@ from latgen.lattice import (
     _ellipsoid_rows,
     _int_gram,
     _quadform,
+    _schur_chain,
+    _walk_size,
     count_in_hyperplane,
     covering_radius_estimate,
     covering_radius_upper,
@@ -30,7 +33,14 @@ from latgen.lattice import (
     lemma1_bounds,
     lemma2_count_bound,
 )
-from oracles import fraction_det, fraction_inverse, lattice_point, rank_of_rows
+from oracles import (
+    coordinate_radii,
+    fraction_det,
+    fraction_inverse,
+    lambda1_sq_by_box,
+    lattice_point,
+    rank_of_rows,
+)
 
 
 def lat(*columns):
@@ -212,10 +222,13 @@ def test_ellipsoid_rows_match_a_box_scan(n):
         basis = random_rational_basis(rng, n)
         gram = _int_gram(basis._scaled_rows)
         bound = rng.randint(0, 4 * max(row[i] for i, row in enumerate(gram)))
-        walked = [(*outer, t) for outer, ts in _ellipsoid_rows(gram, bound) for t in ts]
-        radii = basis._coordinate_radii(Fraction(bound, basis._scale**2))
+        chain = _schur_chain(gram, bound)
+        rows = list(_ellipsoid_rows(chain))
+        walked = [(*outer, t) for outer, ts, _, _ in rows for t in ts]
+        radii = coordinate_radii(gram, bound)
         box = itertools.product(*(range(-r, r + 1) for r in radii))
         assert walked == [w for w in box if _quadform(gram, list(w)) <= bound]
+        assert _walk_size(chain) >= len(rows) + len(walked)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +242,45 @@ def test_lambda1_examples():
     assert lat([2, 0], [0, 3]).lambda1_sq == 4
     assert SKEW.lambda1_sq == 1
     assert lat([Fraction(1, 2), 0], [0, 5]).lambda1_sq == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("n,count", [(1, 40), (2, 40), (3, 40), (4, 12)])
+def test_lambda1_matches_the_box_oracle(n, count):
+    rng = random.Random(3000 + n)
+    compared = 0
+    for _ in range(count):
+        basis = random_rational_basis(rng, n)
+        expected = lambda1_sq_by_box(basis.columns)
+        if expected is not None:
+            assert basis.lambda1_sq == expected, basis
+            compared += 1
+    assert compared >= count - 2
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[1, 0, 0], [0, 1, 0], [500, 700, 1]],
+        [[1, 0, 0], [13, 1, 0], [7, 29, 1]],
+        [[1, 0], [37, 1]],
+        [[1, 0, 0, 0], [3, 1, 0, 0], [5, 7, 1, 0], [11, 13, 17, 1]],
+    ],
+)
+def test_lambda1_of_skewed_bases_of_z_n(columns):
+    # each spans Z^n, but its coordinate box around the shortest column
+    # holds up to millions of points; the ellipsoid walk visits few
+    assert lat(*columns).lambda1_sq == 1
+
+
+def test_lambda1_refuses_a_walk_too_large_before_walking(monkeypatch):
+    # det 1 with columns of length 10^6: the walk would visit about
+    # 3 * 10^12 points, and its size bound says so up front
+    def no_walk(chain):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(lattice_module, "_ellipsoid_rows", no_walk)
+    with pytest.raises(ValueError, match=r"too large \(6000006000015\)"):
+        lat([10**6, 1], [10**6 + 1, 1]).lambda1_sq
 
 
 def test_lambda1_matches_window_minimum():
