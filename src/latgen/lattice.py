@@ -18,7 +18,9 @@ since the exact covering radius is never needed.  Both search short
 vectors the same way: one walk over the integer points of an ellipsoid
 w G w <= bound, G the integer Gram matrix (``_ellipsoid_rows``), finds
 the shortest vector the closed form needs and each grid point's nearest
-lattice point.
+lattice point.  No search has a dimension limit: each refuses by a bound
+on its own work, every walk in ``_schur_chain`` and window enumeration in
+``enumerate_window``.
 
 A basis B is held as the integer matrix S = q B (q the least common
 denominator of its entries) together with |det S| and the integer matrix
@@ -42,7 +44,7 @@ import itertools
 import json
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor, isqrt, lcm, prod
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -160,14 +162,11 @@ class LatticeBasis:
         The shortest basis column has Q = min diag(G), G the integer Gram
         matrix of the scaled basis, so a shortest vector lies in the
         ellipsoid Q <= min diag(G): lambda1^2 is the least nonzero Q of its
-        walk (``_ellipsoid_rows``), over scale^2.  Raises ValueError before
-        walking when ``_walk_size`` exceeds 2 * 10^6.
+        walk (``_ellipsoid_rows``), over scale^2; ``_schur_chain`` refuses
+        a walk too large before it starts.
         """
         gram = _int_gram(self._scaled_rows)
         chain = _schur_chain(gram, min(row[i] for i, row in enumerate(gram)))
-        size = _walk_size(chain)
-        if size > _WALK_GUARD:
-            raise ValueError(f"shortest-vector search too large ({size})")
         a = gram[-1][-1]
         least = min(
             (a * t + 2 * b) * t + rest
@@ -225,20 +224,24 @@ def _schur_chain(gram: list[list[int]], bound: int) -> list[tuple[list[list[int]
     (G an integer positive definite Gram matrix): [(G, bound), (H, a *
     bound), ...] down to a 1 x 1 matrix, each H = a G' - g g^T the integer
     Schur complement of the last pivot a = G_nn of the level before it
-    (G' = G without row and column n, g = the rest of row n)."""
+    (G' = G without row and column n, g = the rest of row n).  The one
+    walk guard: raises ValueError when ``_walk_size`` exceeds 2 * 10^6."""
     chain = [(gram, bound)]
     while len(gram) > 1:
         a, g = gram[-1][-1], gram[-1][:-1]
         gram = [[a * x - gi * gj for x, gj in zip(row, g)] for row, gi in zip(gram, g)]
         bound *= a
         chain.append((gram, bound))
+    size = _walk_size(chain)
+    if size > _WALK_GUARD:
+        raise ValueError(f"ellipsoid walk too large ({size})")
     return chain
 
 
 def _walk_size(chain: list[tuple[list[list[int]], int]]) -> int:
     """The product over the levels of c = 2 isqrt(beta // a) + 3, beta the
     level's bound and a its last pivot: a bound on the rows and points
-    ``_ellipsoid_rows(chain)`` visits, found before any of them is.
+    ``_ellipsoid_rows(chain)`` visits, which ``_schur_chain`` checks first.
 
     Over an outer point w, a level's row holds the t with a t^2 + 2 b t +
     Q(w, 0) <= beta, that is (a t + b)^2 <= a beta - H(w) <= a beta, since
@@ -253,10 +256,7 @@ def _walk_size(chain: list[tuple[list[list[int]], int]]) -> int:
     most 1 + D_1 + ... + D_n: some of the nonnegative terms of the
     expanded product (1 + (c_1 - 1)) ... (1 + (c_n - 1)).
     """
-    size = 1
-    for gram, bound in chain:
-        size *= 2 * isqrt(bound // gram[-1][-1]) + 3
-    return size
+    return prod(2 * isqrt(bound // gram[-1][-1]) + 3 for gram, bound in chain)
 
 
 def _ellipsoid_rows(chain: list[tuple[list[list[int]], int]]):
@@ -285,7 +285,7 @@ def _ellipsoid_rows(chain: list[tuple[list[list[int]], int]]):
 
 
 def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fraction:
-    """Grid under-estimate of the covering radius (n <= 3 only).
+    """Grid under-estimate of the covering radius, in any dimension.
 
     Takes the farthest grid point of a fundamental domain from the
     lattice; distances are exact and the final square root rounds down,
@@ -301,20 +301,20 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
     value ``bound`` on the whole box: the box lies inside the ellipsoid
     Q <= bound, and so does each class's minimum.  One walk over the
     integer points of that ellipsoid (``_ellipsoid_rows``), keeping the
-    least Q per class, therefore finds every distance exactly.
+    least Q per class, therefore finds every distance exactly.  It walks
+    the box's res^n points, so res^n <= ``_walk_size``: the walk guard,
+    passed before the table of res^n least values is made, bounds it too.
     """
-    n = lattice.dim
-    if n > 3:
-        raise ValueError("grid estimate supported only for n <= 3")
     if grid_resolution < 1:
         raise ValueError("resolution must be >= 1")
-    res = grid_resolution
+    n, res = lattice.dim, grid_resolution
     gram = _int_gram(lattice._scaled_rows)
     corners = itertools.product((-(res // 2), (res - 1) // 2), repeat=n)
     bound = max(_quadform(gram, list(c)) for c in corners)
+    chain = _schur_chain(gram, bound)
     a = gram[-1][-1]
     least = [bound] * res**n
-    for outer, ts, b, rest in _ellipsoid_rows(_schur_chain(gram, bound)):
+    for outer, ts, b, rest in _ellipsoid_rows(chain):
         base = 0
         for x in outer:
             base = base * res + x % res
@@ -409,15 +409,12 @@ def enumerate_window(lattice: LatticeBasis, bound: Union[int, Fraction]) -> list
     """Coordinates c of all lattice points B c in the window [0, B)^n,
     B = ``bound``, in lexicographic order.
 
-    Guarded to n <= 4 and a predicted point count of at most 10^7; the
-    guards raise instead of truncating, since a silent cut would corrupt
-    the counting checks built on top of this.
+    Guarded to a predicted point count of at most 10^7 and a box of at
+    most 5 * 10^7 candidates; the guards raise instead of truncating, since
+    a silent cut would corrupt the counting checks built on top of this.
     """
     cell = window_cell(lattice, bound)
-    n = lattice.dim
-    if n > 4:
-        raise ValueError("enumeration guarded to n <= 4")
-    predicted = (bound + 2 * lattice.nu_upper) ** n / lattice.det
+    predicted = (bound + 2 * lattice.nu_upper) ** lattice.dim / lattice.det
     if predicted > _ENUM_GUARD:
         raise ValueError(
             f"enumeration guard exceeded: predicted count {float(predicted):.3g}"

@@ -263,6 +263,12 @@ def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
     )
     assert main(["fullrank-check", "--lattice", str(tiny), "--trials", "5"]) == 1
     assert capsys.readouterr().err == "error: shortest vector bound underflowed\n"
+    # a basis of Z^2 with columns of length 10^6: the shortest-vector walk
+    # is refused by its size bound before it starts
+    far = tmp_path / "far.json"
+    far.write_text('{"n": 2, "basis": [[1000000, 1], [1000001, 1]]}')
+    assert main(["fullrank-check", "--lattice", str(far)]) == 1
+    assert "too large (6000006000015)" in capsys.readouterr().err
     for precision in ("0", "51"):
         assert main(["bounds-table", "--n-max", "3", "--precision", precision]) == 1
         assert capsys.readouterr().err == "error: precision must be in [1, 50]\n"

@@ -118,10 +118,26 @@ def test_covering_radius_estimate_scales():
     assert abs(doubled - 2 * base) < Fraction(1, 10**20)
 
 
-def test_covering_radius_estimate_guard():
-    l4 = lat([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
-    with pytest.raises(ValueError):
-        covering_radius_estimate(l4, 4)
+def identity_basis(n: int) -> LatticeBasis:
+    return lat(*([int(i == j) for i in range(n)] for j in range(n)))
+
+
+def test_covering_radius_estimate_guard(monkeypatch):
+    # no dimension limit: an even resolution puts a grid point on the deep
+    # hole of Z^n, so the estimate is nu(Z^n) = sqrt(n) / 2 itself
+    for res in (2, 4):
+        assert covering_radius_estimate(identity_basis(4), res) == 1
+    z5 = identity_basis(5)
+    assert covering_radius_estimate(z5, 2) == sqrt_enclosure(Fraction(5, 4), 25).lo
+
+    # the walk guard refuses what is too large before walking: 40^5 grid
+    # classes, and a walk size bound of about 6 * 10^9
+    def no_walk(chain):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(lattice_module, "_ellipsoid_rows", no_walk)
+    with pytest.raises(ValueError, match=r"too large \(6240321451\)"):
+        covering_radius_estimate(z5, 40)
 
 
 def test_estimate_below_upper_bound():
@@ -158,6 +174,21 @@ def test_covering_radius_estimate_matches_scalar_on_lemma_instances():
         res = inst.grid_resolution
         fast = covering_radius_estimate(inst.lattice, res)
         assert fast == covering_radius_estimate_scalar(inst.lattice, res), inst.name
+
+
+# 2 on the diagonal and 1 below it; its exact covering radius squared is
+# 765/256, from the vertices of its Voronoi cell
+LOWER4 = lat(*([2 if i == j else int(i > j) for i in range(4)] for j in range(4)))
+
+
+@pytest.mark.parametrize(
+    "basis,nu_sq", [(identity_basis(4), 1), (LOWER4, Fraction(765, 256))], ids=["Z4", "lower4"]
+)
+def test_covering_radius_estimate_matches_scalar_at_n4(basis, nu_sq):
+    for res in (2, 3):
+        fast = covering_radius_estimate(basis, res)
+        assert fast == covering_radius_estimate_scalar(basis, res), res
+        assert fast**2 <= nu_sq and fast < basis.nu_upper, res
 
 
 def random_rational_basis(rng: random.Random, n: int) -> LatticeBasis:
@@ -342,7 +373,7 @@ def test_enumerate_window_guards():
     with pytest.raises(ValueError, match="guard"):
         enumerate_window(Z1, 10**9)
     l5 = LatticeBasis([[int(i == j) for i in range(5)] for j in range(5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="predicted count"):
         enumerate_window(l5, 2)
 
 
