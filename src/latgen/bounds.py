@@ -150,7 +150,7 @@ def pk_bound(
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     g = _grid_digits(precision)
-    j_enc = j if isinstance(j, Enclosure) else Enclosure.exact(j)
+    j_enc = Enclosure._coerce(j)
     if j_enc.lo <= 2:
         raise ValueError("window ratio j must exceed 2")
     value = (

@@ -1,9 +1,16 @@
-"""Certified interval arithmetic over exact rationals.
+"""Certified interval arithmetic over exact nonnegative rationals.
 
 An :class:`Enclosure` is a closed interval [lo, hi] with ``Fraction``
 endpoints that is guaranteed to contain the mathematical value it stands
 for.  Every operation rounds outward, so containment is never lost; there
 is no floating point anywhere in this module.
+
+Every constant latgen certifies is built from nonnegative quantities
+(zeta(s), 1/zeta(s), the hyperplane-hit bounds and their complements,
+square roots and half powers), so an enclosure is always a subset of
+[0, inf).  Each operation then takes its bounds from the matching ends
+of its operands, with no sign cases: a difference that could be
+negative is refused by the constructor rather than carried along.
 
 Endpoints are kept small by ``round_outward``, which pads an interval to
 a decimal grid.  Grids are powers of ten, so rounding the same value on a
@@ -22,15 +29,16 @@ Rational = Union[int, Fraction]
 
 
 class Enclosure:
-    """Closed interval [lo, hi] with exact rational endpoints, lo <= hi."""
+    """Closed interval [lo, hi] with exact rational endpoints,
+    0 <= lo <= hi; the constructor raises ValueError otherwise."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Rational, hi: Rational):
         lo = Fraction(lo)
         hi = Fraction(hi)
-        if lo > hi:
-            raise ValueError(f"empty enclosure: lo={lo} > hi={hi}")
+        if not 0 <= lo <= hi:
+            raise ValueError(f"enclosure needs 0 <= lo <= hi: lo={lo}, hi={hi}")
         self.lo = lo
         self.hi = hi
 
@@ -65,7 +73,7 @@ class Enclosure:
     def __hash__(self) -> int:
         return hash((self.lo, self.hi))
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: each bound comes from one end of each operand ---------
 
     @staticmethod
     def _coerce(value) -> "Enclosure":
@@ -79,30 +87,22 @@ class Enclosure:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
     def __sub__(self, other) -> "Enclosure":
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return Enclosure(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other) -> "Enclosure":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "Enclosure":
         o = self._coerce(other)
-        products = (
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        )
-        return Enclosure(min(products), max(products))
+        return Enclosure(self.lo * o.lo, self.hi * o.hi)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Enclosure":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError(f"enclosure straddles zero: {self!r}")
+        if self.lo == 0:
+            raise ZeroDivisionError(f"enclosure contains zero: {self!r}")
         return Enclosure(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other) -> "Enclosure":
@@ -114,17 +114,7 @@ class Enclosure:
     def __pow__(self, exponent: int) -> "Enclosure":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer exponents")
-        if exponent == 0:
-            return Enclosure.exact(1)
-        lo_p, hi_p = self.lo**exponent, self.hi**exponent
-        if self.lo >= 0:
-            return Enclosure(lo_p, hi_p)
-        if self.hi <= 0:
-            return Enclosure(min(lo_p, hi_p), max(lo_p, hi_p))
-        # interval straddles zero
-        if exponent % 2 == 0:
-            return Enclosure(0, max(lo_p, hi_p))
-        return Enclosure(lo_p, hi_p)
+        return Enclosure(self.lo**exponent, self.hi**exponent)
 
     # -- set operations and rounding ----------------------------------------
 

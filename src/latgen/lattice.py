@@ -19,8 +19,10 @@ vectors the same way: one walk over the integer points of an ellipsoid
 w G w <= bound, G the integer Gram matrix (``_ellipsoid_rows``), finds
 the shortest vector the closed form needs and each grid point's nearest
 lattice point.  No search has a dimension limit: each refuses by a bound
-on its own work, every walk in ``_schur_chain`` and window enumeration in
-``enumerate_window``.
+on its own work, every walk in ``_schur_chain`` (``_WALK_GUARD``) and
+window enumeration by its coordinate box (``_BOX_GUARD``, in
+``HalfOpenCell.points``), which holds every point of the window, so it
+needs no covering radius.
 
 A basis B is held as the integer matrix S = q B (q the least common
 denominator of its entries) together with |det S| and the integer matrix
@@ -51,8 +53,7 @@ from typing import Optional, Sequence, Union
 from .enclosure import half_power, sqrt_enclosure
 from .exactmat import _scaled_inverse
 
-_ENUM_GUARD = 10**7
-_BOX_GUARD = 5 * 10**7
+_BOX_GUARD = 10**7
 _WALK_GUARD = 2 * 10**6
 
 
@@ -371,12 +372,12 @@ class HalfOpenCell:
 
     def points(self) -> list[tuple[int, ...]]:
         """Every integer point of the cell, in lexicographic order; raises
-        when the box holds more than 5 * 10^7 candidates."""
+        when the box holds more than 10^7 candidates."""
         size = 1
         for lo, hi in self.box:
             size *= hi - lo + 1
         if size > _BOX_GUARD:
-            raise ValueError(f"enumeration coordinate box too large ({size})")
+            raise ValueError(f"enumeration guard exceeded: coordinate box too large ({size})")
         ranges = (range(lo, hi + 1) for lo, hi in self.box)
         return list(filter(self.contains, itertools.product(*ranges)))
 
@@ -409,17 +410,12 @@ def enumerate_window(lattice: LatticeBasis, bound: Union[int, Fraction]) -> list
     """Coordinates c of all lattice points B c in the window [0, B)^n,
     B = ``bound``, in lexicographic order.
 
-    Guarded to a predicted point count of at most 10^7 and a box of at
-    most 5 * 10^7 candidates; the guards raise instead of truncating, since
-    a silent cut would corrupt the counting checks built on top of this.
+    Guarded by the one bound on its own work, a coordinate box of at most
+    10^7 candidates: the box holds every point, so it also bounds the
+    returned list.  The guard raises instead of truncating, since a silent
+    cut would corrupt the counting checks built on top of this.
     """
-    cell = window_cell(lattice, bound)
-    predicted = (bound + 2 * lattice.nu_upper) ** lattice.dim / lattice.det
-    if predicted > _ENUM_GUARD:
-        raise ValueError(
-            f"enumeration guard exceeded: predicted count {float(predicted):.3g}"
-        )
-    return cell.points()
+    return window_cell(lattice, bound).points()
 
 
 def count_in_hyperplane(

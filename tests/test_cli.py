@@ -398,6 +398,8 @@ CERTIFY_SHA256 = [
      "49c175d2158d1762ed70b3c048d9022e02b0cc93f447a48b86f20fa4e0477f4b"),
     (["bounds-table", "--n-max", "15"], "bounds",
      "05eafd2cbacf26f0571ae218f1684572f64d43a09556699aeba8136896bc5212"),
+    (["bounds-table", "--n-max", "60"], "bounds",
+     "d182836376febba48fe4f17b488deb176c798b55841a1b43c7f1e52f6b30fdc8"),
     (["lemma-verify"], "lemma",
      "7e5f866267941e15200f291aa7ffc7ac3d4280eb1a9703c809f417e91343c262"),
     (["tv-check"], "tv",

@@ -373,8 +373,7 @@ def test_enumerate_window_guards():
     with pytest.raises(ValueError, match="guard"):
         enumerate_window(Z1, 10**9)
     l5 = LatticeBasis([[int(i == j) for i in range(5)] for j in range(5)])
-    with pytest.raises(ValueError, match="predicted count"):
-        enumerate_window(l5, 2)
+    assert len(enumerate_window(l5, 2)) == 32
 
 
 def test_half_open_membership():
