@@ -1,4 +1,4 @@
-"""Closed-form probability bounds, certified to requested precision.
+"""Closed-form probability bounds, certified on one fixed decimal grid.
 
 Every non-rational constant is produced as an :class:`Enclosure` whose
 endpoints are exact rationals, so "matches the printed table to k
@@ -14,12 +14,11 @@ bound cannot reach 30-digit widths for small s in any feasible number of
 terms, which is why the corrections are needed at all; for large s the
 integral bracket alone is already below the grid and is used directly.
 
-Each enclosure is a function of a working precision (``PRECISION`` = 30
-by default, at most 50): it rounds outward on the 10**-(precision+8)
-grid.  Grids at higher precision refine those at lower precision, so
-recomputing at a higher precision nests.  ``zeta`` and ``zeta_inv`` are
-cached per (s, precision); the functions here pass the precision
-positionally, so each value fills one cache entry.
+Every enclosure rounds outward on the one grid 10**-(PRECISION + 8),
+with ``PRECISION`` = 30: the paper quotes its constants to three or four
+decimals, so 30 leaves every printed digit decided with room to spare.
+``zeta``, ``zeta_inv`` and ``fullrank_lower_bound`` are cached by their
+one argument.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from typing import Optional, Union
 from .enclosure import Enclosure, half_power
 
 _EULER_MACLAURIN_N = 48
-_MAX_PRECISION = 50
 
 PRECISION = 30
+_GRID_DIGITS = PRECISION + 8
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers (exact, cached)
@@ -59,16 +58,9 @@ def _bernoulli(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _grid_digits(precision: int) -> int:
-    """Digits of the decimal grid enclosures at this precision round to."""
-    if not 1 <= precision <= _MAX_PRECISION:
-        raise ValueError(f"precision must be in [1, {_MAX_PRECISION}]")
-    return precision + 8
-
-
-def _zeta_raw(s: int, grid_digits: int) -> Enclosure:
+def _zeta_raw(s: int) -> Enclosure:
     n = _EULER_MACLAURIN_N
-    tol = Fraction(1, 10 ** (grid_digits + 2))
+    tol = Fraction(1, 10 ** (_GRID_DIGITS + 2))
     partial = sum(Fraction(1, k**s) for k in range(1, n))
     integral = Fraction(1, (s - 1) * n ** (s - 1))
     f_n = Fraction(1, n**s)
@@ -86,8 +78,8 @@ def _zeta_raw(s: int, grid_digits: int) -> Enclosure:
         t_abs = abs(term)
         if prev_abs is not None and 4 * t_abs > prev_abs:
             raise ArithmeticError(
-                f"zeta tail terms stopped decaying at s={s}, j={j}; "
-                "precision beyond the supported range"
+                f"zeta tail terms stopped decaying at s={s}, j={j} "
+                "before reaching the certified grid"
             )
         if 3 * t_abs < tol:
             # remainder enveloped by first omitted term; 3x safety margin
@@ -100,17 +92,16 @@ def _zeta_raw(s: int, grid_digits: int) -> Enclosure:
 
 
 @lru_cache(maxsize=None)
-def zeta(s: int, precision: int = PRECISION) -> Enclosure:
+def zeta(s: int) -> Enclosure:
     if s < 2:
         raise ValueError("zeta enclosure defined for integer s >= 2")
-    g = _grid_digits(precision)
-    return _zeta_raw(s, g).round_outward(g)
+    return _zeta_raw(s).round_outward(_GRID_DIGITS)
 
 
 @lru_cache(maxsize=None)
-def zeta_inv(s: int, precision: int = PRECISION) -> Enclosure:
+def zeta_inv(s: int) -> Enclosure:
     """Enclosure of 1/zeta(s), clamped into the true range (1-2^(1-s), 1)."""
-    return zeta(s, precision).reciprocal().intersect(
+    return zeta(s).reciprocal().intersect(
         Enclosure(1 - Fraction(1, 2 ** (s - 1)), 1)
     )
 
@@ -120,7 +111,7 @@ def zeta_inv(s: int, precision: int = PRECISION) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def ideal_probability(n: int, m: int, precision: int = PRECISION) -> Enclosure:
+def ideal_probability(n: int, m: int) -> Enclosure:
     """Enclosure of prod_{j=m-n+1}^{m} zeta(j)^-1, the large-window limit of
     the probability that an n x m random integer matrix is unimodular.
 
@@ -132,52 +123,44 @@ def ideal_probability(n: int, m: int, precision: int = PRECISION) -> Enclosure:
         raise ValueError("m < n cannot generate")
     if m == n:
         return Enclosure.exact(0)
-    g = _grid_digits(precision)
     acc = Enclosure.exact(1)
     for j in range(m - n + 1, m + 1):
-        acc = (acc * zeta_inv(j, precision)).round_outward(g)
+        acc = (acc * zeta_inv(j)).round_outward(_GRID_DIGITS)
     return acc
 
 
-def pk_bound(
-    n: int,
-    j: Union[int, Fraction, Enclosure],
-    k: int,
-    precision: int = PRECISION,
-) -> Enclosure:
+def pk_bound(n: int, j: Union[int, Fraction, Enclosure], k: int) -> Enclosure:
     """Hyperplane-hit bound n^(k/2) (j+2)^k 2^(n-k) / (j-2)^n for a window
     of j covering radii, 0 <= k < n."""
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    g = _grid_digits(precision)
     j_enc = Enclosure._coerce(j)
     if j_enc.lo <= 2:
         raise ValueError("window ratio j must exceed 2")
     value = (
-        half_power(n, k, g)
+        half_power(n, k, _GRID_DIGITS)
         * (j_enc + 2) ** k
         * (2 ** (n - k))
         / (j_enc - 2) ** n
     )
-    return value.round_outward(g)
+    return value.round_outward(_GRID_DIGITS)
 
 
 @lru_cache(maxsize=None)
-def fullrank_lower_bound(n: int, precision: int = PRECISION) -> Enclosure:
+def fullrank_lower_bound(n: int) -> Enclosure:
     """Enclosure of prod_{k=0}^{n-1} (1 - n^(k/2) (4n^(n/2)+1)^k / (4n^(n/2)-1)^n),
     the lower bound on n samples spanning full rank at window ratio 8 n^(n/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _grid_digits(precision)
     # factor k is 1 - pk_bound at window ratio j = 8 n^(n/2)
-    j = 8 * half_power(n, n, g)
+    j = 8 * half_power(n, n, _GRID_DIGITS)
     acc = Enclosure.exact(1)
     for k in range(n):
-        acc = (acc * (1 - pk_bound(n, j, k, precision))).round_outward(g)
+        acc = (acc * (1 - pk_bound(n, j, k))).round_outward(_GRID_DIGITS)
     return acc
 
 
-def alpha(n: int, precision: int = PRECISION) -> Enclosure:
+def alpha(n: int) -> Enclosure:
     """Certified enclosure of the constant generation-probability bound
 
         (prod_{i=2}^{n+1} zeta(i)^-1 - 1/4) * fullrank_lower_bound(n).
@@ -187,10 +170,8 @@ def alpha(n: int, precision: int = PRECISION) -> Enclosure:
     """
     if n < 2:
         raise ValueError("alpha is defined for n >= 2")
-    value = (ideal_probability(n, n + 1, precision) - Fraction(1, 4)) * fullrank_lower_bound(
-        n, precision
-    )
-    return value.round_outward(_grid_digits(precision))
+    value = (ideal_probability(n, n + 1) - Fraction(1, 4)) * fullrank_lower_bound(n)
+    return value.round_outward(_GRID_DIGITS)
 
 
 def tv_bound(
@@ -216,9 +197,7 @@ def tv_bound(
     return 1 - (b1 - 2 * nu1) ** n / (b1 + 2 * nu) ** n
 
 
-def window_thresholds(
-    n: int, nu_upper: Union[int, Fraction], precision: int = PRECISION
-) -> tuple[Fraction, Fraction]:
+def window_thresholds(n: int, nu_upper: Union[int, Fraction]) -> tuple[Fraction, Fraction]:
     """Least window bounds (B_min, B1_min) = (8 n^(n/2) nu, 8 n^2 (n+1) B_min).
 
     n^(n/2) for odd n is rounded up, so the returned thresholds remain
@@ -230,7 +209,7 @@ def window_thresholds(
         raise ValueError("nu_upper must be positive")
     if n < 2:
         raise ValueError("window thresholds are defined for n >= 2")
-    b_min = 8 * half_power(n, n, _grid_digits(precision)).hi * nu
+    b_min = 8 * half_power(n, n, _GRID_DIGITS).hi * nu
     return b_min, 8 * n * n * (n + 1) * b_min
 
 

@@ -20,7 +20,6 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .bounds import PRECISION
 from .experiments import (
     ExperimentConfig,
     Table,
@@ -135,7 +134,7 @@ def _cmd_coprime(args) -> tuple[Table, str]:
 
 
 def _cmd_bounds_table(args) -> tuple[Table, str]:
-    table = run_bounds_table(args.n_max, args.precision)
+    table = run_bounds_table(args.n_max)
     return table, f"bounds-table n<={args.n_max} {_tag(table.ok)}"
 
 
@@ -201,7 +200,6 @@ SUBCOMMANDS = {
     ]),
     "bounds-table": ("closed-form bound table", [
         ("--n-max", dict(type=int, default=15)),
-        ("--precision", dict(type=int, default=PRECISION)),
     ]),
     "lemma-verify": ("window counting bound checks", []),
     "tv-check": ("total-variation distance checks", [

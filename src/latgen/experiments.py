@@ -150,8 +150,13 @@ class ExperimentConfig:
         policy = self.m_policy.strip()
         if policy == "n":
             return n
+        k = policy[2:]
         try:
-            m = n + int(policy[2:]) if policy.startswith("n+") else int(policy)
+            # K is ASCII digits only: int() alone takes "-1" and " 2" too
+            if policy.startswith("n+") and k.isascii() and k.isdigit():
+                m = n + int(k)
+            else:
+                m = int(policy)
         except ValueError:
             raise ValueError(
                 f"m policy {self.m_policy!r} is not n, n+K or an integer"
@@ -470,10 +475,12 @@ BoundsRow = namedtuple(
 )
 
 
-def run_bounds_table(n_max: int, precision: int = bounds.PRECISION) -> Table:
+def run_bounds_table(n_max: int) -> Table:
     """Closed-form table: full-rank lower bound, alpha enclosure, ideal
     probability and window thresholds (unit covering radius) per n; ok
-    when every certified alpha is at least 0.092."""
+    when every certified alpha is at least 0.092.  Every value comes from
+    the one certified grid of `bounds`, which the header records as
+    ``precision``."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = []
@@ -481,18 +488,18 @@ def run_bounds_table(n_max: int, precision: int = bounds.PRECISION) -> Table:
     for n in range(1, n_max + 1):
         alpha_lo = alpha_hi = b_min = b1_min = None
         if n >= 2:
-            alpha = bounds.alpha(n, precision)
+            alpha = bounds.alpha(n)
             ok = ok and alpha.lo >= Fraction(92, 1000)
             alpha_lo, alpha_hi = float(alpha.lo), float(alpha.hi)
-            b_min, b1_min = bounds.window_thresholds(n, 1, precision)
-        ideal = bounds.ideal_probability(n, n + 1, precision)
+            b_min, b1_min = bounds.window_thresholds(n, 1)
+        ideal = bounds.ideal_probability(n, n + 1)
         rows.append(
             BoundsRow(
-                n, float(bounds.fullrank_lower_bound(n, precision).lo), alpha_lo, alpha_hi,
+                n, float(bounds.fullrank_lower_bound(n).lo), alpha_lo, alpha_hi,
                 float(ideal.lo), float(ideal.hi), b_min, b1_min,
             )
         )
-    header = {"format": "latgen-bounds-v1", "precision": precision, "ok": ok}
+    header = {"format": "latgen-bounds-v1", "precision": bounds.PRECISION, "ok": ok}
     return Table(header, BoundsRow._fields, rows)
 
 

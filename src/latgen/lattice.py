@@ -298,20 +298,22 @@ def covering_radius_estimate(lattice: LatticeBasis, grid_resolution: int) -> Fra
     point g to its nearest lattice point is the least Q(w) = w G w over
     the integer vectors w = g (mod res), G the integer Gram matrix.  Each
     class has a centred representative in the box [-(res // 2),
-    (res - 1) // 2]^n, and Q is convex, so Q is at most its largest corner
-    value ``bound`` on the whole box: the box lies inside the ellipsoid
-    Q <= bound, and so does each class's minimum.  One walk over the
-    integer points of that ellipsoid (``_ellipsoid_rows``), keeping the
-    least Q per class, therefore finds every distance exactly.  It walks
-    the box's res^n points, so res^n <= ``_walk_size``: the walk guard,
-    passed before the table of res^n least values is made, bounds it too.
+    (res - 1) // 2]^n, where every |w_i| <= res // 2, so
+    Q(w) = sum G_ij w_i w_j <= (res // 2)^2 sum |G_ij| = ``bound`` on the
+    whole box: the box lies inside the ellipsoid Q <= bound, and so does
+    each class's minimum.  (With every G_ij >= 0 the bound is Q at the
+    corner -(res // 2) (1, ..., 1), the largest value on the box.)  One
+    walk over the integer points of that ellipsoid (``_ellipsoid_rows``),
+    keeping the least Q per class, therefore finds every distance
+    exactly.  It walks the box's res^n points, so res^n <= ``_walk_size``:
+    the walk guard, passed before the table of res^n least values is
+    made, bounds it too.
     """
     if grid_resolution < 1:
         raise ValueError("resolution must be >= 1")
     n, res = lattice.dim, grid_resolution
     gram = _int_gram(lattice._scaled_rows)
-    corners = itertools.product((-(res // 2), (res - 1) // 2), repeat=n)
-    bound = max(_quadform(gram, list(c)) for c in corners)
+    bound = (res // 2) ** 2 * sum(abs(g) for row in gram for g in row)
     chain = _schur_chain(gram, bound)
     a = gram[-1][-1]
     least = [bound] * res**n

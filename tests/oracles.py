@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 from math import floor, isqrt, lcm, prod
 
-from latgen.bounds import totients, zeta_inv
+from latgen.bounds import PRECISION, totients, zeta_inv
 from latgen.enclosure import Enclosure
 from latgen.exactmat import _scaled_inverse
 from latgen.lattice import HalfOpenCell
@@ -235,20 +235,20 @@ def contains_enclosure(outer, inner) -> bool:
     return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
-def zeta_hat(precision: int):
+def zeta_hat():
     """Enclosure of prod_{i>=2} zeta(i)^-1, rounded outward on the
-    10**-(precision+8) grid.
+    10**-(PRECISION+8) grid.
 
     Factors beyond the cutoff M multiply to something in
     [1 - 2^(1-M), 1], since each lies in [1 - 2^(1-i), 1].
     """
-    grid_digits = precision + 8
+    grid_digits = PRECISION + 8
     cutoff = 2
     while Fraction(1, 2 ** (cutoff - 1)) >= Fraction(1, 10 ** (grid_digits + 1)):
         cutoff += 1
     acc = Enclosure.exact(1)
     for i in range(2, cutoff + 1):
-        acc = (acc * zeta_inv(i, precision)).round_outward(grid_digits)
+        acc = (acc * zeta_inv(i)).round_outward(grid_digits)
     return acc * Enclosure(1 - Fraction(1, 2 ** (cutoff - 1)), 1)
 
 

@@ -58,7 +58,7 @@ def test_criterion_01_ideal_probability_table():
     ok = True
     worst = Fraction(0)
     for n, printed in enumerate(IDEAL_TABLE_PERCENT, start=1):
-        enc = ideal_probability(n, n + 1, 30) * 100
+        enc = ideal_probability(n, n + 1) * 100
         target = Fraction(printed)
         deviation = abs(enc.mid - target)
         worst = max(worst, deviation)
@@ -81,7 +81,7 @@ def test_criterion_02_fullrank_table():
     start = time.time()
     ok = True
     for n, printed in enumerate(FULLRANK_TABLE, start=1):
-        enc = fullrank_lower_bound(n, 30)
+        enc = fullrank_lower_bound(n)
         ok = ok and abs(enc.mid - Fraction(printed)) <= Fraction(1, 1000)
         ok = ok and enc.hi - enc.lo < Fraction(1, 10**12)
     elapsed = time.time() - start
@@ -99,7 +99,7 @@ def test_criterion_03_alpha_floor():
     _cold_zeta_cache()
     start = time.time()
     floor = Fraction(92, 1000)
-    lows = [alpha(n, 30).lo for n in range(2, 51)]
+    lows = [alpha(n).lo for n in range(2, 51)]
     ok = all(lo >= floor for lo in lows)
     elapsed = time.time() - start
     ok = ok and elapsed < 10.0

@@ -11,8 +11,7 @@ from math import gcd
 import pytest
 
 from latgen.bounds import (
-    PRECISION,
-    _grid_digits,
+    _GRID_DIGITS,
     alpha,
     fullrank_lower_bound,
     ideal_probability,
@@ -100,8 +99,8 @@ def test_zeta_ten_bracket():
 
 def test_zeta_width_contract():
     for s in (2, 3, 7, 19, 40, 120):
-        enc = zeta(s, 20)
-        assert enc.hi - enc.lo < Fraction(1, 10**20)
+        enc = zeta(s)
+        assert enc.hi - enc.lo < Fraction(2, 10**38)
 
 
 def test_zeta_rejects_small_s():
@@ -110,26 +109,13 @@ def test_zeta_rejects_small_s():
 
 
 def test_zeta_hat_digits():
-    enc = zeta_hat(PRECISION)
+    enc = zeta_hat()
     assert enc.lo >= Fraction(434, 1000)
     assert enc.hi <= Fraction(6080, 10000)
     # certified decimal expansion starts 0.43575707677...
     assert Fraction(43575707677, 10**11) < enc.lo
     assert enc.hi < Fraction(43575707678, 10**11)
     assert enc.hi - enc.lo < Fraction(1, 10**25)
-
-
-def test_enclosures_nest_across_precisions():
-    lo, hi = 12, 28
-    for s in (2, 3, 11):
-        assert contains_enclosure(zeta(s, lo), zeta(s, hi))
-    assert contains_enclosure(zeta_hat(lo), zeta_hat(hi))
-    for n in (1, 3, 6):
-        assert contains_enclosure(
-            ideal_probability(n, n + 1, lo), ideal_probability(n, n + 1, hi)
-        )
-    assert contains_enclosure(alpha(4, lo), alpha(4, hi))
-    assert contains_enclosure(fullrank_lower_bound(5, lo), fullrank_lower_bound(5, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +151,7 @@ def test_ideal_probability_decreasing_to_zeta_hat():
             assert enc.hi < prev.lo
         prev = enc
     limit = ideal_probability(40, 41)
-    hat = zeta_hat(PRECISION)
+    hat = zeta_hat()
     assert limit.hi >= hat.lo and limit.lo <= hat.hi + Fraction(1, 10**10)
     assert limit.lo > hat.lo  # still strictly above the infinite product
 
@@ -195,7 +181,7 @@ def test_pk_bound_rejects_small_ratio():
 
 def test_pk_sum_below_half_at_reference_ratio():
     for n in range(1, 9):
-        j = 8 * half_power(n, n, _grid_digits(PRECISION))  # the ratio 8 n^(n/2)
+        j = 8 * half_power(n, n, _GRID_DIGITS)  # the ratio 8 n^(n/2)
         total = Enclosure.exact(0)
         for k in range(n):
             total = total + pk_bound(n, j, k)
@@ -245,7 +231,7 @@ def test_alpha_values():
 
 
 def test_alpha_floor_and_limit():
-    hat = zeta_hat(PRECISION)
+    hat = zeta_hat()
     for n in range(2, 51):
         enc = alpha(n)
         assert enc.lo >= Fraction(92, 1000)
@@ -328,13 +314,6 @@ def test_summatory_matches_pair_count_oracle():
 
 def test_summatory_matches_pair_count_at_1000():
     assert 2 * totient_summatory(1000) + 1 == coprime_pairs_bruteforce(1000)
-
-
-def test_zeta_context_precision_cap():
-    with pytest.raises(ValueError):
-        zeta(2, 60)
-    with pytest.raises(ValueError):
-        zeta(2, 0)
 
 
 def test_coprime_prob_exact_values():

@@ -269,11 +269,14 @@ def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
     far.write_text('{"n": 2, "basis": [[1000000, 1], [1000001, 1]]}')
     assert main(["fullrank-check", "--lattice", str(far)]) == 1
     assert "too large (6000006000015)" in capsys.readouterr().err
-    for precision in ("0", "51"):
-        assert main(["bounds-table", "--n-max", "3", "--precision", precision]) == 1
-        assert capsys.readouterr().err == "error: precision must be in [1, 50]\n"
-    assert main(["unimodular", "--n", "2", "--m", "n-1"]) == 1
-    assert capsys.readouterr().err == "error: m policy 'n-1' is not n, n+K or an integer\n"
+    # every bound is certified on one grid, so there is no --precision
+    assert main(["bounds-table", "--precision", "30"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    for policy in ("n-1", "n+-1"):
+        assert main(["unimodular", "--n", "2", "--m", policy]) == 1
+        assert capsys.readouterr().err == (
+            f"error: m policy {policy!r} is not n, n+K or an integer\n"
+        )
     # a malformed --n names the accepted forms, not Python's int() message
     for text in ("2-", "1..", "x", "1,", "1..x"):
         assert main(["unimodular", "--n", text]) == 1

@@ -63,7 +63,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(m_policy="n-5")
     # every n is checked, not only the largest
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not n, n[+]K or an integer"):
         ExperimentConfig(n_values=(4, 1), m_policy="n+-1")
     # a repeated dimension would write two identical summaries
     with pytest.raises(ValueError, match="distinct"):

@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from latgen.bounds import PRECISION, ideal_probability
+from latgen.bounds import ideal_probability
 from latgen.exactmat import unimodular_columns
 from latgen.groupgen import (
     FiniteAbelianGroup,
@@ -327,7 +327,7 @@ def proposition1_check(n_max):
     zeta-product lower bound (itself at least the infinite-product
     constant)."""
     rows = []
-    hat_lower = zeta_hat(PRECISION).lo
+    hat_lower = zeta_hat().lo
     for n in range(1, n_max + 1):
         bound_lower = ideal_probability(n, n + 1).lo
         assert bound_lower >= hat_lower

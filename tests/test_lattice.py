@@ -138,6 +138,10 @@ def test_covering_radius_estimate_guard(monkeypatch):
     monkeypatch.setattr(lattice_module, "_ellipsoid_rows", no_walk)
     with pytest.raises(ValueError, match=r"too large \(6240321451\)"):
         covering_radius_estimate(z5, 40)
+    # the walk's bound is read off the Gram matrix, without visiting the
+    # 2^18 corners of the grid box, so Z^18 is refused at once
+    with pytest.raises(ValueError, match=r"too large \(5559917313492231481\)"):
+        covering_radius_estimate(identity_basis(18), 2)
 
 
 def test_estimate_below_upper_bound():
@@ -242,6 +246,21 @@ def test_covering_radius_estimate_skewed_bases_match_scalar(
         fast = covering_radius_estimate(basis, res)
         assert fast == covering_radius_estimate_scalar(standard, res), res
     for res in scalar_resolutions:
+        fast = covering_radius_estimate(basis, res)
+        assert fast == covering_radius_estimate_scalar(basis, res), res
+
+
+@pytest.mark.parametrize("columns,resolutions", [
+    ([[1, 0], [-3, 1]], (2, 3, 4, 8)),
+    ([[2, -1], [1, 3]], (2, 3, 4, 8)),
+    ([[1, 0, 0], [-2, 1, 0], [3, -4, 1]], (2, 3, 4)),
+])
+def test_covering_radius_estimate_negative_gram_matches_scalar(columns, resolutions):
+    # with negative Gram entries the walk's bound (res // 2)^2 sum |G_ij|
+    # exceeds Q on every box corner; the estimate is the same
+    basis = lat(*columns)
+    assert min(x for row in _int_gram(basis._scaled_rows) for x in row) < 0
+    for res in resolutions:
         fast = covering_radius_estimate(basis, res)
         assert fast == covering_radius_estimate_scalar(basis, res), res
 
