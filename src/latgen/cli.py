@@ -38,16 +38,11 @@ from .sampling import SamplerError
 def _parse_n_values(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
-        for sep in ("..", "-"):
-            if sep in text and not text.startswith("-"):
-                lo, hi = map(int, text.split(sep, 1))
-                break
-        else:
+        if ".." not in text:
             return tuple(int(part) for part in text.split(","))
+        lo, hi = map(int, text.split("..", 1))
     except ValueError:
-        raise ValueError(
-            f"n values {text!r} are not of the form 2, 1..4, 1-4 or 1,3"
-        ) from None
+        raise ValueError(f"n values {text!r} are not of the form 2, 1..4 or 1,3") from None
     if lo > hi:
         raise ValueError(f"n range {text!r} is reversed: {lo} > {hi}")
     return tuple(range(lo, hi + 1))
@@ -161,13 +156,11 @@ def _cmd_fullrank_check(args) -> tuple[Table, str]:
     lattice = LatticeBasis([[1, 0], [0, 1]])
     if args.lattice is not None:
         lattice = _load_lattice(args.lattice)
-    nu = _fraction(args.nu_upper, "--nu-upper") if args.nu_upper is not None else None
     table = run_fullrank_check(
         lattice,
         _fraction(args.B, "--B") if args.B is not None else None,
         trials=args.trials,
         seed=args.seed,
-        nu_upper=nu,
         allow_out_of_hypothesis=args.allow_out_of_hypothesis,
     )
     (row,) = table.rows
@@ -212,7 +205,6 @@ SUBCOMMANDS = {
         ("--lattice", dict(help="lattice JSON file (default Z^2)")),
         ("--B", dict(help="window bound (default: threshold)")),
         ("--trials", dict(type=int, default=2000)),
-        ("--nu-upper", dict()),
         ("--allow-out-of-hypothesis", dict(action="store_true")),
     ]),
 }

@@ -150,17 +150,12 @@ class ExperimentConfig:
         policy = self.m_policy.strip()
         if policy == "n":
             return n
-        k = policy[2:]
-        try:
-            # K is ASCII digits only: int() alone takes "-1" and " 2" too
-            if policy.startswith("n+") and k.isascii() and k.isdigit():
-                m = n + int(k)
-            else:
-                m = int(policy)
-        except ValueError:
-            raise ValueError(
-                f"m policy {self.m_policy!r} is not n, n+K or an integer"
-            ) from None
+        offset = policy.startswith("n+")
+        digits = policy[2:] if offset else policy.removeprefix("-")
+        # ASCII digits only: int() also takes "+", "_", spaces and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"m policy {self.m_policy!r} is not n, n+K or an integer")
+        m = n + int(digits) if offset else int(policy)
         if m < 1:
             raise ValueError(f"m policy {self.m_policy!r} gives m < 1")
         return m
@@ -666,66 +661,46 @@ FullrankRow = namedtuple(
 )
 
 
-def _ball_volume_upper(n: int) -> Fraction:
-    """Exact upper bound on the volume of the unit n-ball,
-    pi^(n/2) / Gamma(n/2 + 1), from pi < 355/113; at most 2^n."""
-    pi_hi = Fraction(355, 113)
-    if n % 2 == 0:
-        return pi_hi ** (n // 2) / math.factorial(n // 2)
-    h = (n - 1) // 2
-    return 2**n * pi_hi**h * math.factorial(h) / math.factorial(n)
-
-
 def run_fullrank_check(
     lattice: LatticeBasis,
     window_bound: Optional[Union[int, Fraction]],
     trials: int,
     seed: int = 0,
-    nu_upper: Optional[Fraction] = None,
     allow_out_of_hypothesis: bool = False,
     name: str = "fullrank",
 ) -> Table:
     """Frequency with which n uniform window points span full rank.
 
-    ``window_bound`` None takes the window at the threshold 8 n^(n/2) nu
-    (nu the given ``nu_upper`` or else the lattice's cached bound), which
-    exists only for n >= 2.  The window must meet that threshold unless
-    explicitly overridden (the row then records hypothesis_held=False
-    and asserts nothing); inside the hypothesis, the check is
-    frequency >= 1/2 - 3 Wilson radii.  With zero trials the frequency
-    is empty and nothing is asserted.
-
-    A ``nu_upper`` with V_n nu^n < det is refused (V_n the volume of the
-    unit n-ball, bounded above exactly by ``_ball_volume_upper``): balls
-    of radius nu centred on the lattice points cover R^n once nu is at
-    least the covering radius, so such a value cannot be an upper bound.
-    This exact test refuses only provably wrong values; it does not
-    certify that nu is an upper bound.
+    The paper's full-rank lemma holds for windows B >= 8 n^(n/2) nu with
+    nu at least the covering radius; here nu is the lattice's certified
+    ``nu_upper``.  That threshold exists only for n >= 2, and
+    ``window_bound`` None takes the window at it.  A window below it, or
+    any window of an n = 1 lattice, is refused unless
+    ``allow_out_of_hypothesis`` is set: the row then records
+    hypothesis_held=False and asserts nothing.  Inside the hypothesis,
+    the check is frequency >= 1/2 - 3 Wilson radii.  With zero trials the
+    frequency is empty and nothing is asserted.
     """
     n = lattice.dim
-    nu = Fraction(nu_upper) if nu_upper is not None else lattice.nu_upper
     threshold = None
-    # window_thresholds refuses n = 1 and nu <= 0, the error only when the
-    # window is the threshold (the ball test refuses nu <= 0 otherwise)
-    if window_bound is None or n >= 2 and nu > 0:
-        threshold = bounds.window_thresholds(n, nu)[0]
+    # window_thresholds refuses n = 1, the error only when the window is
+    # the threshold
+    if window_bound is None or n >= 2:
+        threshold = bounds.window_thresholds(n, lattice.nu_upper)[0]
     if trials < 0:
         raise ValueError("trials must be >= 0")
     b = Fraction(threshold if window_bound is None else window_bound)
     rng = RngStream(seed, stream_id(KIND_FULLRANK, n, 0, 1))
     # refuses B <= 0 whatever the trial count
     sampler = WindowSampler(lattice, b, rng)
-    if nu <= 0 or _ball_volume_upper(n) * nu**n < lattice.det:
-        raise ValueError(
-            f"nu_upper {nu} is below the covering radius: balls of radius nu "
-            f"around the lattice points cannot cover R^{n} (det {lattice.det})"
-        )
     hypothesis_held = threshold is not None and b >= threshold
     if not hypothesis_held and not allow_out_of_hypothesis:
-        raise ValueError(
-            f"window bound {b} below threshold {threshold}; "
-            "pass --allow-out-of-hypothesis to report anyway"
+        below = (
+            f"window bound {b} has no threshold: window thresholds are defined for n >= 2"
+            if threshold is None
+            else f"window bound {b} below threshold {threshold}"
         )
+        raise ValueError(f"{below}; pass --allow-out-of-hypothesis to report anyway")
     successes = 0
     for _ in range(trials):
         # B is nonsingular, so the points span R^n iff their coordinates do

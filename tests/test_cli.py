@@ -19,11 +19,13 @@ from latgen.sampling import Parallelepiped, RngStream, SamplerError, random_para
 def test_parse_n_values():
     assert _parse_n_values("3") == (3,)
     assert _parse_n_values("1..4") == (1, 2, 3, 4)
-    assert _parse_n_values("2-5") == (2, 3, 4, 5)
     assert _parse_n_values("1,3,7") == (1, 3, 7)
-    for reversed_range in ("3..1", "3-1"):
-        with pytest.raises(ValueError, match="reversed"):
-            _parse_n_values(reversed_range)
+    with pytest.raises(ValueError, match="reversed"):
+        _parse_n_values("3..1")
+    # a range is written 1..4 only
+    for dashed in ("2-5", "3-1"):
+        with pytest.raises(ValueError, match="are not of the form 2, 1..4 or 1,3"):
+            _parse_n_values(dashed)
 
 
 def test_coprime_exit_zero(capsys):
@@ -196,6 +198,19 @@ def test_fullrank_subcommand(tmp_path, capsys):
         ]
     )
     assert code == 0
+    # an n = 1 lattice has no window threshold: any --B is refused without
+    # the flag, and no --B leaves no window to take
+    capsys.readouterr()
+    z1 = ["fullrank-check", "--lattice", str(lattice_file), "--trials", "3"]
+    assert main(z1 + ["--B", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: window bound 8 has no threshold: window thresholds are defined for"
+        " n >= 2; pass --allow-out-of-hypothesis to report anyway\n"
+    )
+    assert "None" not in err
+    assert main(z1) == 1
+    assert capsys.readouterr().err == "error: window thresholds are defined for n >= 2\n"
 
 
 def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
@@ -246,11 +261,6 @@ def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
             "fullrank-check", "--lattice", str(lattice), "--B", "8",
             "--allow-out-of-hypothesis", "--trials", "10",
         ])
-    # (2 nu)^2 < det Z^2: no covering-radius upper bound can be that small
-    malformed.append(["fullrank-check", "--nu-upper", "1/1000", "--trials", "10"])
-    # pi nu^2 < det Z^2 although (2 nu)^2 = det: discs of radius 1/2 leave
-    # gaps, so 1/2 is below the covering radius sqrt(2)/2
-    malformed.append(["fullrank-check", "--nu-upper", "1/2", "--trials", "10"])
     for argv in malformed:
         capsys.readouterr()
         assert main(argv) == 1, argv
@@ -272,16 +282,19 @@ def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
     # every bound is certified on one grid, so there is no --precision
     assert main(["bounds-table", "--precision", "30"]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+    # nu is always the lattice's certified bound, so there is no --nu-upper
+    assert main(["fullrank-check", "--nu-upper", "1"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
     for policy in ("n-1", "n+-1"):
         assert main(["unimodular", "--n", "2", "--m", policy]) == 1
         assert capsys.readouterr().err == (
             f"error: m policy {policy!r} is not n, n+K or an integer\n"
         )
     # a malformed --n names the accepted forms, not Python's int() message
-    for text in ("2-", "1..", "x", "1,", "1..x"):
+    for text in ("2-", "1..", "x", "1,", "1..x", "1-4"):
         assert main(["unimodular", "--n", text]) == 1
         assert capsys.readouterr().err == (
-            f"error: n values {text!r} are not of the form 2, 1..4, 1-4 or 1,3\n"
+            f"error: n values {text!r} are not of the form 2, 1..4 or 1,3\n"
         )
     assert main(["unimodular", "--n", "4..2"]) == 1
     assert capsys.readouterr().err == "error: n range '4..2' is reversed: 4 > 2\n"
@@ -294,14 +307,13 @@ def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
 
     empty = [
         (["fullrank-check", "--B", ""], no_fraction("--B")),
-        (["fullrank-check", "--nu-upper", ""], no_fraction("--nu-upper")),
         (["fullrank-check", "--lattice", ""], no_file),
         (["tv-check", "--lattice", "", "--sub", "", "--B1", ""], no_file),
         (["tv-check", "--lattice", "", "--sub", sub, "--B1", "50"], no_file),
         (["tv-check", "--lattice", str(z2), "--sub", "", "--B1", "50"],
          "--sub is not JSON: Expecting value: line 1 column 1 (char 0)"),
         (["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", ""], no_fraction("--B1")),
-        (["unimodular", "--n", ""], "n values '' are not of the form 2, 1..4, 1-4 or 1,3"),
+        (["unimodular", "--n", ""], "n values '' are not of the form 2, 1..4 or 1,3"),
         (["unimodular", "--config", ""], no_file),
         (["unimodular", "--m", ""], "m policy '' is not n, n+K or an integer"),
     ]
@@ -309,7 +321,6 @@ def test_operational_error_exit_one(tmp_path, capsys, monkeypatch):
     for i, text in enumerate(("x", "1/0")):
         empty += [
             (["fullrank-check", "--B", text], no_fraction("--B", text)),
-            (["fullrank-check", "--nu-upper", text], no_fraction("--nu-upper", text)),
             (["tv-check", "--lattice", str(z2), "--sub", sub, "--B1", text],
              no_fraction("--B1", text)),
         ]

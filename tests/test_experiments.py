@@ -65,6 +65,14 @@ def test_config_validation():
     # every n is checked, not only the largest
     with pytest.raises(ValueError, match="is not n, n[+]K or an integer"):
         ExperimentConfig(n_values=(4, 1), m_policy="n+-1")
+    # an integer policy is an optional "-" and ASCII digits, which int()
+    # alone would widen to "+3", "1_0" and non-ASCII digits
+    for policy in ("+3", "1_0", "\u0663", "--3", "-", "3-"):
+        with pytest.raises(ValueError, match="is not n, n[+]K or an integer"):
+            ExperimentConfig(n_values=(2,), m_policy=policy)
+    for policy in ("-1", "0"):
+        with pytest.raises(ValueError, match="gives m < 1"):
+            ExperimentConfig(n_values=(2,), m_policy=policy)
     # a repeated dimension would write two identical summaries
     with pytest.raises(ValueError, match="distinct"):
         ExperimentConfig(n_values=(1, 1))
@@ -480,12 +488,6 @@ def test_fullrank_z2_at_threshold():
     assert Fraction(report.header["threshold"]) == 32
     assert report.ok
     assert float(row.frequency) > 0.9
-
-
-def test_fullrank_custom_nu_threshold():
-    report = run_fullrank_check(Z2, 16, trials=100, seed=5, nu_upper=Fraction(1))
-    assert Fraction(report.header["threshold"]) == 16
-    assert report.rows[0].hypothesis_held
 
 
 def test_fullrank_out_of_hypothesis():
